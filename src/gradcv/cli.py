@@ -74,7 +74,8 @@ _DEFAULTS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="gradcv",
         description="Gradient estimators for Gaussian variational inference: benchmark, evaluate, fit.",
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="identity and exactness suites")
     common(p_self)
 
-    return parser
+    return parser, sub.choices
 
 
 def _parse_settings(text: str, parser) -> tuple[tuple[float, float], ...]:
@@ -150,9 +151,46 @@ def _parse_settings(text: str, parser) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
+def _config_values(file_cfg: dict, command_parser, parser) -> dict:
+    """--config values for the subcommand's options, checked as the same flags are.
+
+    A value of a typed flag goes through the flag's type= conversion, an
+    on/off flag takes a JSON boolean, a flag with choices takes one of
+    them, and any other flag takes a string; a JSON list stands for a
+    comma list such as --estimators, with inner lists joined by ":" as
+    in --settings. Values of options the subcommand does not have are
+    dropped.
+    """
+    out = {}
+    for action in command_parser._actions:
+        name = action.dest
+        if name not in file_cfg or name not in _DEFAULTS:
+            continue
+        value = file_cfg[name]
+        if action.nargs == 0:  # store_true
+            if not isinstance(value, bool):
+                parser.error(f"--config: {name!r} must be true or false, got {value!r}")
+        elif action.type is not None:
+            try:
+                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                    raise ValueError
+                value = action.type(str(value))
+            except ValueError:
+                parser.error(f"--config: {name!r}: invalid {action.type.__name__} value {value!r}")
+        else:
+            if isinstance(value, list):
+                value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
+            if not isinstance(value, str):
+                parser.error(f"--config: {name!r} must be a string, got {value!r}")
+        if action.choices is not None and value not in action.choices:
+            parser.error(f"--config: {name!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
+        out[name] = value
+    return out
+
+
 def parse_args(argv=None) -> RunConfig:
     """Parse argv into a fully validated RunConfig. Usage errors exit with code 2."""
-    parser = _build_parser()
+    parser, command_parsers = _build_parser()
     ns = parser.parse_args(argv)
 
     file_cfg = {}
@@ -164,6 +202,7 @@ def parse_args(argv=None) -> RunConfig:
             parser.error(f"--config: cannot read {ns.config!r}: {err}")
         if not isinstance(file_cfg, dict):
             parser.error("--config: top-level JSON value must be an object")
+        file_cfg = _config_values(file_cfg, command_parsers[ns.command], parser)
 
     def pick(name):
         val = getattr(ns, name, None)
@@ -180,12 +219,8 @@ def parse_args(argv=None) -> RunConfig:
     if ns.command == "fit" and getattr(ns, "estimator", None) is None and "estimator" not in file_cfg:
         rc.estimator = "cv-regression"
 
-    if isinstance(rc.settings, str):
-        rc.settings = _parse_settings(rc.settings, parser)
-    else:
-        rc.settings = tuple((float(m), float(s)) for m, s in rc.settings)
-    if isinstance(rc.estimators, str):
-        rc.estimators = tuple(e.strip() for e in rc.estimators.split(",") if e.strip())
+    rc.settings = _parse_settings(rc.settings, parser)
+    rc.estimators = tuple(e.strip() for e in rc.estimators.split(",") if e.strip())
     for est in rc.estimators:
         if est not in ESTIMATOR_IDS:
             parser.error(f"--estimators: unknown estimator id {est!r}")
@@ -212,6 +247,8 @@ def parse_args(argv=None) -> RunConfig:
             parser.error(f"fit schedule: {err}")
         if rc.estimator in ("greg-samplecov", "greg-pathgrad"):
             parser.error(f"--estimator: {rc.estimator!r} is biased and cannot drive plain SGD")
+        if rc.record_every < 1:
+            parser.error(f"--record-every: must be >= 1, got {rc.record_every}")
     return rc
 
 

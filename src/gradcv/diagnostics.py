@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import _sample_cov_mat, _sample_cov_vec, _solve_sym2, run_kernel
+from .estimators import run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import expect, gauss_hermite_rule
 from .targets import gaussian_target, logistic_target
@@ -167,13 +167,11 @@ def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult
         scale = max(float(np.abs(exact).max()), 1.0)
         eps = rng_from_seed(("exactness", pair_idx)).standard_normal((replications, samples))
         x = q.reparameterize(eps)
-        est_reg = run_kernel("cv-regression", q, target, x, eps, samples // 2)
+        est_reg, aux = run_kernel("cv-regression", q, target, x, eps, samples // 2, with_aux=True)
         est_greg = run_kernel("greg-samplecov", q, target, x, eps, 0)
         worst = max(worst, float(np.abs(est_reg - exact).max()) / scale)
         worst = max(worst, float(np.abs(est_greg - exact).max()) / scale)
-        s_c = q.score_eta(x[:, : samples // 2])
-        fv_c = q.log_density(x[:, : samples // 2]) - target.log_p(x[:, : samples // 2])
-        alpha, _ = _solve_sym2(_sample_cov_mat(s_c), _sample_cov_vec(s_c, fv_c))
+        alpha = aux["alpha"]
         alpha_scale = max(float(np.abs(delta).max()), 1.0)
         worst = max(worst, float(np.abs(alpha - delta).max()) / alpha_scale)
     return CheckResult("gaussian-exactness", worst <= tol, worst, tol)

@@ -31,6 +31,22 @@ estimate stays unbiased; the remaining methods consume one batch.
 Every estimator also has a vectorized kernel operating on a matrix of
 draws with one row per independent replication; the benchmark harness
 calls these directly.
+
+The kernels are written as two-component arithmetic on (R, S) arrays, one
+array per component, following the regression view in which every
+estimator is a function of a few per-draw quantities:
+
+* score-function methods use the score components s0 = x - mu and
+  s1 = x^2 - E_q[x^2] and the integrand f = log q - log p;
+* path methods use the path Jacobian dx/deta, whose first column is the
+  constant sigma2 and whose second is j1 = 2 mu sigma2 + sigma^3 eps, and
+  the residual d/dx [log q - log p] = score_x - grad_x.
+
+Each batch computes its ingredients once and centers each once. Every
+covariance is a sum over the draw axis of a product of two centered
+(R, S) arrays, and every 2x2 coefficient or natural-gradient system is
+solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No stacked
+(R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
 """
 
 from __future__ import annotations
@@ -67,6 +83,9 @@ __all__ = [
 # Determinant threshold, relative to the squared magnitude of the matrix,
 # below which a 2x2 solve falls back to the pseudo-inverse.
 _SINGULAR_RTOL = 1e-12
+# Singular-value cutoff, relative to the largest, of np.linalg.lstsq(rcond=None)
+# on a 2x2 system: the non-symmetric fallback reproduces its solution.
+_LSTSQ_RCOND = 2 * np.finfo(float).eps
 
 
 class CapabilityError(RuntimeError):
@@ -155,6 +174,104 @@ def _fval(q: GaussianQ, target: Target, x: np.ndarray) -> np.ndarray:
     return q.log_density(x) - lp
 
 
+def _mean(a: np.ndarray) -> np.ndarray:
+    """Mean over the draw axis; bit-identical to a.mean(-1)."""
+    return a.sum(-1) / a.shape[-1]
+
+
+def _centered(a: np.ndarray) -> np.ndarray:
+    return a - a.sum(-1, keepdims=True) / a.shape[-1]
+
+
+# Sum over the draw axis of a * b, without the product temporary. np.vecdot
+# (numpy >= 2.0) has the least per-call overhead; einsum is the fallback.
+_dot = getattr(np, "vecdot", lambda a, b: np.einsum("...s,...s->...", a, b))
+
+
+def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    return np.stack([a0, a1], axis=-1)
+
+
+def _scores(q: GaussianQ, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of score_eta: x - mu and x^2 - E_q[x^2]."""
+    return x - q.mu, x * x - (q.mu * q.mu + q.sigma2)
+
+
+def _score_parts(q: GaussianQ, t: Target, x: np.ndarray, centered: bool = False) -> tuple:
+    """Score components s0, s1 and integrand f = log q - log p, optionally centered."""
+    parts = (*_scores(q, x), _fval(q, t, x))
+    return tuple(map(_centered, parts)) if centered else parts
+
+
+def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
+    """Regression of f on (h0, h1), all centered, as a 2x2 system in component form.
+
+    Returns (a00, a01, a10, a11, b0, b1) for a = sum h h^T and b = sum h f;
+    a covariance system without its 1/(S-1).
+    """
+    v01 = _dot(h0, h1)
+    return _dot(h0, h0), v01, v01, _dot(h1, h1), _dot(h0, f), _dot(h1, f)
+
+
+def _score_moments(q: GaussianQ, t: Target, x: np.ndarray) -> tuple:
+    """Cov-hat[s, s] and Cov-hat[s, f] with 1/(S-1), as a 2x2 system in component form.
+
+    Cov-hat[s, f] is the cov estimate of the gradient and Cov-hat[s, s]
+    estimates the score covariance.
+    """
+    s0, s1, f = _score_parts(q, t, x, centered=True)
+    n1 = x.shape[-1] - 1
+    return tuple(v / n1 for v in _normal_equations(s0, s1, f))
+
+
+def _path_parts(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, estimator_id: str) -> tuple:
+    """Sampler-path ingredients of the draws x = mu + sigma * eps.
+
+    The path Jacobian dx/deta has the constant first column sigma2 and the
+    second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
+    resid = score_x - grad_x is d/dx [log q - log p].
+    """
+    grad_x = _require_grad(t, estimator_id)
+    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * eps
+    resid = q.score_x(x) - np.asarray(grad_x(x), dtype=float)
+    return j1, resid
+
+
+def _path_moments(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, estimator_id: str) -> tuple:
+    """Batch means of the per-draw path statistics, as a 2x2 system in component form.
+
+    m_j = (dx/deta) outer (dT/dx), with dT/dx = (1, 2x), estimates the score
+    covariance; f_j = (dx/deta) * resid estimates the KL gradient. Returns
+    (m00, m01, m10, m11, f0, f1); m00 is the scalar sigma2. m is not symmetric.
+    """
+    s2 = q.sigma2
+    j1, resid = _path_parts(q, t, x, eps, estimator_id)
+    n = x.shape[-1]
+    return s2, 2.0 * s2 * _mean(x), _mean(j1), 2.0 * _dot(j1, x) / n, s2 * _mean(resid), _dot(j1, resid) / n
+
+
+def _cv_estimate(q: GaussianQ, moments: tuple, alpha0: tuple, alpha1: tuple) -> np.ndarray:
+    """Gradient estimate minus the fitted score-covariance control variates.
+
+    moments are (m00, m01, m10, m11, f0, f1), batch estimates of the score
+    covariance and of the gradient; alpha_i is the coefficient pair of
+    gradient component i: est_i = f_i - sum_l (m_il - Cov_exact_il) alpha_il.
+    """
+    m00, m01, m10, m11, f0, f1 = moments
+    c = q.exact_suffstat_cov()
+    h00, h01, h10, h11 = m00 - c[0, 0], m01 - c[0, 1], m10 - c[1, 0], m11 - c[1, 1]
+    return _pair(f0 - (h00 * alpha0[0] + h01 * alpha0[1]), f1 - (h10 * alpha1[0] + h11 * alpha1[1]))
+
+
+def _times_exact(q: GaussianQ, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
+    """Cov_exact @ (g0, g1): a natural gradient mapped to eta coordinates."""
+    c = q.exact_suffstat_cov()
+    return _pair(c[0, 0] * g0 + c[0, 1] * g1, c[1, 0] * g0 + c[1, 1] * g1)
+
+
+# Stacked forms of the score covariances, for (..., S, 2) arrays such as score_eta's.
+
+
 def _sample_cov_vec(s: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Cov-hat[s, f] over axis -2 with 1/(S-1); s is (..., S, 2), f is (..., S)."""
     n = s.shape[-2]
@@ -170,78 +287,90 @@ def _sample_cov_mat(s: np.ndarray) -> np.ndarray:
     return np.einsum("...si,...sj->...ij", sc, sc) / (n - 1)
 
 
-def _solve2(
-    a: np.ndarray, b: np.ndarray, jitter: float = 0.0, symmetric: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched 2x2 solve a @ x = b with a singular fallback.
+def _det_scale(a00, a01, a10, a11):
+    det = a00 * a11 - a01 * a10
+    scale = np.maximum(np.maximum(np.abs(a00), np.abs(a01)), np.maximum(np.abs(a10), np.abs(a11)))
+    return det, scale
+
+
+def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0, symmetric: bool = False):
+    """Batched 2x2 solve a @ x = b on component arrays, with a singular fallback.
 
     Well-conditioned systems use the closed-form inverse. When |det| falls
     below _SINGULAR_RTOL times the squared matrix magnitude the solve is
     retried with jitter added to the diagonal (if configured) and finally
     falls back to a minimum-norm least-squares solution, which leaves
-    directions of zero variance with a zero coefficient. Returns
-    (solution, fallback mask).
+    directions of zero variance with a zero coefficient. Components
+    broadcast against each other. Returns (x0, x1, fallback mask).
+    """
+    det, scale = _det_scale(a00, a01, a10, a11)
+    bad = degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
+    if jitter > 0.0 and bad.any():
+        bump = np.where(bad, jitter, 0.0)
+        a00, a11 = a00 + bump, a11 + bump
+        det, scale = _det_scale(a00, a01, a10, a11)
+        degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
+    safe_det = np.where(degenerate, 1.0, det)
+    x0 = np.asarray((a11 * b0 - a01 * b1) / safe_det)
+    x1 = np.asarray((a00 * b1 - a10 * b0) / safe_det)
+    if degenerate.any():
+        if symmetric:
+            p0, p1 = _pinv_solve_sym2(a00, a01, a11, b0, b1)
+            x0, x1 = np.where(degenerate, p0, x0), np.where(degenerate, p1, x1)
+        else:
+            rows = [np.broadcast_to(c, degenerate.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
+            m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
+            sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
+            x0[degenerate], x1[degenerate] = sol[:, 0, 0], sol[:, 1, 0]
+    return x0, x1, bad
+
+
+def _solve2(
+    a: np.ndarray, b: np.ndarray, jitter: float = 0.0, symmetric: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """_solve2c on stacked (..., 2, 2) matrices and (..., 2) right-hand sides.
+
+    Returns (solution (..., 2), fallback mask).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-
-    def _parts(m):
-        det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        scale = np.max(np.abs(m), axis=(-2, -1))
-        return det, scale
-
-    det, scale = _parts(a)
-    bad = np.abs(det) <= _SINGULAR_RTOL * scale * scale
-    if jitter > 0.0 and bad.any():
-        a = a + jitter * np.where(bad, 1.0, 0.0)[..., None, None] * np.eye(2)
-        det, scale = _parts(a)
-    degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
-    safe_det = np.where(degenerate, 1.0, det)
-    x0 = (a[..., 1, 1] * b[..., 0] - a[..., 0, 1] * b[..., 1]) / safe_det
-    x1 = (a[..., 0, 0] * b[..., 1] - a[..., 1, 0] * b[..., 0]) / safe_det
-    out = np.stack([x0, x1], axis=-1)
-    if degenerate.any():
-        if symmetric:
-            out = np.where(degenerate[..., None], _pinv_solve_sym2(a, b), out)
-        else:
-            flat_out = out.reshape(-1, 2)
-            flat_a = a.reshape(-1, 2, 2)
-            flat_b = b.reshape(-1, 2)
-            for idx in np.flatnonzero(degenerate.reshape(-1)):
-                flat_out[idx] = np.linalg.lstsq(flat_a[idx], flat_b[idx], rcond=None)[0]
-            out = flat_out.reshape(out.shape)
-    return out, bad
+    x0, x1, bad = _solve2c(
+        a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1], b[..., 0], b[..., 1], jitter, symmetric
+    )
+    return _pair(x0, x1), bad
 
 
 def _solve_sym2(a: np.ndarray, b: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     return _solve2(a, b, jitter, symmetric=True)
 
 
-def _pinv_solve_sym2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pinv_solve_sym2(a00, a01, a11, b0, b1):
     """Minimum-norm solve via the closed-form eigendecomposition of a sym 2x2."""
-    a00, a01, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
     half_tr = 0.5 * (a00 + a11)
     disc = np.sqrt(np.maximum(0.25 * (a00 - a11) ** 2 + a01 * a01, 0.0))
     lam1 = half_tr + disc
     lam2 = half_tr - disc
-    # eigenvector for lam1; pick the better-conditioned of the two algebraic forms
-    v1 = np.stack([a01, lam1 - a00], axis=-1)
-    alt = np.stack([lam1 - a11, a01], axis=-1)
-    use_alt = np.linalg.norm(v1, axis=-1) < np.linalg.norm(alt, axis=-1)
-    v1 = np.where(use_alt[..., None], alt, v1)
-    norm = np.linalg.norm(v1, axis=-1, keepdims=True)
-    unit = np.concatenate([np.ones_like(norm), np.zeros_like(norm)], axis=-1)
-    v1 = np.where(norm > 0.0, v1 / np.where(norm == 0.0, 1.0, norm), unit)
-    v2 = np.stack([-v1[..., 1], v1[..., 0]], axis=-1)
+    # eigenvector (v0, v1) for lam1; pick the better-conditioned of the two algebraic forms
+    u0, u1 = a01, lam1 - a00
+    w0, w1 = lam1 - a11, a01
+    norm_u = np.sqrt(u0 * u0 + u1 * u1)
+    norm_w = np.sqrt(w0 * w0 + w1 * w1)
+    use_alt = norm_u < norm_w
+    norm = np.where(use_alt, norm_w, norm_u)
+    nonzero = norm > 0.0
+    safe_norm = np.where(nonzero, norm, 1.0)
+    v0 = np.where(nonzero, np.where(use_alt, w0, u0) / safe_norm, 1.0)
+    v1 = np.where(nonzero, np.where(use_alt, w1, u1) / safe_norm, 0.0)
     lam_floor = _SINGULAR_RTOL * np.maximum(np.abs(lam1), np.abs(lam2))
 
     def _recip(lam):
         keep = np.abs(lam) > lam_floor
         return np.where(keep, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
 
-    c1 = np.einsum("...i,...i->...", v1, b) * _recip(lam1)
-    c2 = np.einsum("...i,...i->...", v2, b) * _recip(lam2)
-    return c1[..., None] * v1 + c2[..., None] * v2
+    # coordinates along the eigenvectors (v0, v1) of lam1 and (-v1, v0) of lam2
+    c1 = (v0 * b0 + v1 * b1) * _recip(lam1)
+    c2 = (v0 * b1 - v1 * b0) * _recip(lam2)
+    return c1 * v0 - c2 * v1, c1 * v1 + c2 * v0
 
 
 # ---------------------------------------------------------------------------
@@ -249,117 +378,76 @@ def _pinv_solve_sym2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_simple(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    s = q.score_eta(x)
-    f = _fval(q, t, x)
-    return (s * f[..., None]).mean(axis=-2), {}
+    s0, s1, f = _score_parts(q, t, x)
+    n = x.shape[-1]
+    return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
 
 
 def _kernel_cov(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    return _sample_cov_vec(q.score_eta(x), _fval(q, t, x)), {}
-
-
-def _score_cv_pieces(q: GaussianQ, t: Target, x: np.ndarray):
-    """Per-draw control-variate ingredients for the score-covariance methods.
-
-    f_j = centered score times centered integrand, whose batch covariance is
-    the cov estimator; H_j = outer product of centered scores minus the exact
-    score covariance, whose batch statistic has expectation zero.
-    """
-    c_exact = q.exact_suffstat_cov()
-    s = q.score_eta(x)
-    f = _fval(q, t, x)
-    sc = s - s.mean(axis=-2, keepdims=True)
-    fc = f - f.mean(axis=-1, keepdims=True)
-    f_j = sc * fc[..., None]
-    h_j = np.einsum("...si,...sj->...sij", sc, sc) - c_exact
-    return f_j, h_j, c_exact
-
-
-def _fit_percomponent(f_j: np.ndarray, h_j: np.ndarray, jitter: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fit alpha^i = Var[h^i]^-1 Cov[h^i, f_i] from per-draw statistics.
-
-    f_j is (R, S, 2), h_j is (R, S, 2, 2); returns alpha (R, 2, 2) with
-    alpha[:, i] the coefficient vector for gradient component i, and the
-    fallback mask. The 1/(S-1) normalization cancels in the solve.
-    """
-    hc = h_j - h_j.mean(axis=-3, keepdims=True)
-    fc = f_j - f_j.mean(axis=-2, keepdims=True)
-    var_h = np.einsum("...sil,...sim->...ilm", hc, hc)
-    cov_hf = np.einsum("...sil,...si->...il", hc, fc)
-    return _solve_sym2(var_h, cov_hf, jitter)
+    s0, s1, f = _score_parts(q, t, x, centered=True)
+    n1 = x.shape[-1] - 1
+    return _pair(_dot(s0, f) / n1, _dot(s1, f) / n1), {}
 
 
 def _kernel_cv_ideal(
     q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray, jitter: float
 ) -> tuple[np.ndarray, dict]:
-    f_j, h_j, c_exact = _score_cv_pieces(q, t, x_coef)
-    alpha, fallback = _fit_percomponent(f_j, h_j, jitter)
-    s_e = q.score_eta(x_eval)
-    f_ev = _sample_cov_vec(s_e, _fval(q, t, x_eval))
-    h_ev = _sample_cov_mat(s_e) - c_exact
-    est = f_ev - np.einsum("...il,...il->...i", h_ev, alpha)
-    return est, {"alpha": alpha, "singular_fallback": fallback}
+    # Per-draw statistics of the coefficient batch: f^i_j = s_ij f_j, whose
+    # mean is the cov estimate, and h^il_j = s_ij s_lj, whose mean minus
+    # Cov_exact has expectation zero; Cov_exact cancels in the centering.
+    # Component i regresses f^i on (h^i0, h^i1).
+    s0, s1, f = _score_parts(q, t, x_coef, centered=True)
+    h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
+    a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter, symmetric=True)
+    a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter, symmetric=True)
+    est = _cv_estimate(q, _score_moments(q, t, x_eval), (a00, a01), (a10, a11))
+    alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
+    return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
 def _kernel_cv_regression(
     q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray, jitter: float
 ) -> tuple[np.ndarray, dict]:
-    s_c = q.score_eta(x_coef)
-    alpha, fallback = _solve_sym2(
-        _sample_cov_mat(s_c), _sample_cov_vec(s_c, _fval(q, t, x_coef)), jitter
-    )
-    c_exact = q.exact_suffstat_cov()
-    s_e = q.score_eta(x_eval)
-    f_ev = _sample_cov_vec(s_e, _fval(q, t, x_eval))
-    h_ev = _sample_cov_mat(s_e) - c_exact
-    est = f_ev - np.einsum("...il,...l->...i", h_ev, alpha)
-    return est, {"alpha": alpha, "singular_fallback": fallback}
-
-
-def _path_cv_pieces(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray):
-    """Per-draw sampler-path ingredients.
-
-    f_j = (dx/deta) * d/dx [log q - log p](x_j) estimates the KL gradient;
-    m_j = (dx/deta) outer (dT/dx) estimates the score covariance, so
-    h_j = m_j - Cov_exact is the zero-mean control variate.
-    """
-    grad_x = _require_grad(t, "path-gradient estimator")
-    c_exact = q.exact_suffstat_cov()
-    jac = q.path_jacobian(eps)
-    resid = q.score_x(x) - np.asarray(grad_x(x), dtype=float)
-    f_j = jac * resid[..., None]
-    t_prime = np.stack([np.ones_like(x), 2.0 * x], axis=-1)
-    m_j = np.einsum("...si,...sl->...sil", jac, t_prime)
-    return f_j, m_j, c_exact
+    a0, a1, fallback = _solve2c(*_score_moments(q, t, x_coef), jitter, symmetric=True)
+    est = _cv_estimate(q, _score_moments(q, t, x_eval), (a0, a1), (a0, a1))
+    return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
 
 def _kernel_cv_ideal_pathgrad(
     q: GaussianQ, t: Target, x_coef, eps_coef, x_eval, eps_eval, jitter: float
 ) -> tuple[np.ndarray, dict]:
-    f_jc, m_jc, c_exact = _path_cv_pieces(q, t, x_coef, eps_coef)
-    alpha, fallback = _fit_percomponent(f_jc, m_jc - c_exact, jitter)
-    f_je, m_je, _ = _path_cv_pieces(q, t, x_eval, eps_eval)
-    f_ev = f_je.mean(axis=-2)
-    h_ev = m_je.mean(axis=-3) - c_exact
-    est = f_ev - np.einsum("...il,...il->...i", h_ev, alpha)
-    return est, {"alpha": alpha, "singular_fallback": fallback}
+    # cv-ideal with the path statistics f^i_j = (dx/deta)_i resid_j and
+    # h^il_j = (dx/deta)_i (dT/dx)_l. The first Jacobian column is the
+    # constant sigma2, so h^00 is zero once centered and component 0
+    # regresses on h^01 alone (the solve falls back to the minimum norm).
+    s2 = q.sigma2
+    j1, resid = _path_parts(q, t, x_coef, eps_coef, "cv-ideal-grad")
+    tx = 2.0 * x_coef
+    h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
+    f0, f1 = _centered(s2 * resid), _centered(j1 * resid)
+    a00, a01, fb0 = _solve2c(0.0, 0.0, 0.0, _dot(h01, h01), 0.0, _dot(h01, f0), jitter, symmetric=True)
+    a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter, symmetric=True)
+    est = _cv_estimate(q, _path_moments(q, t, x_eval, eps_eval, "cv-ideal-grad"), (a00, a01), (a10, a11))
+    alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
+    return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
 def _kernel_ranganath(
     q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray
 ) -> tuple[np.ndarray, dict]:
-    s_c = q.score_eta(x_coef)
-    f_c = s_c * _fval(q, t, x_coef)[..., None]
-    hc = s_c - s_c.mean(axis=-2, keepdims=True)
-    fc = f_c - f_c.mean(axis=-2, keepdims=True)
-    var_h = np.einsum("...si,...si->...i", hc, hc)
-    cov_fh = np.einsum("...si,...si->...i", fc, hc)
-    zero_var = var_h <= 0.0
-    coef = np.where(zero_var, 0.0, cov_fh / np.where(zero_var, 1.0, var_h))
-    s_e = q.score_eta(x_eval)
-    f_e = s_e * _fval(q, t, x_eval)[..., None]
-    est = (f_e - coef[..., None, :] * s_e).mean(axis=-2)
-    return est, {"coef": coef, "zero_variance": zero_var}
+    # per-component control variate h_i = s_i for the per-draw integrand s_i f
+    f_c, f_e = _fval(q, t, x_coef), _fval(q, t, x_eval)
+    n = x_eval.shape[-1]
+    est, coef, zero_var = [], [], []
+    for s_c, s_e in zip(_scores(q, x_coef), _scores(q, x_eval)):
+        h = _centered(s_c)
+        var_h, cov_fh = _dot(h, h), _dot(_centered(s_c * f_c), h)
+        zero = var_h <= 0.0
+        c = np.where(zero, 0.0, cov_fh / np.where(zero, 1.0, var_h))
+        est.append(_dot(s_e, f_e - c[..., None]) / n)
+        coef.append(c)
+        zero_var.append(zero)
+    return _pair(*est), {"coef": _pair(*coef), "zero_variance": _pair(*zero_var)}
 
 
 def _kernel_delta(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -369,41 +457,37 @@ def _kernel_delta(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, d
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
     g0 = float(np.asarray(grad_x(np.array(mu)), dtype=float))
     h0 = float(np.asarray(hess_x(np.array(mu)), dtype=float))
-    dx = x - mu
-    taylor = lp0 + g0 * dx + 0.5 * h0 * dx * dx
+    s0, s1 = _scores(q, x)
+    taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
     lp = np.asarray(t.log_p(x), dtype=float)
     if not np.isfinite(lp).all():
         raise EstimationError(f"target {t.name!r} log_p is not finite at a draw")
-    mc = (q.score_eta(x) * (lp - taylor)[..., None]).mean(axis=-2)
+    remainder = lp - taylor
+    n = x.shape[-1]
     # d/deta E_q[log q] is the negative-entropy gradient (0, -sigma2);
     # d/deta E_q[Taylor] with frozen coefficients uses E[x - mu] = 0 and
     # E[(x - mu)^2] = sigma2 through d mu/d eta and d sigma2/d eta.
-    grad_e_logq = np.array([0.0, -s2])
-    grad_e_taylor = np.array([g0 * s2, 2.0 * g0 * mu * s2 + h0 * s2 * s2])
-    return grad_e_logq - mc - grad_e_taylor, {}
+    est0 = -_dot(s0, remainder) / n - g0 * s2
+    est1 = -s2 - _dot(s1, remainder) / n - (2.0 * g0 * mu * s2 + h0 * s2 * s2)
+    return _pair(est0, est1), {}
 
 
 def _kernel_kingma(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, dict]:
-    grad_x = _require_grad(t, "kingma-reparam")
-    resid = q.score_x(x) - np.asarray(grad_x(x), dtype=float)
-    return (q.path_jacobian(eps) * resid[..., None]).mean(axis=-2), {}
+    j1, resid = _path_parts(q, t, x, eps, "kingma-reparam")
+    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / x.shape[-1]), {}
 
 
 def _kernel_greg_samplecov(q: GaussianQ, t: Target, x: np.ndarray, jitter: float) -> tuple[np.ndarray, dict]:
-    s = q.score_eta(x)
-    g_nat, fallback = _solve_sym2(_sample_cov_mat(s), _sample_cov_vec(s, _fval(q, t, x)), jitter)
-    est = np.einsum("il,...l->...i", q.exact_suffstat_cov(), g_nat)
-    return est, {"g_nat": g_nat, "singular_fallback": fallback}
+    g0, g1, fallback = _solve2c(*_score_moments(q, t, x), jitter, symmetric=True)
+    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
 def _kernel_greg_pathgrad(
     q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, jitter: float
 ) -> tuple[np.ndarray, dict]:
-    f_j, m_j, c_exact = _path_cv_pieces(q, t, x, eps)
     # the path estimate of the score covariance is not symmetric
-    g_nat, fallback = _solve2(m_j.mean(axis=-3), f_j.mean(axis=-2), jitter)
-    est = np.einsum("il,...l->...i", c_exact, g_nat)
-    return est, {"g_nat": g_nat, "singular_fallback": fallback}
+    g0, g1, fallback = _solve2c(*_path_moments(q, t, x, eps, "greg-pathgrad"), jitter)
+    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +681,16 @@ def run_kernel(
     eps: np.ndarray,
     n_coef: int,
     jitter: float = 0.0,
-) -> np.ndarray:
+    *,
+    with_aux: bool = False,
+):
     """Vectorized entry point: one gradient estimate per row of x.
 
     x and eps have shape (R, S); split-budget estimators use the first
     n_coef columns as the coefficient batch and the rest for evaluation.
+    Returns the (R, 2) estimates, or with with_aux=True the pair
+    (estimates, aux), aux holding the kernel's per-row diagnostics under
+    the keys of GradEstimate.aux.
     """
     info = ESTIMATORS[estimator_id]
     if info.needs_grad:
@@ -612,28 +701,27 @@ def run_kernel(
         x_c, x_e = x[:, :n_coef], x[:, n_coef:]
         e_c, e_e = eps[:, :n_coef], eps[:, n_coef:]
         if estimator_id == "cv-ideal":
-            value, _ = _kernel_cv_ideal(q, t, x_c, x_e, jitter)
+            value, aux = _kernel_cv_ideal(q, t, x_c, x_e, jitter)
         elif estimator_id == "cv-regression":
-            value, _ = _kernel_cv_regression(q, t, x_c, x_e, jitter)
+            value, aux = _kernel_cv_regression(q, t, x_c, x_e, jitter)
         elif estimator_id == "cv-ideal-grad":
-            value, _ = _kernel_cv_ideal_pathgrad(q, t, x_c, e_c, x_e, e_e, jitter)
+            value, aux = _kernel_cv_ideal_pathgrad(q, t, x_c, e_c, x_e, e_e, jitter)
         elif estimator_id == "ranganath-cv":
-            value, _ = _kernel_ranganath(q, t, x_c, x_e)
+            value, aux = _kernel_ranganath(q, t, x_c, x_e)
         else:  # pragma: no cover - registry and dispatch kept in sync
             raise KeyError(estimator_id)
-        return value
-    if estimator_id == "simple":
-        value, _ = _kernel_simple(q, t, x)
+    elif estimator_id == "simple":
+        value, aux = _kernel_simple(q, t, x)
     elif estimator_id == "cov":
-        value, _ = _kernel_cov(q, t, x)
+        value, aux = _kernel_cov(q, t, x)
     elif estimator_id == "delta-method":
-        value, _ = _kernel_delta(q, t, x)
+        value, aux = _kernel_delta(q, t, x)
     elif estimator_id == "kingma-reparam":
-        value, _ = _kernel_kingma(q, t, x, eps)
+        value, aux = _kernel_kingma(q, t, x, eps)
     elif estimator_id == "greg-samplecov":
-        value, _ = _kernel_greg_samplecov(q, t, x, jitter)
+        value, aux = _kernel_greg_samplecov(q, t, x, jitter)
     elif estimator_id == "greg-pathgrad":
-        value, _ = _kernel_greg_pathgrad(q, t, x, eps, jitter)
+        value, aux = _kernel_greg_pathgrad(q, t, x, eps, jitter)
     else:  # pragma: no cover
         raise KeyError(estimator_id)
-    return value
+    return (value, aux) if with_aux else value

@@ -25,15 +25,18 @@ _SEED_MASK = (1 << 64) - 1
 
 
 def _seed_key(seed) -> tuple[int, ...]:
-    """Normalize a seed (int, str label, or tuple of those) into a SeedSequence key."""
+    """Normalize a seed (int, str label, or tuple of those) into a SeedSequence key.
+
+    Ints are taken modulo 2^64. A string label becomes the integer of its
+    UTF-8 bytes, whole: SeedSequence takes integers of any size, so labels
+    that differ only after their eighth byte get distinct streams.
+    """
     if isinstance(seed, (int, np.integer, str)):
         seed = (seed,)
-    out = []
-    for s in seed:
-        if isinstance(s, str):
-            s = int.from_bytes(s.encode(), "little")
-        out.append(int(s) & _SEED_MASK)
-    return tuple(out)
+    return tuple(
+        int.from_bytes(s.encode(), "little") if isinstance(s, str) else int(s) & _SEED_MASK
+        for s in seed
+    )
 
 
 def rng_from_seed(seed) -> np.random.Generator:

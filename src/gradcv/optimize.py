@@ -93,6 +93,8 @@ def fit(
     schedule and projection are applied identically either way.
     """
     schedule = schedule or SgdSchedule()
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
     if gradient_fn is None:
         info = ESTIMATORS.get(estimator_id)
         if info is None:

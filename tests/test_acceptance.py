@@ -77,7 +77,7 @@ _DELTA_XFAIL = pytest.mark.xfail(
     "documented Taylor-about-the-mean construction cannot produce; see decisions ledger",
 )
 _CV_IDEAL_XFAIL = pytest.mark.xfail(
-    strict=False,
+    strict=True,
     reason="construction here is slightly more effective than its reference; "
     "one cell sits just below the -25% edge",
 )

@@ -73,6 +73,47 @@ class TestParseArgs:
             parse_args(["fit", "--estimator", "cv-ideal", "--samples", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_record_every_below_one_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["fit", "--record-every", value])
+        assert exc.value.code == 2
+        assert "--record-every" in capsys.readouterr().err
+
+    def test_record_every_from_config_checked(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"record_every": 0}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["fit", "--config", str(cfg)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("values", [
+        {"reps": "abc"},
+        {"reps": 2.5},
+        {"reps": True},
+        {"split": [0.5]},
+        {"paired": "yes"},
+        {"format": "xml"},
+        {"target": 5},
+        {"settings": [[0, "x"]]},
+    ])
+    def test_config_values_get_flag_type_checks(self, values, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["benchmark", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert next(iter(values)) in capsys.readouterr().err
+
+    def test_config_values_converted_like_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reps": "500", "split": 0.4, "seed": -1, "paired": True, "format": "csv",
+                                   "settings": [[0, 2], [-1.5, 0.5]], "estimators": ["simple", "cov"]}))
+        rc = parse_args(["benchmark", "--config", str(cfg)])
+        assert (rc.reps, rc.split, rc.seed, rc.paired, rc.format) == (500, 0.4, -1, True, "csv")
+        assert rc.settings == ((0.0, 2.0), (-1.5, 0.5))
+        assert rc.estimators == ("simple", "cov")
+
 
 class TestGroundTruthCommand:
     def test_prints_quadrature_vector(self, capsys):

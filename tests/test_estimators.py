@@ -21,6 +21,7 @@ from gradcv.estimators import (
     run_kernel,
     _sample_cov_mat,
     _sample_cov_vec,
+    _solve2,
     _solve_sym2,
 )
 from gradcv.gaussian import GaussianQ, DrawBatch, rng_from_seed
@@ -64,6 +65,25 @@ class TestSolver:
         got, fallback = _solve_sym2(a, b, jitter=0.5)
         np.testing.assert_allclose(got, [[2.0, 2.0]], rtol=1e-12)
         assert fallback.all()
+
+    def test_nonsymmetric_fallback_matches_lstsq(self):
+        # rank 0, rank 1 and near-singular (rank 1 plus a perturbation of
+        # relative size 1e-14 to 1e-17) systems take the minimum-norm fallback
+        rng = np.random.default_rng(8)
+        mats = [np.zeros((2, 2))]
+        mats += [np.outer(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(5)]
+        for size in (1e-14, 1e-15, 1e-17):
+            for _ in range(5):
+                m = np.outer(rng.standard_normal(2), rng.standard_normal(2))
+                mats.append(m + size * np.abs(m).max() * rng.standard_normal((2, 2)))
+        well_posed = rng.standard_normal((4, 2, 2)) + 3.0 * np.eye(2)
+        a = np.concatenate([np.array(mats), well_posed])
+        b = rng.standard_normal((len(a), 2))
+        got, fallback = _solve2(a, b)
+        np.testing.assert_array_equal(fallback, np.arange(len(a)) < len(mats))
+        ref = np.array([np.linalg.lstsq(m, v, rcond=None)[0] for m, v in zip(a, b)])
+        scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
+        np.testing.assert_array_less(np.abs(got - ref) / scale, 1e-12)
 
 
 class TestUnbiasedness:

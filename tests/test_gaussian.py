@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gradcv.gaussian import DrawBatch, GaussianQ, from_moments, from_natural
+from gradcv.gaussian import DrawBatch, GaussianQ, _seed_key, from_moments, from_natural
 from gradcv.quadrature import gauss_hermite_rule
 
 
@@ -192,6 +192,22 @@ class TestSampling:
         c = q.sample(seed=(7, 1), size=5)
         d = q.sample(seed=(7, 2), size=5)
         assert not np.array_equal(c.draws, d.draws)
+
+    def test_string_labels_are_not_truncated(self):
+        # labels that agree in their first eight bytes used to share a stream
+        q = GaussianQ(0.0, 1.0)
+        a = q.sample(seed=("exactness", 0), size=5)
+        b = q.sample(seed=("exactnesQ", 0), size=5)
+        c = q.sample(seed=("exactnes", 0), size=5)
+        assert not np.array_equal(a.draws, b.draws)
+        assert not np.array_equal(a.draws, c.draws)
+        assert _seed_key(("exactness", 0)) != _seed_key(("exactnesQ", 0))
+
+    def test_short_labels_keep_their_key(self):
+        # a label of at most eight bytes keeps the key, hence the stream, it always had
+        assert _seed_key(("path-fd", 2)) == (int.from_bytes(b"path-fd", "little"), 2)
+        assert _seed_key("cv-ideal") == (int.from_bytes(b"cv-ideal", "little"),)
+        assert _seed_key(-3) == ((1 << 64) - 3,)
 
 
 class TestPathJacobian:

@@ -44,6 +44,11 @@ class TestFit:
         with pytest.raises(ValueError, match="unknown"):
             fit(GaussianQ(0.0, 1.0), logistic_target(), "nope")
 
+    @pytest.mark.parametrize("record_every", [0, -3])
+    def test_record_every_below_one_rejected(self, record_every):
+        with pytest.raises(ValueError, match="record_every"):
+            fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", record_every=record_every)
+
     def test_recovers_gaussian_target_exactly(self):
         # zero-variance gradient makes the descent deterministic; the
         # exact-gradient oracle with the same schedule must land on the
