@@ -27,24 +27,13 @@ from .benchmark import (
     run_benchmark,
 )
 from .diagnostics import run_all_checks
-from .estimators import ESTIMATOR_IDS, EstimatorConfig, estimate
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, estimate
 from .gaussian import GaussianQ
 from .optimize import SgdSchedule, fit, trajectory_to_csv
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import resolve_target
 
-__all__ = ["main", "parse_args", "RunConfig"]
-
-
-class RunConfig:
-    """Resolved invocation: subcommand plus every field it needs."""
-
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
-
-    def __repr__(self):
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.__dict__.items()))
-        return f"RunConfig({inner})"
+__all__ = ["main", "parse_args"]
 
 
 _DEFAULTS = {
@@ -188,8 +177,8 @@ def _config_values(file_cfg: dict, command_parser, parser) -> dict:
     return out
 
 
-def parse_args(argv=None) -> RunConfig:
-    """Parse argv into a fully validated RunConfig. Usage errors exit with code 2."""
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv into a fully validated namespace holding every field. Usage errors exit with code 2."""
     parser, command_parsers = _build_parser()
     ns = parser.parse_args(argv)
 
@@ -212,10 +201,7 @@ def parse_args(argv=None) -> RunConfig:
             return file_cfg[name]
         return _DEFAULTS[name]
 
-    cfg = {"command": ns.command}
-    for name in _DEFAULTS:
-        cfg[name] = pick(name)
-    rc = RunConfig(**cfg)
+    rc = argparse.Namespace(command=ns.command, **{name: pick(name) for name in _DEFAULTS})
     if ns.command == "fit" and getattr(ns, "estimator", None) is None and "estimator" not in file_cfg:
         rc.estimator = "cv-regression"
 
@@ -245,7 +231,7 @@ def parse_args(argv=None) -> RunConfig:
             SgdSchedule(step0=rc.step0, decay=rc.decay, iterations=rc.iterations, samples_per_step=rc.samples)
         except ValueError as err:
             parser.error(f"fit schedule: {err}")
-        if rc.estimator in ("greg-samplecov", "greg-pathgrad"):
+        if not ESTIMATORS[rc.estimator].unbiased:
             parser.error(f"--estimator: {rc.estimator!r} is biased and cannot drive plain SGD")
         if rc.record_every < 1:
             parser.error(f"--record-every: must be >= 1, got {rc.record_every}")
@@ -265,7 +251,7 @@ def _emit(text: str, out_path) -> int:
     return 0
 
 
-def _vector_payload(rc: RunConfig, name: str, vec, extra: dict) -> str:
+def _vector_payload(rc: argparse.Namespace, name: str, vec, extra: dict) -> str:
     if rc.format == "json":
         return json.dumps({**extra, name: [float(vec[0]), float(vec[1])]}, indent=2) + "\n"
     if rc.format == "csv":

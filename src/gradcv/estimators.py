@@ -28,9 +28,22 @@ Control-variate methods consume two disjoint batches (coefficients are
 fitted on one, the gradient evaluated on the other) so that the final
 estimate stays unbiased; the remaining methods consume one batch.
 
-Every estimator also has a vectorized kernel operating on a matrix of
-draws with one row per independent replication; the benchmark harness
-calls these directly.
+The registry ESTIMATORS is the one place an estimator is wired up. Its
+EstimatorInfo holds the method's vectorized kernel, whether the budget is
+split, the fewest draws per batch, the target derivatives it needs and
+whether it is unbiased. Every kernel has the signature
+
+    kernel(q, t, x_coef, eps_coef, x_eval, eps_eval, jitter) -> ((R, 2), aux)
+
+on draws x and their standard-normal noise eps of shape (R, S), one row
+per independent replication. Split-budget methods fit coefficients on the
+coefficient half and evaluate on the other; the rest get an empty
+coefficient half and ignore it, and methods without a 2x2 solve ignore
+jitter. aux maps diagnostic names to per-row arrays. One private dispatch
+checks the target's capabilities, splits the columns and calls the
+kernel; run_kernel (many rows, used by the benchmark) and estimate() and
+the est_* functions (one row) all go through it. The est_* functions are
+generated from the registry and carry their kernel's docstring.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -116,18 +129,23 @@ class EstimatorConfig:
             raise ValueError(
                 f"unknown estimator_id {self.estimator_id!r}; valid ids: {', '.join(ESTIMATOR_IDS)}"
             )
-        if ESTIMATORS[self.estimator_id].split_budget:
-            n_coef, n_eval = self.split_sizes()
-            if n_coef < 2 or n_eval < 2:
-                raise ValueError(
-                    f"control-variate methods need >= 2 samples in each half of the split; "
-                    f"got {n_coef}+{n_eval} from total_samples={self.total_samples}, "
-                    f"cv_split={self.cv_split}"
-                )
+        sizes, min_draws = self.batch_sizes(), ESTIMATORS[self.estimator_id].min_draws
+        if min(sizes) < min_draws:
+            raise ValueError(
+                f"estimator {self.estimator_id!r} needs >= {min_draws} samples in each batch; "
+                f"got {'+'.join(map(str, sizes))} from total_samples={self.total_samples}, "
+                f"cv_split={self.cv_split}"
+            )
 
     def split_sizes(self) -> tuple[int, int]:
         n_coef = int(round(self.total_samples * self.cv_split))
         return n_coef, self.total_samples - n_coef
+
+    def batch_sizes(self) -> tuple[int, ...]:
+        """Draws per batch: the split for split-budget methods, else the whole budget."""
+        if ESTIMATORS[self.estimator_id].split_budget:
+            return self.split_sizes()
+        return (self.total_samples,)
 
 
 @dataclass(frozen=True)
@@ -151,18 +169,6 @@ class GradEstimate:
 
 # ---------------------------------------------------------------------------
 # shared numerics
-
-
-def _require_grad(target: Target, estimator_id: str) -> Callable:
-    if target.grad_x is None:
-        raise CapabilityError(f"estimator {estimator_id!r} requires target.grad_x ({target.name!r} has none)")
-    return target.grad_x
-
-
-def _require_hess(target: Target, estimator_id: str) -> Callable:
-    if target.hess_x is None:
-        raise CapabilityError(f"estimator {estimator_id!r} requires target.hess_x ({target.name!r} has none)")
-    return target.hess_x
 
 
 def _fval(q: GaussianQ, target: Target, x: np.ndarray) -> np.ndarray:
@@ -224,20 +230,19 @@ def _score_moments(q: GaussianQ, t: Target, x: np.ndarray) -> tuple:
     return tuple(v / n1 for v in _normal_equations(s0, s1, f))
 
 
-def _path_parts(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, estimator_id: str) -> tuple:
+def _path_parts(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple:
     """Sampler-path ingredients of the draws x = mu + sigma * eps.
 
     The path Jacobian dx/deta has the constant first column sigma2 and the
     second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
     resid = score_x - grad_x is d/dx [log q - log p].
     """
-    grad_x = _require_grad(t, estimator_id)
     j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * eps
-    resid = q.score_x(x) - np.asarray(grad_x(x), dtype=float)
+    resid = q.score_x(x) - np.asarray(t.grad_x(x), dtype=float)
     return j1, resid
 
 
-def _path_moments(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, estimator_id: str) -> tuple:
+def _path_moments(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple:
     """Batch means of the per-draw path statistics, as a 2x2 system in component form.
 
     m_j = (dx/deta) outer (dT/dx), with dT/dx = (1, 2x), estimates the score
@@ -245,7 +250,7 @@ def _path_moments(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, estim
     (m00, m01, m10, m11, f0, f1); m00 is the scalar sigma2. m is not symmetric.
     """
     s2 = q.sigma2
-    j1, resid = _path_parts(q, t, x, eps, estimator_id)
+    j1, resid = _path_parts(q, t, x, eps)
     n = x.shape[-1]
     return s2, 2.0 * s2 * _mean(x), _mean(j1), 2.0 * _dot(j1, x) / n, s2 * _mean(resid), _dot(j1, resid) / n
 
@@ -267,24 +272,6 @@ def _times_exact(q: GaussianQ, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Cov_exact @ (g0, g1): a natural gradient mapped to eta coordinates."""
     c = q.exact_suffstat_cov()
     return _pair(c[0, 0] * g0 + c[0, 1] * g1, c[1, 0] * g0 + c[1, 1] * g1)
-
-
-# Stacked forms of the score covariances, for (..., S, 2) arrays such as score_eta's.
-
-
-def _sample_cov_vec(s: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Cov-hat[s, f] over axis -2 with 1/(S-1); s is (..., S, 2), f is (..., S)."""
-    n = s.shape[-2]
-    sc = s - s.mean(axis=-2, keepdims=True)
-    fc = f - f.mean(axis=-1, keepdims=True)
-    return np.einsum("...si,...s->...i", sc, fc) / (n - 1)
-
-
-def _sample_cov_mat(s: np.ndarray) -> np.ndarray:
-    """Cov-hat[s, s] over axis -2 with 1/(S-1); returns (..., 2, 2)."""
-    n = s.shape[-2]
-    sc = s - s.mean(axis=-2, keepdims=True)
-    return np.einsum("...si,...sj->...ij", sc, sc) / (n - 1)
 
 
 def _det_scale(a00, a01, a10, a11):
@@ -325,25 +312,6 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0, symmetric: bool = 
     return x0, x1, bad
 
 
-def _solve2(
-    a: np.ndarray, b: np.ndarray, jitter: float = 0.0, symmetric: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """_solve2c on stacked (..., 2, 2) matrices and (..., 2) right-hand sides.
-
-    Returns (solution (..., 2), fallback mask).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    x0, x1, bad = _solve2c(
-        a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1], b[..., 0], b[..., 1], jitter, symmetric
-    )
-    return _pair(x0, x1), bad
-
-
-def _solve_sym2(a: np.ndarray, b: np.ndarray, jitter: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    return _solve2(a, b, jitter, symmetric=True)
-
-
 def _pinv_solve_sym2(a00, a01, a11, b0, b1):
     """Minimum-norm solve via the closed-form eigendecomposition of a sym 2x2."""
     half_tr = 0.5 * (a00 + a11)
@@ -374,24 +342,33 @@ def _pinv_solve_sym2(a00, a01, a11, b0, b1):
 
 
 # ---------------------------------------------------------------------------
-# vectorized kernels; x has shape (R, S), results (R, 2)
+# kernels: (q, t, x_coef, eps_coef, x_eval, eps_eval, jitter) -> ((R, 2), aux)
+#
+# Unsplit methods read only the evaluation half, named x and eps below;
+# arguments a kernel ignores carry a leading underscore. _kernel_NAME's
+# est_* function is est_NAME and carries the kernel's docstring.
 
 
-def _kernel_simple(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _kernel_simple(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+    """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
     s0, s1, f = _score_parts(q, t, x)
     n = x.shape[-1]
     return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
 
 
-def _kernel_cov(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
+def _kernel_cov(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+    """Sample covariance of score and integrand with 1/(S-1); unbiased."""
     s0, s1, f = _score_parts(q, t, x, centered=True)
     n1 = x.shape[-1] - 1
     return _pair(_dot(s0, f) / n1, _dot(s1, f) / n1), {}
 
 
-def _kernel_cv_ideal(
-    q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray, jitter: float
-) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal(q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, jitter) -> tuple[np.ndarray, dict]:
+    """Covariance estimator minus fitted score-covariance control variates.
+
+    Coefficients are fitted on batch_coef only, so independence of the two
+    batches keeps the evaluated estimate unbiased.
+    """
     # Per-draw statistics of the coefficient batch: f^i_j = s_ij f_j, whose
     # mean is the cov estimate, and h^il_j = s_ij s_lj, whose mean minus
     # Cov_exact has expectation zero; Cov_exact cancels in the centering.
@@ -406,35 +383,47 @@ def _kernel_cv_ideal(
 
 
 def _kernel_cv_regression(
-    q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray, jitter: float
+    q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, jitter
 ) -> tuple[np.ndarray, dict]:
+    """Control variates with the shared regression coefficient vector.
+
+    The coefficient is the natural-gradient solve on the coefficient batch;
+    with a Gaussian-form target it equals eta - eta_tilde identically and
+    the estimate collapses to the exact gradient with zero variance.
+    """
     a0, a1, fallback = _solve2c(*_score_moments(q, t, x_coef), jitter, symmetric=True)
     est = _cv_estimate(q, _score_moments(q, t, x_eval), (a0, a1), (a0, a1))
     return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
 
 def _kernel_cv_ideal_pathgrad(
-    q: GaussianQ, t: Target, x_coef, eps_coef, x_eval, eps_eval, jitter: float
+    q: GaussianQ, t: Target, x_coef, eps_coef, x_eval, eps_eval, jitter
 ) -> tuple[np.ndarray, dict]:
+    """cv-ideal with every covariance term estimated through the sampler path."""
     # cv-ideal with the path statistics f^i_j = (dx/deta)_i resid_j and
     # h^il_j = (dx/deta)_i (dT/dx)_l. The first Jacobian column is the
-    # constant sigma2, so h^00 is zero once centered and component 0
-    # regresses on h^01 alone (the solve falls back to the minimum norm).
+    # constant sigma2, so h^00 is zero once centered and component 0 is the
+    # scalar regression of f^0 on h^01, with a zero coefficient on h^00;
+    # only draws without spread (var h^01 = 0) flag a fallback.
     s2 = q.sigma2
-    j1, resid = _path_parts(q, t, x_coef, eps_coef, "cv-ideal-grad")
+    j1, resid = _path_parts(q, t, x_coef, eps_coef)
     tx = 2.0 * x_coef
     h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
     f0, f1 = _centered(s2 * resid), _centered(j1 * resid)
-    a00, a01, fb0 = _solve2c(0.0, 0.0, 0.0, _dot(h01, h01), 0.0, _dot(h01, f0), jitter, symmetric=True)
+    var01 = _dot(h01, h01)
+    fb0 = var01 <= 0.0
+    a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
+    a00 = np.zeros_like(a01)
     a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter, symmetric=True)
-    est = _cv_estimate(q, _path_moments(q, t, x_eval, eps_eval, "cv-ideal-grad"), (a00, a01), (a10, a11))
+    est = _cv_estimate(q, _path_moments(q, t, x_eval, eps_eval), (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_ranganath(
-    q: GaussianQ, t: Target, x_coef: np.ndarray, x_eval: np.ndarray
+def _kernel_ranganath_cv(
+    q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, _jitter
 ) -> tuple[np.ndarray, dict]:
+    """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand s_i f
     f_c, f_e = _fval(q, t, x_coef), _fval(q, t, x_eval)
     n = x_eval.shape[-1]
@@ -450,13 +439,12 @@ def _kernel_ranganath(
     return _pair(*est), {"coef": _pair(*coef), "zero_variance": _pair(*zero_var)}
 
 
-def _kernel_delta(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    grad_x = _require_grad(t, "delta-method")
-    hess_x = _require_hess(t, "delta-method")
+def _kernel_delta_method(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+    """Second-order Taylor control variate for log p, analytic remainder."""
     mu, s2 = q.mu, q.sigma2
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
-    g0 = float(np.asarray(grad_x(np.array(mu)), dtype=float))
-    h0 = float(np.asarray(hess_x(np.array(mu)), dtype=float))
+    g0 = float(np.asarray(t.grad_x(np.array(mu)), dtype=float))
+    h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
     s0, s1 = _scores(q, x)
     taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
     lp = np.asarray(t.log_p(x), dtype=float)
@@ -472,166 +460,47 @@ def _kernel_delta(q: GaussianQ, t: Target, x: np.ndarray) -> tuple[np.ndarray, d
     return _pair(est0, est1), {}
 
 
-def _kernel_kingma(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, dict]:
-    j1, resid = _path_parts(q, t, x, eps, "kingma-reparam")
-    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / x.shape[-1]), {}
-
-
-def _kernel_greg_samplecov(q: GaussianQ, t: Target, x: np.ndarray, jitter: float) -> tuple[np.ndarray, dict]:
-    g0, g1, fallback = _solve2c(*_score_moments(q, t, x), jitter, symmetric=True)
-    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
-
-
-def _kernel_greg_pathgrad(
-    q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, jitter: float
-) -> tuple[np.ndarray, dict]:
-    # the path estimate of the score covariance is not symmetric
-    g0, g1, fallback = _solve2c(*_path_moments(q, t, x, eps, "greg-pathgrad"), jitter)
-    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
-
-
-# ---------------------------------------------------------------------------
-# public single-estimate API
-
-
-def _single(value: np.ndarray, aux: dict, estimator_id: str, samples: int) -> GradEstimate:
-    squeezed = {k: np.asarray(v)[0] for k, v in aux.items()}
-    return GradEstimate(
-        value=np.asarray(value)[0],
-        estimator_id=estimator_id,
-        samples_used=samples,
-        aux=squeezed or None,
-    )
-
-
-def _one_batch(batch: DrawBatch) -> tuple[np.ndarray, np.ndarray]:
-    return batch.draws[None, :], batch.noise[None, :]
-
-
-def est_simple(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
-    """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
-    x, _ = _one_batch(batch)
-    value, aux = _kernel_simple(q, t, x)
-    return _single(value, aux, "simple", batch.size)
-
-
-def est_cov(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
-    """Sample covariance of score and integrand with 1/(S-1); unbiased."""
-    if batch.size < 2:
-        raise ValueError("est_cov needs at least 2 draws")
-    x, _ = _one_batch(batch)
-    value, aux = _kernel_cov(q, t, x)
-    return _single(value, aux, "cov", batch.size)
-
-
-def est_cv_ideal(
-    q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-    config: EstimatorConfig | None = None,
-) -> GradEstimate:
-    """Covariance estimator minus fitted score-covariance control variates.
-
-    Coefficients are fitted on batch_coef only, so independence of the two
-    batches keeps the evaluated estimate unbiased.
-    """
-    _check_split(batch_coef, batch_eval)
-    jitter = config.jitter if config else 0.0
-    value, aux = _kernel_cv_ideal(q, t, batch_coef.draws[None], batch_eval.draws[None], jitter)
-    return _single(value, aux, "cv-ideal", batch_coef.size + batch_eval.size)
-
-
-def est_cv_regression(
-    q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-    config: EstimatorConfig | None = None,
-) -> GradEstimate:
-    """Control variates with the shared regression coefficient vector.
-
-    The coefficient is the natural-gradient solve on the coefficient batch;
-    with a Gaussian-form target it equals eta - eta_tilde identically and
-    the estimate collapses to the exact gradient with zero variance.
-    """
-    _check_split(batch_coef, batch_eval)
-    jitter = config.jitter if config else 0.0
-    value, aux = _kernel_cv_regression(q, t, batch_coef.draws[None], batch_eval.draws[None], jitter)
-    return _single(value, aux, "cv-regression", batch_coef.size + batch_eval.size)
-
-
-def est_cv_ideal_pathgrad(
-    q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-    config: EstimatorConfig | None = None,
-) -> GradEstimate:
-    """cv-ideal with every covariance term estimated through the sampler path."""
-    _check_split(batch_coef, batch_eval)
-    jitter = config.jitter if config else 0.0
-    value, aux = _kernel_cv_ideal_pathgrad(
-        q, t,
-        batch_coef.draws[None], batch_coef.noise[None],
-        batch_eval.draws[None], batch_eval.noise[None],
-        jitter,
-    )
-    return _single(value, aux, "cv-ideal-grad", batch_coef.size + batch_eval.size)
-
-
-def est_ranganath_cv(
-    q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-    config: EstimatorConfig | None = None,
-) -> GradEstimate:
-    """Generic per-component control variate h_i = score_i with a scalar coefficient."""
-    _check_split(batch_coef, batch_eval)
-    value, aux = _kernel_ranganath(q, t, batch_coef.draws[None], batch_eval.draws[None])
-    return _single(value, aux, "ranganath-cv", batch_coef.size + batch_eval.size)
-
-
-def est_delta_method(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
-    """Second-order Taylor control variate for log p, analytic remainder."""
-    x, _ = _one_batch(batch)
-    value, aux = _kernel_delta(q, t, x)
-    return _single(value, aux, "delta-method", batch.size)
-
-
-def est_kingma_reparam(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+def _kernel_kingma_reparam(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, eps, _jitter) -> tuple[np.ndarray, dict]:
     """Sampler-path derivative of the Monte Carlo sum of log q - log p.
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
     differentiated, which is the unbiased covariance estimate obtained by
     differentiating the sampler.
     """
-    x, eps = _one_batch(batch)
-    value, aux = _kernel_kingma(q, t, x, eps)
-    return _single(value, aux, "kingma-reparam", batch.size)
+    j1, resid = _path_parts(q, t, x, eps)
+    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / x.shape[-1]), {}
 
 
-def est_greg_samplecov(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+def _kernel_greg_samplecov(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
-    if batch.size < 3:
-        raise ValueError("est_greg_samplecov needs at least 3 draws")
-    jitter = config.jitter if config else 0.0
-    x, _ = _one_batch(batch)
-    value, aux = _kernel_greg_samplecov(q, t, x, jitter)
-    return _single(value, aux, "greg-samplecov", batch.size)
+    g0, g1, fallback = _solve2c(*_score_moments(q, t, x), jitter, symmetric=True)
+    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
-def est_greg_pathgrad(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+def _kernel_greg_pathgrad(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, eps, jitter) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
-    jitter = config.jitter if config else 0.0
-    x, eps = _one_batch(batch)
-    value, aux = _kernel_greg_pathgrad(q, t, x, eps, jitter)
-    return _single(value, aux, "greg-pathgrad", batch.size)
-
-
-def _check_split(batch_coef: DrawBatch, batch_eval: DrawBatch):
-    if batch_coef.size < 2 or batch_eval.size < 2:
-        raise ValueError("coefficient and evaluation batches each need >= 2 draws")
+    # the path estimate of the score covariance is not symmetric
+    g0, g1, fallback = _solve2c(*_path_moments(q, t, x, eps), jitter)
+    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
 # ---------------------------------------------------------------------------
-# registry and dispatcher
+# registry
 
 
 @dataclass(frozen=True)
 class EstimatorInfo:
+    """One estimator: its kernel and what the kernel needs.
+
+    min_draws is the fewest draws the kernel takes in each batch: in each
+    half of the split for split-budget methods, in the whole budget for
+    the rest.
+    """
+
     id: str
-    fn: Callable
+    kernel: Callable[..., tuple[np.ndarray, dict]]
     split_budget: bool
+    min_draws: int = 1
     needs_grad: bool = False
     needs_hess: bool = False
     unbiased: bool = True
@@ -640,20 +509,73 @@ class EstimatorInfo:
 ESTIMATORS: dict[str, EstimatorInfo] = {
     info.id: info
     for info in (
-        EstimatorInfo("simple", est_simple, split_budget=False),
-        EstimatorInfo("cov", est_cov, split_budget=False),
-        EstimatorInfo("cv-ideal", est_cv_ideal, split_budget=True),
-        EstimatorInfo("cv-regression", est_cv_regression, split_budget=True),
-        EstimatorInfo("cv-ideal-grad", est_cv_ideal_pathgrad, split_budget=True, needs_grad=True),
-        EstimatorInfo("ranganath-cv", est_ranganath_cv, split_budget=True),
-        EstimatorInfo("delta-method", est_delta_method, split_budget=False, needs_grad=True, needs_hess=True),
-        EstimatorInfo("kingma-reparam", est_kingma_reparam, split_budget=False, needs_grad=True),
-        EstimatorInfo("greg-samplecov", est_greg_samplecov, split_budget=False, unbiased=False),
-        EstimatorInfo("greg-pathgrad", est_greg_pathgrad, split_budget=False, needs_grad=True, unbiased=False),
+        EstimatorInfo("simple", _kernel_simple, split_budget=False),
+        EstimatorInfo("cov", _kernel_cov, split_budget=False, min_draws=2),
+        EstimatorInfo("cv-ideal", _kernel_cv_ideal, split_budget=True, min_draws=2),
+        EstimatorInfo("cv-regression", _kernel_cv_regression, split_budget=True, min_draws=2),
+        EstimatorInfo("cv-ideal-grad", _kernel_cv_ideal_pathgrad, split_budget=True, min_draws=2, needs_grad=True),
+        EstimatorInfo("ranganath-cv", _kernel_ranganath_cv, split_budget=True, min_draws=2),
+        EstimatorInfo("delta-method", _kernel_delta_method, split_budget=False, needs_grad=True, needs_hess=True),
+        EstimatorInfo("kingma-reparam", _kernel_kingma_reparam, split_budget=False, needs_grad=True),
+        EstimatorInfo("greg-samplecov", _kernel_greg_samplecov, split_budget=False, min_draws=3, unbiased=False),
+        EstimatorInfo("greg-pathgrad", _kernel_greg_pathgrad, split_budget=False, needs_grad=True, unbiased=False),
     )
 }
 
 ESTIMATOR_IDS: tuple[str, ...] = tuple(ESTIMATORS)
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+def _dispatch(info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int, jitter: float):
+    """Check the target's capabilities, split the (R, S) draws and run the kernel."""
+    for field, needed in (("grad_x", info.needs_grad), ("hess_x", info.needs_hess)):
+        if needed and getattr(t, field) is None:
+            raise CapabilityError(f"estimator {info.id!r} requires target.{field} ({t.name!r} has none)")
+    n = n_coef if info.split_budget else 0
+    return info.kernel(q, t, x[:, :n], eps[:, :n], x[:, n:], eps[:, n:], jitter)
+
+
+def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -> GradEstimate:
+    """One estimate from its batches (the coefficient batch first), run as a (1, S) row."""
+    sizes = [b.size for b in batches]
+    if min(sizes) < info.min_draws:
+        raise ValueError(
+            f"estimator {info.id!r} needs >= {info.min_draws} draws in each batch, got {'+'.join(map(str, sizes))}"
+        )
+    x = np.concatenate([b.draws for b in batches])[None]
+    eps = np.concatenate([b.noise for b in batches])[None]
+    value, aux = _dispatch(info, q, t, x, eps, x.shape[1] - sizes[-1], jitter)
+    return GradEstimate(
+        value=value[0],
+        estimator_id=info.id,
+        samples_used=x.shape[1],
+        aux={k: v[0] for k, v in aux.items()} or None,
+    )
+
+
+def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
+    """The public est_* function of an estimator: its kernel on one row of draws."""
+    if info.split_budget:
+        def est(
+            q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
+            config: EstimatorConfig | None = None,
+        ) -> GradEstimate:
+            return _row(info, q, t, (batch_coef, batch_eval), config.jitter if config else 0.0)
+    else:
+        def est(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+            return _row(info, q, t, (batch,), config.jitter if config else 0.0)
+    est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
+    est.__doc__ = info.kernel.__doc__
+    return est
+
+
+for _info in ESTIMATORS.values():
+    _fn = _alias(_info)
+    globals()[_fn.__name__] = _fn
+del _info, _fn
 
 
 def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEstimate:
@@ -662,15 +584,9 @@ def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEsti
     Split-budget methods get two disjoint seeded batches; the rest get one
     undivided batch. Deterministic given (q, config, seed).
     """
-    info = ESTIMATORS[config.estimator_id]
     base = seed if isinstance(seed, tuple) else (seed,)
-    if info.split_budget:
-        n_coef, n_eval = config.split_sizes()
-        batch_coef = sample(q, base + (0,), n_coef)
-        batch_eval = sample(q, base + (1,), n_eval)
-        return info.fn(q, t, batch_coef, batch_eval, config)
-    batch = sample(q, base + (0,), config.total_samples)
-    return info.fn(q, t, batch, config)
+    batches = [sample(q, base + (i,), n) for i, n in enumerate(config.batch_sizes())]
+    return _row(ESTIMATORS[config.estimator_id], q, t, batches, config.jitter)
 
 
 def run_kernel(
@@ -692,36 +608,5 @@ def run_kernel(
     (estimates, aux), aux holding the kernel's per-row diagnostics under
     the keys of GradEstimate.aux.
     """
-    info = ESTIMATORS[estimator_id]
-    if info.needs_grad:
-        _require_grad(t, estimator_id)
-    if info.needs_hess:
-        _require_hess(t, estimator_id)
-    if info.split_budget:
-        x_c, x_e = x[:, :n_coef], x[:, n_coef:]
-        e_c, e_e = eps[:, :n_coef], eps[:, n_coef:]
-        if estimator_id == "cv-ideal":
-            value, aux = _kernel_cv_ideal(q, t, x_c, x_e, jitter)
-        elif estimator_id == "cv-regression":
-            value, aux = _kernel_cv_regression(q, t, x_c, x_e, jitter)
-        elif estimator_id == "cv-ideal-grad":
-            value, aux = _kernel_cv_ideal_pathgrad(q, t, x_c, e_c, x_e, e_e, jitter)
-        elif estimator_id == "ranganath-cv":
-            value, aux = _kernel_ranganath(q, t, x_c, x_e)
-        else:  # pragma: no cover - registry and dispatch kept in sync
-            raise KeyError(estimator_id)
-    elif estimator_id == "simple":
-        value, aux = _kernel_simple(q, t, x)
-    elif estimator_id == "cov":
-        value, aux = _kernel_cov(q, t, x)
-    elif estimator_id == "delta-method":
-        value, aux = _kernel_delta(q, t, x)
-    elif estimator_id == "kingma-reparam":
-        value, aux = _kernel_kingma(q, t, x, eps)
-    elif estimator_id == "greg-samplecov":
-        value, aux = _kernel_greg_samplecov(q, t, x, jitter)
-    elif estimator_id == "greg-pathgrad":
-        value, aux = _kernel_greg_pathgrad(q, t, x, eps, jitter)
-    else:  # pragma: no cover
-        raise KeyError(estimator_id)
+    value, aux = _dispatch(ESTIMATORS[estimator_id], q, t, x, eps, n_coef, jitter)
     return (value, aux) if with_aux else value

@@ -65,6 +65,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec(target="weird")
 
+    def test_rejects_budget_below_an_estimators_minimum(self):
+        with pytest.raises(ValueError, match="greg-samplecov"):
+            BenchmarkSpec(samples=2, estimators=("simple", "greg-samplecov"))
+        BenchmarkSpec(samples=2, estimators=("simple", "cov"))
+
 
 class TestDeterminism:
     def test_bit_identical_across_runs(self):

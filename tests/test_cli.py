@@ -73,6 +73,19 @@ class TestParseArgs:
             parse_args(["fit", "--estimator", "cv-ideal", "--samples", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--estimator", "greg-samplecov"],
+        ["benchmark", "--estimators", "simple,greg-samplecov"],
+        ["fit", "--estimator", "greg-samplecov"],
+    ])
+    def test_below_minimum_draws_rejected(self, argv, capsys):
+        # greg-samplecov needs 3 draws; 2 pass every other budget check
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--samples", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--samples" in err and "greg-samplecov" in err
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_record_every_below_one_rejected(self, value, capsys):
         with pytest.raises(SystemExit) as exc:

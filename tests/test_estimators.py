@@ -19,10 +19,8 @@ from gradcv.estimators import (
     est_simple,
     estimate,
     run_kernel,
-    _sample_cov_mat,
-    _sample_cov_vec,
-    _solve2,
-    _solve_sym2,
+    _score_moments,
+    _solve2c,
 )
 from gradcv.gaussian import GaussianQ, DrawBatch, rng_from_seed
 from gradcv.quadrature import expect, gauss_hermite_rule, ground_truth_gradient
@@ -40,30 +38,35 @@ def run_many(est_id, q, target, reps=20_000, samples=50, label=0):
     return run_kernel(est_id, q, target, x, eps, n_coef)
 
 
+def components(a, b):
+    """The six component arrays of stacked (..., 2, 2) systems a and (..., 2) right-hand sides b."""
+    return a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1], b[..., 0], b[..., 1]
+
+
 class TestSolver:
     def test_well_conditioned_matches_numpy(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((40, 2, 2))
         a = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(2)
         b = rng.standard_normal((40, 2))
-        got, fallback = _solve_sym2(a, b)
+        x0, x1, fallback = _solve2c(*components(a, b), symmetric=True)
         ref = np.linalg.solve(a, b[..., None])[..., 0]
-        np.testing.assert_allclose(got, ref, rtol=1e-10)
+        np.testing.assert_allclose(np.stack([x0, x1], axis=-1), ref, rtol=1e-10)
         assert not fallback.any()
 
     def test_singular_uses_minimum_norm(self):
         # rank-1 matrix with consistent rhs: pseudo-inverse solution expected
         a = np.array([[[0.0, 0.0], [0.0, 4.0]]])
         b = np.array([[0.0, 2.0]])
-        got, fallback = _solve_sym2(a, b)
-        np.testing.assert_allclose(got, [[0.0, 0.5]], atol=1e-14)
+        x0, x1, fallback = _solve2c(*components(a, b), symmetric=True)
+        np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[0.0, 0.5]], atol=1e-14)
         assert fallback.all()
 
     def test_jitter_applied_before_pinv(self):
         a = np.array([[[0.0, 0.0], [0.0, 0.0]]])
         b = np.array([[1.0, 1.0]])
-        got, fallback = _solve_sym2(a, b, jitter=0.5)
-        np.testing.assert_allclose(got, [[2.0, 2.0]], rtol=1e-12)
+        x0, x1, fallback = _solve2c(*components(a, b), jitter=0.5, symmetric=True)
+        np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[2.0, 2.0]], rtol=1e-12)
         assert fallback.all()
 
     def test_nonsymmetric_fallback_matches_lstsq(self):
@@ -79,7 +82,8 @@ class TestSolver:
         well_posed = rng.standard_normal((4, 2, 2)) + 3.0 * np.eye(2)
         a = np.concatenate([np.array(mats), well_posed])
         b = rng.standard_normal((len(a), 2))
-        got, fallback = _solve2(a, b)
+        x0, x1, fallback = _solve2c(*components(a, b))
+        got = np.stack([x0, x1], axis=-1)
         np.testing.assert_array_equal(fallback, np.arange(len(a)) < len(mats))
         ref = np.array([np.linalg.lstsq(m, v, rcond=None)[0] for m, v in zip(a, b)])
         scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
@@ -147,8 +151,8 @@ class TestControlVariates:
         # zero over 100000 independent batches, within 4 standard errors
         q = GaussianQ(0.0, 2.0)
         x, _ = draws_for(q, 100_000, 25, "h-zero-mean")
-        s = q.score_eta(x)
-        h = _sample_cov_mat(s) - q.exact_suffstat_cov()
+        m00, m01, m10, m11, _, _ = _score_moments(q, logistic_target(), x)
+        h = np.stack([m00, m01, m10, m11], axis=-1) - q.exact_suffstat_cov().ravel()
         se = h.std(axis=0, ddof=1) / np.sqrt(h.shape[0])
         np.testing.assert_array_less(np.abs(h.mean(axis=0)), 4.0 * se)
 
@@ -200,6 +204,18 @@ class TestControlVariates:
         est = run_many("greg-pathgrad", q, target, reps=2_000)
         scale = max(np.abs(exact).max(), 1.0)
         assert np.abs(est - exact).max() / scale < 1e-8
+
+    def test_cv_ideal_pathgrad_flags_only_draws_without_spread(self):
+        # component 0 is a scalar regression on h^01; it falls back only
+        # when the coefficient draws have no spread
+        q = GaussianQ(0.5, 1.5)
+        x, eps = draws_for(q, 4096, 50, "cvig-flag")
+        _, aux = run_kernel("cv-ideal-grad", q, logistic_target(), x, eps, 25, with_aux=True)
+        assert not aux["singular_fallback"][:, 0].any()
+        np.testing.assert_array_equal(aux["alpha"][:, 0, 0], 0.0)
+        eps = np.zeros((3, 50))
+        _, aux = run_kernel("cv-ideal-grad", q, logistic_target(), q.reparameterize(eps), eps, 25, with_aux=True)
+        assert aux["singular_fallback"][:, 0].all()
 
     def test_greg_aux_contains_natural_gradient(self):
         q = GaussianQ(0.0, 2.0)
@@ -290,6 +306,21 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError, match="2 samples"):
             EstimatorConfig(total_samples=3, cv_split=0.5, estimator_id="cv-ideal")
         EstimatorConfig(total_samples=4, cv_split=0.5, estimator_id="cv-ideal")
+
+    def test_minimum_draws_per_batch(self):
+        # cov needs 2 draws, greg-samplecov 3, each half of a split method 2
+        with pytest.raises(ValueError, match="greg-samplecov.*3 samples"):
+            EstimatorConfig(total_samples=2, estimator_id="greg-samplecov")
+        EstimatorConfig(total_samples=3, estimator_id="greg-samplecov")
+        q = GaussianQ(0.0, 1.0)
+        target = logistic_target()
+        for est, size in ((est_greg_samplecov, 2), (est_cov, 1)):
+            with pytest.raises(ValueError, match="draws"):
+                est(q, target, q.sample(seed=0, size=size))
+        est_greg_samplecov(q, target, q.sample(seed=0, size=3))
+        est_simple(q, target, q.sample(seed=0, size=1))
+        with pytest.raises(ValueError, match="draws"):
+            est_cv_ideal(q, target, q.sample(seed=0, size=1), q.sample(seed=1, size=5))
 
     def test_unknown_estimator_id(self):
         with pytest.raises(ValueError, match="unknown estimator"):

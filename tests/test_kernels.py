@@ -1,21 +1,39 @@
 """The vectorized kernels agree across batch layouts and entry points.
 
 A kernel computes every replication from its own row of draws, so a batch
-of R rows must give what R one-row calls give, and what the est_* wrapper
-gives on the same draws. The Gaussian-target zero-variance identities must
-hold on every row of a batch whose size is not a multiple of the
-benchmark's 4096-replication chunk.
+of R rows must give what R one-row calls give, and what the est_* function
+and estimate() give on the same draws. The Gaussian-target zero-variance
+identities must hold on every row of a batch whose size is not a multiple
+of the benchmark's 4096-replication chunk.
 """
+
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import gradcv
 from gradcv.benchmark import BenchmarkSpec, run_benchmark
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, estimate, run_kernel
 from gradcv.gaussian import DrawBatch, GaussianQ, rng_from_seed
 from gradcv.targets import gaussian_target, logistic_target
 
 TARGETS = {"logistic": logistic_target(), "gaussian:1:3": gaussian_target(1.0, 3.0)}
+# the public est_* function of each estimator id
+ALIASES = {
+    "simple": gradcv.est_simple,
+    "cov": gradcv.est_cov,
+    "cv-ideal": gradcv.est_cv_ideal,
+    "cv-regression": gradcv.est_cv_regression,
+    "cv-ideal-grad": gradcv.est_cv_ideal_pathgrad,
+    "ranganath-cv": gradcv.est_ranganath_cv,
+    "delta-method": gradcv.est_delta_method,
+    "kingma-reparam": gradcv.est_kingma_reparam,
+    "greg-samplecov": gradcv.est_greg_samplecov,
+    "greg-pathgrad": gradcv.est_greg_pathgrad,
+}
 SAMPLES = 50
 ZERO_VARIANCE_IDS = ("cv-regression", "greg-samplecov", "cv-ideal-grad", "greg-pathgrad")
 
@@ -51,14 +69,13 @@ class TestKernelEquivalence:
         x, eps = draws(q, 5, ("wrapper", target_name))
         n_coef = n_coef_of(est_id)
         batch, aux = run_kernel(est_id, q, t, x, eps, n_coef, with_aux=True)
-        info = ESTIMATORS[est_id]
         for i in range(5):
-            if info.split_budget:
+            if ESTIMATORS[est_id].split_budget:
                 coef = DrawBatch(draws=x[i, :n_coef], noise=eps[i, :n_coef], seed=i, size=n_coef)
                 ev = DrawBatch(draws=x[i, n_coef:], noise=eps[i, n_coef:], seed=i, size=SAMPLES - n_coef)
-                result = info.fn(q, t, coef, ev)
+                result = ALIASES[est_id](q, t, coef, ev)
             else:
-                result = info.fn(q, t, DrawBatch(draws=x[i], noise=eps[i], seed=i, size=SAMPLES))
+                result = ALIASES[est_id](q, t, DrawBatch(draws=x[i], noise=eps[i], seed=i, size=SAMPLES))
             assert_rel_close(result.value, batch[i], 1e-12)
             assert set(result.aux or {}) == set(aux)
             for key, values in aux.items():
@@ -66,6 +83,46 @@ class TestKernelEquivalence:
                     np.testing.assert_array_equal(result.aux[key], values[i])
                 else:
                     assert_rel_close(result.aux[key], values[i], 1e-12)
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_alias_is_generated_from_the_registry(est_id):
+    alias = ALIASES[est_id]
+    params = ["q", "t", "batch_coef", "batch_eval"] if ESTIMATORS[est_id].split_budget else ["q", "t", "batch"]
+    assert list(inspect.signature(alias).parameters) == params + ["config"]
+    assert alias is getattr(gradcv.estimators, alias.__name__)
+    assert alias.__doc__ and alias.__doc__ == ESTIMATORS[est_id].kernel.__doc__
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    mu=st.floats(-3.0, 3.0),
+    sigma2=st.floats(0.1, 5.0),
+    samples=st.integers(2, 60),
+    split=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_estimate_equals_alias_and_run_kernel(est_id, mu, sigma2, samples, split, seed):
+    # estimate() draws batch i from seed (seed, i); the est_* function and
+    # run_kernel on those draws must give the same value and aux, bit for bit
+    try:
+        config = EstimatorConfig(total_samples=samples, cv_split=split, estimator_id=est_id)
+    except ValueError:
+        assume(False)
+    q, t = GaussianQ(mu, sigma2), logistic_target()
+    sizes = config.split_sizes() if ESTIMATORS[est_id].split_budget else (samples,)
+    batches = [q.sample((seed, i), n) for i, n in enumerate(sizes)]
+    x = np.concatenate([b.draws for b in batches])[None]
+    eps = np.concatenate([b.noise for b in batches])[None]
+    rows, aux = run_kernel(est_id, q, t, x, eps, config.split_sizes()[0], with_aux=True)
+    got = estimate(q, t, config, seed=seed)
+    assert got.samples_used == samples
+    for result in (got, ALIASES[est_id](q, t, *batches, config)):
+        np.testing.assert_array_equal(result.value, rows[0])
+        assert set(result.aux or {}) == set(aux)
+        for key, values in aux.items():
+            np.testing.assert_array_equal(result.aux[key], values[0])
 
 
 class TestZeroVarianceOffChunk:
