@@ -66,7 +66,9 @@ class BenchmarkSpec:
     paired: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "settings", tuple((float(m), float(s)) for m, s in self.settings))
+        # GaussianQ checks each setting, so a bad one fails here, before any cell runs
+        qs = [GaussianQ(m, s) for m, s in self.settings]
+        object.__setattr__(self, "settings", tuple((q.mu, q.sigma2) for q in qs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")

@@ -2,20 +2,23 @@
 
 Subcommands:
   benchmark     fill the estimator-by-setting MSE table (defaults reproduce
-                the standard configuration: 50 samples, 25/25 split,
-                100000 replications, logistic target, all ten estimators)
+                the standard configuration of BenchmarkSpec)
   estimate      one gradient estimate for a single (q, target, estimator)
   ground-truth  exact gradient from the quadrature oracle
   fit           stochastic gradient descent fit, trajectory as CSV
   selftest      run the identity and exactness suites
 
 All randomness flows from --seed. A JSON config file may supply any flag
-value; explicit flags win.
+value; explicit flags win. Defaults and value checks are the library's:
+parse_args builds the command's objects (GaussianQ, EstimatorConfig,
+BenchmarkSpec, SgdSchedule, the target), and a value their constructors
+reject is a usage error (exit code 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -27,215 +30,206 @@ from .benchmark import (
     run_benchmark,
 )
 from .diagnostics import run_all_checks
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, estimate
+from .estimators import EstimatorConfig, estimate
 from .gaussian import GaussianQ
-from .optimize import SgdSchedule, fit, trajectory_to_csv
+from .optimize import SgdSchedule, _fit_config, fit, trajectory_to_csv
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import resolve_target
 
 __all__ = ["main", "parse_args"]
 
 
-_DEFAULTS = {
-    "settings": "0:2,-2:2,2:2,0:4",
-    "estimators": ",".join(ESTIMATOR_IDS),
-    "target": "logistic",
-    "samples": 50,
-    "split": 0.5,
-    "reps": 100_000,
-    "seed": 0,
-    "threads": 1,
-    "format": "table",
-    "out": None,
-    "jitter": 0.0,
-    "paired": False,
-    "per_component": False,
-    "mu": 0.0,
-    "sigma2": 2.0,
-    "estimator": "simple",
-    "step0": 0.01,
-    "decay": 0.75,
-    "iterations": 1000,
-    "record_every": 10,
-    "natural_gradient": False,
-    "q0_mu": 0.0,
-    "q0_sigma2": 1.0,
-}
+def _default(fn, name: str):
+    """The default of fn's parameter name, the library's own copy of the value."""
+    return inspect.signature(fn).parameters[name].default
+
+
+def _settings(text: str) -> tuple[tuple[float, float], ...]:
+    """--settings: a comma list of MU:SIGMA2 pairs; BenchmarkSpec checks the values."""
+    out = []
+    for piece in text.split(","):
+        try:
+            mu, sigma2 = map(float, piece.strip().split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected MU:SIGMA2 pairs, got {piece.strip()!r}") from None
+        out.append((mu, sigma2))
+    return tuple(out)
+
+
+def _ids(text: str) -> tuple[str, ...]:
+    """--estimators: a comma list of estimator ids; EstimatorConfig checks each id."""
+    return tuple(e.strip() for e in text.split(",") if e.strip())
+
+
+def _threads(text: str) -> int:
+    """--threads: a worker count >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subcommand parsers by name."""
+    """The parser and its subcommand parsers by name.
+
+    Every default that is not about the command line itself is read from
+    the library object or function that owns it.
+    """
     parser = argparse.ArgumentParser(
         prog="gradcv",
         description="Gradient estimators for Gaussian variational inference: benchmark, evaluate, fit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None, help="base seed for all randomness (default 0)")
-        p.add_argument("--format", choices=("csv", "json", "table"), default=None, help="output format")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p.add_argument("--seed", type=int, default=BenchmarkSpec.base_seed, help="base seed for all randomness")
+        p.add_argument("--format", choices=("csv", "json", "table"), default="table", help="output format")
+        p.add_argument("--out", default=None, help="output path, or stdout")
         p.add_argument("--config", default=None, help="JSON file supplying flag values; flags override")
-        p.add_argument("--target", default=None, help="target id: logistic or gaussian:MU:SIGMA2")
+        p.add_argument("--target", default=BenchmarkSpec.target, help="target id: logistic or gaussian:MU:SIGMA2")
+        return p
 
-    p_bench = sub.add_parser("benchmark", help="estimator-by-setting MSE table")
-    common(p_bench)
-    p_bench.add_argument("--settings", default=None, help="comma list of mu:sigma2 pairs")
-    p_bench.add_argument("--estimators", default=None, help="comma list of estimator ids")
-    p_bench.add_argument("--samples", type=int, default=None, help="draws per replication (default 50)")
-    p_bench.add_argument("--split", type=float, default=None, help="coefficient fraction for cv methods (default 0.5)")
-    p_bench.add_argument("--reps", type=int, default=None, help="replications per cell (default 100000)")
-    p_bench.add_argument("--threads", type=int, default=None, help="worker threads; output is invariant to this")
-    p_bench.add_argument("--paired", action="store_true", default=None, help="share draws across estimators per replication")
-    p_bench.add_argument("--per-component", dest="per_component", action="store_true", default=None,
-                         help="also report unweighted per-component MSEs")
+    p = command("benchmark", "estimator-by-setting MSE table")
+    p.add_argument("--settings", type=_settings, default=BenchmarkSpec.settings, help="comma list of MU:SIGMA2 pairs")
+    p.add_argument("--estimators", type=_ids, default=BenchmarkSpec.estimators, help="comma list of estimator ids")
+    p.add_argument("--samples", type=int, default=BenchmarkSpec.samples, help="draws per replication")
+    p.add_argument("--split", type=float, default=BenchmarkSpec.cv_split, help="coefficient fraction for cv methods")
+    p.add_argument("--reps", type=int, default=BenchmarkSpec.replications, help="replications per cell")
+    p.add_argument("--threads", type=_threads, default=_default(run_benchmark, "threads"),
+                   help="worker threads; output is invariant to this")
+    p.add_argument("--paired", action="store_true", help="share draws across estimators per replication")
+    p.add_argument("--per-component", dest="per_component", action="store_true",
+                   help="also report unweighted per-component MSEs")
 
-    p_est = sub.add_parser("estimate", help="single gradient estimate")
-    common(p_est)
-    p_est.add_argument("--mu", type=float, default=None)
-    p_est.add_argument("--sigma2", type=float, default=None)
-    p_est.add_argument("--estimator", default=None, help="estimator id")
-    p_est.add_argument("--samples", type=int, default=None)
-    p_est.add_argument("--split", type=float, default=None)
-    p_est.add_argument("--jitter", type=float, default=None)
+    p = command("estimate", "single gradient estimate")
+    p.add_argument("--mu", type=float, default=0.0, help="mean of q")
+    p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
+    p.add_argument("--estimator", default=EstimatorConfig.estimator_id, help="estimator id")
+    p.add_argument("--samples", type=int, default=EstimatorConfig.total_samples, help="draws")
+    p.add_argument("--split", type=float, default=EstimatorConfig.cv_split, help="coefficient fraction for cv methods")
+    p.add_argument("--jitter", type=float, default=EstimatorConfig.jitter, help="ridge for singular 2x2 solves")
 
-    p_gt = sub.add_parser("ground-truth", help="exact gradient via quadrature")
-    common(p_gt)
-    p_gt.add_argument("--mu", type=float, default=None)
-    p_gt.add_argument("--sigma2", type=float, default=None)
+    p = command("ground-truth", "exact gradient via quadrature")
+    p.add_argument("--mu", type=float, default=0.0, help="mean of q")
+    p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
 
-    p_fit = sub.add_parser("fit", help="stochastic gradient descent fit")
-    common(p_fit)
-    p_fit.add_argument("--mu", dest="q0_mu", type=float, default=None, help="initial mu (default 0)")
-    p_fit.add_argument("--sigma2", dest="q0_sigma2", type=float, default=None, help="initial sigma2 (default 1)")
-    p_fit.add_argument("--estimator", default=None, help="unbiased estimator id (default cv-regression)")
-    p_fit.add_argument("--samples", type=int, default=None, help="draws per step")
-    p_fit.add_argument("--split", type=float, default=None)
-    p_fit.add_argument("--step0", type=float, default=None)
-    p_fit.add_argument("--decay", type=float, default=None)
-    p_fit.add_argument("--iterations", type=int, default=None)
-    p_fit.add_argument("--record-every", dest="record_every", type=int, default=None)
-    p_fit.add_argument("--natural-gradient", dest="natural_gradient", action="store_true", default=None)
+    p = command("fit", "stochastic gradient descent fit")
+    p.add_argument("--mu", dest="q0_mu", type=float, default=0.0, help="initial mu")
+    p.add_argument("--sigma2", dest="q0_sigma2", type=float, default=1.0, help="initial sigma2")
+    p.add_argument("--estimator", default=_default(fit, "estimator_id"), help="unbiased estimator id")
+    p.add_argument("--samples", type=int, default=SgdSchedule.samples_per_step, help="draws per step")
+    p.add_argument("--split", type=float, default=_default(fit, "cv_split"), help="coefficient fraction for cv methods")
+    p.add_argument("--step0", type=float, default=SgdSchedule.step0, help="first step size")
+    p.add_argument("--decay", type=float, default=SgdSchedule.decay, help="step size decay exponent")
+    p.add_argument("--iterations", type=int, default=SgdSchedule.iterations, help="steps")
+    p.add_argument("--record-every", dest="record_every", type=int, default=_default(fit, "record_every"),
+                   help="steps between trajectory points")
+    p.add_argument("--natural-gradient", dest="natural_gradient", action="store_true",
+                   help="precondition by the exact score covariance")
 
-    p_self = sub.add_parser("selftest", help="identity and exactness suites")
-    common(p_self)
-
+    command("selftest", "identity and exactness suites")
     return parser, sub.choices
 
 
-def _parse_settings(text: str, parser) -> tuple[tuple[float, float], ...]:
-    out = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        parts = piece.split(":")
-        if len(parts) != 2:
-            parser.error(f"--settings: expected MU:SIGMA2, got {piece!r}")
-        try:
-            mu, s2 = float(parts[0]), float(parts[1])
-        except ValueError:
-            parser.error(f"--settings: non-numeric entry {piece!r}")
-        if s2 <= 0:
-            parser.error(f"--settings: sigma2 must be > 0 in {piece!r}")
-        out.append((mu, s2))
-    return tuple(out)
-
-
-def _config_values(file_cfg: dict, command_parser, parser) -> dict:
+def _config_values(file_cfg: dict, cmd: argparse.ArgumentParser) -> dict:
     """--config values for the subcommand's options, checked as the same flags are.
 
     A value of a typed flag goes through the flag's type= conversion, an
     on/off flag takes a JSON boolean, a flag with choices takes one of
-    them, and any other flag takes a string; a JSON list stands for a
-    comma list such as --estimators, with inner lists joined by ":" as
-    in --settings. Values of options the subcommand does not have are
-    dropped.
+    them, and any other flag takes a string; a JSON list stands for the
+    comma list of --estimators or --settings, with inner lists joined by
+    ":" as in --settings. Values of options the subcommand does not have
+    are dropped.
     """
     out = {}
-    for action in command_parser._actions:
+    for action in cmd._actions:
         name = action.dest
-        if name not in file_cfg or name not in _DEFAULTS:
+        if name not in file_cfg or name in ("help", "config"):
             continue
         value = file_cfg[name]
+        if isinstance(value, list) and action.type in (_settings, _ids):
+            value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
         if action.nargs == 0:  # store_true
             if not isinstance(value, bool):
-                parser.error(f"--config: {name!r} must be true or false, got {value!r}")
+                cmd.error(f"--config: {name!r} must be true or false, got {value!r}")
         elif action.type is not None:
             try:
                 if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                     raise ValueError
                 value = action.type(str(value))
+            except argparse.ArgumentTypeError as err:
+                cmd.error(f"--config: {name!r}: {err}")
             except ValueError:
-                parser.error(f"--config: {name!r}: invalid {action.type.__name__} value {value!r}")
-        else:
-            if isinstance(value, list):
-                value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
-            if not isinstance(value, str):
-                parser.error(f"--config: {name!r} must be a string, got {value!r}")
+                cmd.error(f"--config: {name!r}: invalid {action.type.__name__} value {value!r}")
+        elif not isinstance(value, str):
+            cmd.error(f"--config: {name!r} must be a string, got {value!r}")
         if action.choices is not None and value not in action.choices:
-            parser.error(f"--config: {name!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
+            cmd.error(f"--config: {name!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
         out[name] = value
     return out
 
 
+def _build(cmd: argparse.ArgumentParser, flags: str, make, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError is a usage error naming the flags the values came from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as err:
+        cmd.error(f"{flags}: {err}")
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    """Parse argv into a fully validated namespace holding every field. Usage errors exit with code 2."""
+    """Parse argv and build the command's library objects. Usage errors exit with code 2.
+
+    The namespace holds the command's own flags, --config values filling
+    in for flags not given, plus the objects the command runs, each built
+    and checked once by its own constructor: resolved_target for every
+    command; q (GaussianQ) for estimate, ground-truth and fit;
+    estimator_config (EstimatorConfig) for estimate and fit; spec
+    (BenchmarkSpec) for benchmark; schedule (SgdSchedule) for fit.
+    """
     parser, command_parsers = _build_parser()
     ns = parser.parse_args(argv)
-
-    file_cfg = {}
-    if getattr(ns, "config", None):
+    cmd = command_parsers[ns.command]
+    if ns.config is not None:
         try:
             with open(ns.config) as fh:
                 file_cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
-            parser.error(f"--config: cannot read {ns.config!r}: {err}")
+            cmd.error(f"--config: cannot read {ns.config!r}: {err}")
         if not isinstance(file_cfg, dict):
-            parser.error("--config: top-level JSON value must be an object")
-        file_cfg = _config_values(file_cfg, command_parsers[ns.command], parser)
+            cmd.error("--config: top-level JSON value must be an object")
+        cmd.set_defaults(**_config_values(file_cfg, cmd))
+        ns = parser.parse_args(argv)
 
-    def pick(name):
-        val = getattr(ns, name, None)
-        if val is not None:
-            return val
-        if name in file_cfg:
-            return file_cfg[name]
-        return _DEFAULTS[name]
-
-    rc = argparse.Namespace(command=ns.command, **{name: pick(name) for name in _DEFAULTS})
-    if ns.command == "fit" and getattr(ns, "estimator", None) is None and "estimator" not in file_cfg:
-        rc.estimator = "cv-regression"
-
-    rc.settings = _parse_settings(rc.settings, parser)
-    rc.estimators = tuple(e.strip() for e in rc.estimators.split(",") if e.strip())
-    for est in rc.estimators:
-        if est not in ESTIMATOR_IDS:
-            parser.error(f"--estimators: unknown estimator id {est!r}")
-    if rc.estimator not in ESTIMATOR_IDS:
-        parser.error(f"--estimator: unknown estimator id {rc.estimator!r}")
-    try:
-        resolve_target(rc.target)
-    except ValueError as err:
-        parser.error(f"--target: {err}")
-
-    ids_to_check = rc.estimators if ns.command == "benchmark" else (rc.estimator,)
-    if ns.command in ("benchmark", "estimate", "fit"):
-        for est in ids_to_check:
-            try:
-                EstimatorConfig(total_samples=rc.samples, cv_split=rc.split, estimator_id=est)
-            except ValueError as err:
-                parser.error(f"--samples/--split: {err}")
-    if ns.command == "benchmark" and rc.reps < 1:
-        parser.error("--reps: must be >= 1")
-    if ns.command == "fit":
-        try:
-            SgdSchedule(step0=rc.step0, decay=rc.decay, iterations=rc.iterations, samples_per_step=rc.samples)
-        except ValueError as err:
-            parser.error(f"fit schedule: {err}")
-        if not ESTIMATORS[rc.estimator].unbiased:
-            parser.error(f"--estimator: {rc.estimator!r} is biased and cannot drive plain SGD")
-        if rc.record_every < 1:
-            parser.error(f"--record-every: must be >= 1, got {rc.record_every}")
-    return rc
+    ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)
+    if ns.command in ("estimate", "ground-truth"):
+        ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.mu, ns.sigma2)
+    if ns.command == "estimate":
+        ns.estimator_config = _build(
+            cmd, "--estimator/--samples/--split/--jitter", EstimatorConfig,
+            total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator, jitter=ns.jitter,
+        )
+    elif ns.command == "benchmark":
+        ns.spec = _build(
+            cmd, "--settings/--estimators/--samples/--split/--reps", BenchmarkSpec,
+            settings=ns.settings, estimators=ns.estimators, replications=ns.reps, samples=ns.samples,
+            cv_split=ns.split, base_seed=ns.seed, target=ns.target, paired=ns.paired,
+        )
+    elif ns.command == "fit":
+        ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.q0_mu, ns.q0_sigma2)
+        ns.schedule = _build(
+            cmd, "--step0/--decay/--iterations/--samples", SgdSchedule,
+            step0=ns.step0, decay=ns.decay, iterations=ns.iterations, samples_per_step=ns.samples,
+        )
+        ns.estimator_config = _build(
+            cmd, "--estimator/--samples/--split/--record-every", _fit_config,
+            ns.record_every, ns.estimator, ns.samples, ns.split, _default(fit, "jitter"),
+        )
+    return ns
 
 
 def _emit(text: str, out_path) -> int:
@@ -251,10 +245,10 @@ def _emit(text: str, out_path) -> int:
     return 0
 
 
-def _vector_payload(rc: argparse.Namespace, name: str, vec, extra: dict) -> str:
-    if rc.format == "json":
+def _vector_payload(ns: argparse.Namespace, name: str, vec, extra: dict) -> str:
+    if ns.format == "json":
         return json.dumps({**extra, name: [float(vec[0]), float(vec[1])]}, indent=2) + "\n"
-    if rc.format == "csv":
+    if ns.format == "csv":
         keys = list(extra) + [f"{name}1", f"{name}2"]
         vals = [str(extra[k]) for k in extra] + [format(float(v), ".17g") for v in vec]
         return ",".join(keys) + "\n" + ",".join(vals) + "\n"
@@ -264,68 +258,46 @@ def _vector_payload(rc: argparse.Namespace, name: str, vec, extra: dict) -> str:
 
 
 def main(argv=None) -> int:
-    rc = parse_args(argv)
+    ns = parse_args(argv)
 
-    if rc.command == "benchmark":
-        spec = BenchmarkSpec(
-            settings=rc.settings,
-            estimators=rc.estimators,
-            replications=rc.reps,
-            samples=rc.samples,
-            cv_split=rc.split,
-            base_seed=rc.seed,
-            target=rc.target,
-            paired=bool(rc.paired),
-        )
-        table = run_benchmark(spec, threads=max(1, int(rc.threads)))
-        if rc.format == "csv":
-            text = mse_table_to_csv(table, per_component=bool(rc.per_component))
-        elif rc.format == "json":
+    if ns.command == "benchmark":
+        table = run_benchmark(ns.spec, threads=ns.threads)
+        if ns.format == "csv":
+            text = mse_table_to_csv(table, per_component=ns.per_component)
+        elif ns.format == "json":
             text = mse_table_to_json(table)
         else:
-            text = format_mse_table(table, per_component=bool(rc.per_component))
-        return _emit(text, rc.out)
+            text = format_mse_table(table, per_component=ns.per_component)
+        return _emit(text, ns.out)
 
-    if rc.command == "estimate":
-        q = GaussianQ(rc.mu, rc.sigma2)
-        target = resolve_target(rc.target)
-        config = EstimatorConfig(
-            total_samples=rc.samples, cv_split=rc.split,
-            estimator_id=rc.estimator, jitter=rc.jitter,
-        )
-        result = estimate(q, target, config, seed=rc.seed)
+    if ns.command == "estimate":
+        result = estimate(ns.q, ns.resolved_target, ns.estimator_config, seed=ns.seed)
         extra = {
             "estimator": result.estimator_id,
-            "mu": rc.mu, "sigma2": rc.sigma2, "target": rc.target,
-            "samples": result.samples_used, "seed": rc.seed,
+            "mu": ns.mu, "sigma2": ns.sigma2, "target": ns.target,
+            "samples": result.samples_used, "seed": ns.seed,
         }
-        return _emit(_vector_payload(rc, "estimate", result.value, extra), rc.out)
+        return _emit(_vector_payload(ns, "estimate", result.value, extra), ns.out)
 
-    if rc.command == "ground-truth":
-        q = GaussianQ(rc.mu, rc.sigma2)
-        target = resolve_target(rc.target)
-        grad = ground_truth_gradient(q, target, gauss_hermite_rule())
-        extra = {"mu": rc.mu, "sigma2": rc.sigma2, "target": rc.target}
-        return _emit(_vector_payload(rc, "gradient", grad, extra), rc.out)
+    if ns.command == "ground-truth":
+        grad = ground_truth_gradient(ns.q, ns.resolved_target, gauss_hermite_rule())
+        extra = {"mu": ns.mu, "sigma2": ns.sigma2, "target": ns.target}
+        return _emit(_vector_payload(ns, "gradient", grad, extra), ns.out)
 
-    if rc.command == "fit":
-        schedule = SgdSchedule(
-            step0=rc.step0, decay=rc.decay,
-            iterations=rc.iterations, samples_per_step=rc.samples,
-        )
+    if ns.command == "fit":
         result = fit(
-            GaussianQ(rc.q0_mu, rc.q0_sigma2),
-            resolve_target(rc.target),
-            estimator_id=rc.estimator,
-            schedule=schedule,
-            seed=rc.seed,
-            cv_split=rc.split,
-            natural_gradient=bool(rc.natural_gradient),
-            record_every=rc.record_every,
+            ns.q,
+            ns.resolved_target,
+            estimator_id=ns.estimator,
+            schedule=ns.schedule,
+            seed=ns.seed,
+            cv_split=ns.split,
+            natural_gradient=ns.natural_gradient,
+            record_every=ns.record_every,
         )
-        return _emit(trajectory_to_csv(result), rc.out)
+        return _emit(trajectory_to_csv(result), ns.out)
 
-    if rc.command == "selftest":
+    if ns.command == "selftest":
         results = run_all_checks()
         all_ok = True
         lines = []
@@ -334,10 +306,10 @@ def main(argv=None) -> int:
             all_ok = all_ok and res.passed
             lines.append(f"{status} {res.name}: worst deviation {res.worst:.3g} (tolerance {res.tolerance:g})")
         text = "\n".join(lines) + "\n"
-        code = _emit(text, rc.out)
+        code = _emit(text, ns.out)
         return code if code else (0 if all_ok else 1)
 
-    raise AssertionError(f"unhandled command {rc.command!r}")  # pragma: no cover
+    raise AssertionError(f"unhandled command {ns.command!r}")  # pragma: no cover
 
 
 if __name__ == "__main__":

@@ -123,8 +123,8 @@ class EstimatorConfig:
             raise ValueError(f"total_samples must be >= 2, got {self.total_samples}")
         if not 0.0 < self.cv_split < 1.0:
             raise ValueError(f"cv_split must be in (0, 1), got {self.cv_split}")
-        if self.jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
+            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.estimator_id not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator_id {self.estimator_id!r}; valid ids: {', '.join(ESTIMATOR_IDS)}"
@@ -171,13 +171,18 @@ class GradEstimate:
 # shared numerics
 
 
-def _fval(q: GaussianQ, target: Target, x: np.ndarray) -> np.ndarray:
-    """log q - log p at the draws; non-finite log p is an estimation error."""
-    lp = np.asarray(target.log_p(x), dtype=float)
+def _log_p(t: Target, x: np.ndarray) -> np.ndarray:
+    """log p at the draws; a non-finite value is an estimation error naming its draw."""
+    lp = np.asarray(t.log_p(x), dtype=float)
     if not np.isfinite(lp).all():
         bad = x[~np.isfinite(lp)]
-        raise EstimationError(f"target {target.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
-    return q.log_density(x) - lp
+        raise EstimationError(f"target {t.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
+    return lp
+
+
+def _fval(q: GaussianQ, t: Target, x: np.ndarray) -> np.ndarray:
+    """log q - log p at the draws."""
+    return q.log_density(x) - _log_p(t, x)
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -447,10 +452,7 @@ def _kernel_delta_method(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _
     h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
     s0, s1 = _scores(q, x)
     taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
-    lp = np.asarray(t.log_p(x), dtype=float)
-    if not np.isfinite(lp).all():
-        raise EstimationError(f"target {t.name!r} log_p is not finite at a draw")
-    remainder = lp - taylor
+    remainder = _log_p(t, x) - taylor
     n = x.shape[-1]
     # d/deta E_q[log q] is the negative-entropy gradient (0, -sigma2);
     # d/deta E_q[Taylor] with frozen coefficients uses E[x - mu] = 0 and

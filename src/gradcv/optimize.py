@@ -10,11 +10,12 @@ gradient descent is inconsistent with them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATORS, ESTIMATOR_IDS, EstimatorConfig, estimate
+from .estimators import ESTIMATORS, EstimatorConfig, estimate
 from .gaussian import GaussianQ, from_natural
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
@@ -74,6 +75,24 @@ class FitResult:
     trajectory: tuple[TrajectoryPoint, ...]
 
 
+def _fit_config(
+    record_every: int, estimator_id: str | None, samples: int, cv_split: float, jitter: float
+) -> EstimatorConfig | None:
+    """fit's argument checks; the config of the stochastic estimator, None without one."""
+    if record_every < 1:
+        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    if estimator_id is None:
+        return None
+    config = EstimatorConfig(total_samples=samples, cv_split=cv_split, estimator_id=estimator_id, jitter=jitter)
+    if not ESTIMATORS[estimator_id].unbiased:
+        raise ValueError(
+            f"estimator {estimator_id!r} is biased; plain stochastic gradient descent "
+            "needs unbiased gradient estimates, so the regression estimators are not "
+            "accepted here"
+        )
+    return config
+
+
 def fit(
     q0: GaussianQ,
     target: Target,
@@ -93,24 +112,8 @@ def fit(
     schedule and projection are applied identically either way.
     """
     schedule = schedule or SgdSchedule()
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    if gradient_fn is None:
-        info = ESTIMATORS.get(estimator_id)
-        if info is None:
-            raise ValueError(f"unknown estimator id {estimator_id!r}; valid ids: {', '.join(ESTIMATOR_IDS)}")
-        if not info.unbiased:
-            raise ValueError(
-                f"estimator {estimator_id!r} is biased; plain stochastic gradient descent "
-                "needs unbiased gradient estimates, so the regression estimators are not "
-                "accepted here"
-            )
-        config = EstimatorConfig(
-            total_samples=schedule.samples_per_step,
-            cv_split=cv_split,
-            estimator_id=estimator_id,
-            jitter=jitter,
-        )
+    stochastic_id = estimator_id if gradient_fn is None else None
+    config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split, jitter)
     rule = gauss_hermite_rule()
     eta = np.array(q0.eta)
     q = q0
@@ -174,11 +177,8 @@ class VariationalSGD:
         self.seed = seed
         self.record_every = record_every
 
-    _param_names = (
-        "estimator", "step0", "decay", "iterations", "samples_per_step",
-        "cv_split", "jitter", "natural_gradient", "mu0", "sigma20", "seed",
-        "record_every",
-    )
+    # the constructor's arguments, read as scikit-learn's get_params reads them
+    _param_names = tuple(inspect.signature(__init__).parameters)[1:]
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names}

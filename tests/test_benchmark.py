@@ -65,6 +65,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BenchmarkSpec(target="weird")
 
+    @pytest.mark.parametrize("bad", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
+    def test_rejects_bad_setting_at_construction(self, bad):
+        # a bad setting after good ones fails before any cell could run
+        with pytest.raises(ValueError, match="mu|sigma2"):
+            BenchmarkSpec(settings=((0.0, 2.0), bad))
+
     def test_rejects_budget_below_an_estimators_minimum(self):
         with pytest.raises(ValueError, match="greg-samplecov"):
             BenchmarkSpec(samples=2, estimators=("simple", "greg-samplecov"))

@@ -1,13 +1,33 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradcv
 from gradcv.cli import main, parse_args
 from gradcv.estimators import ESTIMATOR_IDS
 from gradcv.gaussian import GaussianQ
 from gradcv.quadrature import ground_truth_gradient
 from gradcv.targets import logistic_target
+
+# argv (a trailing dict is written as the --config file) and the flag the error names
+_OUT_OF_DOMAIN = [
+    pytest.param(["estimate", "--mu", "nan"], "--mu", id="estimate-mu-nan"),
+    pytest.param(["estimate", "--sigma2", "0"], "--sigma2", id="estimate-sigma2-zero"),
+    pytest.param(["estimate", "--jitter", "-1"], "--jitter", id="estimate-jitter-negative"),
+    pytest.param(["estimate", "--jitter", "nan"], "--jitter", id="estimate-jitter-nan"),
+    pytest.param(["ground-truth", "--sigma2", "-1"], "--sigma2", id="ground-truth-sigma2-negative"),
+    pytest.param(["fit", "--sigma2", "0"], "--sigma2", id="fit-sigma2-zero"),
+    pytest.param(["benchmark", "--settings", "nan:2"], "--settings", id="benchmark-settings-nan"),
+    pytest.param(["benchmark", "--settings", "0:inf"], "--settings", id="benchmark-settings-inf"),
+    pytest.param(["benchmark", "--threads", "0", "--reps", "10"], "--threads", id="benchmark-threads-zero"),
+    pytest.param(["benchmark", "--threads", "-3", "--reps", "10"], "--threads", id="benchmark-threads-negative"),
+    pytest.param(["estimate", "--config", {"sigma2": 0}], "--sigma2", id="estimate-config-sigma2-zero"),
+]
 
 
 class TestParseArgs:
@@ -117,6 +137,33 @@ class TestParseArgs:
             parse_args(["benchmark", "--config", str(cfg)])
         assert exc.value.code == 2
         assert next(iter(values)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,flag", _OUT_OF_DOMAIN)
+    def test_out_of_domain_value_is_usage_error(self, argv, flag, tmp_path):
+        # run as a process: exit code 2 and a message naming the flag, never a traceback
+        if isinstance(argv[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(argv[-1]))
+            argv = argv[:-1] + [str(cfg)]
+        env = {**os.environ, "PYTHONPATH": str(Path(gradcv.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "gradcv.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_parse_args_builds_the_command_objects(self):
+        ns = parse_args(["estimate", "--mu", "1", "--sigma2", "0.5", "--estimator", "cov", "--jitter", "0.1"])
+        assert (ns.q.mu, ns.q.sigma2) == (1.0, 0.5)
+        assert (ns.estimator_config.estimator_id, ns.estimator_config.jitter) == ("cov", 0.1)
+        assert ns.resolved_target.name == "logistic"
+        ns = parse_args(["benchmark", "--settings", "0:2", "--reps", "7", "--paired"])
+        assert (ns.spec.settings, ns.spec.replications, ns.spec.paired) == (((0.0, 2.0),), 7, True)
+        ns = parse_args(["fit", "--step0", "0.05", "--samples", "20"])
+        assert (ns.schedule.step0, ns.schedule.samples_per_step) == (0.05, 20)
+        assert ns.estimator_config.estimator_id == "cv-regression"
+        assert not hasattr(ns, "reps") and not hasattr(ns, "settings")
 
     def test_config_values_converted_like_flags(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -339,11 +339,23 @@ class TestConfigAndErrors:
         with pytest.raises(CapabilityError):
             est_delta_method(q, no_hess, q.sample(seed=0, size=10))
 
-    def test_nonfinite_log_p_is_estimation_error(self):
+    @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+    def test_nonfinite_log_p_is_estimation_error(self, est_id):
+        # log p = -inf on x > 0, where its derivatives are nan; the three path
+        # methods never evaluate log p and fail on their non-finite estimate,
+        # every other method on the one log p check, which names the draw
         q = GaussianQ(0.0, 1.0)
-        bad = Target(name="bad", log_p=lambda x: np.where(x > 0, -np.inf, x))
-        with pytest.raises(EstimationError):
-            est_simple(q, bad, q.sample(seed=1, size=50))
+        bad = Target(name="bad", log_p=lambda x: np.where(x > 0, -np.inf, x),
+                     grad_x=lambda x: np.where(x > 0, np.nan, 1.0), hess_x=lambda x: np.zeros_like(x))
+        path = est_id in ("cv-ideal-grad", "kingma-reparam", "greg-pathgrad")
+        match = "non-finite gradient estimate" if path else "log_p is not finite at draw x="
+        with pytest.raises(EstimationError, match=match):
+            estimate(q, bad, EstimatorConfig(estimator_id=est_id), seed=1)
+
+    @pytest.mark.parametrize("jitter", [-1.0, np.nan, np.inf])
+    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
+        with pytest.raises(ValueError, match="jitter"):
+            EstimatorConfig(estimator_id="cv-regression", total_samples=4, jitter=jitter)
 
     def test_degenerate_draws_flag_fallback(self):
         # identical draws give a singular sample covariance; the solve falls
