@@ -15,6 +15,20 @@ Randomness is counter-based and chunked: replications are processed in
 fixed chunks of 4096, and the noise for a chunk is a pure function of
 (base_seed, setting index, estimator index, chunk index). Results are
 therefore bit-identical across runs and across worker counts.
+
+One loop serves both modes. For each setting, every (stream, chunk) pair
+is one task, run on the thread pool: a stream is a noise stream and the
+estimators that read it. Unpaired, each estimator has its own stream;
+paired (--paired), the stream key has no estimator index, so one stream
+per chunk serves every estimator. A task walks its chunk in row tiles of
+1024: it draws the tile's noise, maps it to draws, and runs each of its
+estimators on one shared Draws, which evaluates the target's log_p and
+grad_x once for the tile. Paired tables thus draw and evaluate the target
+once per tile for all estimators. Tiles keep each kernel's (rows, S)
+temporaries small enough to stay in cache. Drawing a chunk's noise tile
+by tile gives the same numbers as drawing it at once, and every kernel
+treats each row on its own, so neither the tiles nor the sharing change
+any estimate.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATOR_IDS, CapabilityError, EstimatorConfig, run_kernel
+from .estimators import ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimatorConfig, run_kernel
 from .gaussian import GaussianQ, rng_from_seed
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import Target, resolve_target
@@ -50,6 +64,8 @@ MSE_WEIGHTS.setflags(write=False)
 DEFAULT_SETTINGS: tuple[tuple[float, float], ...] = ((0.0, 2.0), (-2.0, 2.0), (2.0, 2.0), (0.0, 4.0))
 
 _CHUNK = 4096
+# Rows per kernel call within a chunk; a divisor of _CHUNK.
+_TILE = 1024
 
 _CSV_HEADER = "estimator,mu,sigma2,mse,mse_stderr,bias1,bias2,gt1,gt2,replications"
 
@@ -117,26 +133,38 @@ def chunk_stream_key(base_seed: int, setting_idx: int, estimator_idx: int, chunk
     return (base_seed, setting_idx, estimator_idx, chunk_idx)
 
 
-def _cell_estimates(spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, estimator_idx: int, threads: int) -> np.ndarray:
-    """All replication estimates for one cell, reduced in fixed chunk order."""
-    est_id = spec.estimators[estimator_idx]
-    config = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split, estimator_id=est_id)
-    n_coef = config.split_sizes()[0]  # unsplit kernels ignore it
+def _setting_estimates(
+    spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, runnable: list[int], threads: int
+) -> np.ndarray:
+    """Replication estimates of one setting, (estimators, replications, 2).
+
+    Only the estimators at the indices in runnable are run; the rows of
+    the others are left unset.
+    """
+    n_coef = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split).split_sizes()[0]
+    est = np.empty((len(spec.estimators), spec.replications, 2))
+    # (stream index, the estimators that read the stream)
+    streams = [(0, runnable)] if spec.paired else [(i, [i]) for i in runnable]
     n_chunks = -(-spec.replications // _CHUNK)
+    tasks = [(stream, chunk_idx) for stream in streams if stream[1] for chunk_idx in range(n_chunks)]
 
-    def one_chunk(chunk_idx: int) -> np.ndarray:
-        size = min(_CHUNK, spec.replications - chunk_idx * _CHUNK)
-        key = chunk_stream_key(spec.base_seed, setting_idx, estimator_idx, chunk_idx, spec.paired)
-        eps = rng_from_seed(key).standard_normal((size, spec.samples))
-        x = q.reparameterize(eps)
-        return run_kernel(est_id, q, target, x, eps, n_coef)
+    def run(task) -> None:
+        (stream_idx, members), chunk_idx = task
+        rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
+        stop = min((chunk_idx + 1) * _CHUNK, spec.replications)
+        for lo in range(chunk_idx * _CHUNK, stop, _TILE):
+            eps = rng.standard_normal((min(_TILE, stop - lo), spec.samples))
+            draws = Draws(target, q.reparameterize(eps), eps)
+            for i in members:
+                est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, eps, n_coef)
 
-    if threads > 1 and n_chunks > 1:
+    if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, range(n_chunks)))
+            list(pool.map(run, tasks))
     else:
-        parts = [one_chunk(i) for i in range(n_chunks)]
-    return np.concatenate(parts, axis=0)
+        for task in tasks:
+            run(task)
+    return est
 
 
 def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
@@ -148,24 +176,30 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
     """
     target = resolve_target(spec.target)
     rule = gauss_hermite_rule()
+    notes = {}
+    for est_id in spec.estimators:
+        try:
+            ESTIMATORS[est_id].check(target)
+        except CapabilityError as err:
+            notes[est_id] = f"n/a: {err}"
+    runnable = [i for i, est_id in enumerate(spec.estimators) if est_id not in notes]
     rows = []
     for setting_idx, (mu, sigma2) in enumerate(spec.settings):
         q = GaussianQ(mu, sigma2)
         gt = ground_truth_gradient(q, target, rule)
-        for estimator_idx, est_id in enumerate(spec.estimators):
-            try:
-                est = _cell_estimates(spec, q, target, setting_idx, estimator_idx, threads)
-            except CapabilityError as err:
-                rows.append(MseRow(
-                    estimator=est_id, mu=mu, sigma2=sigma2,
-                    mse=float("nan"), mse_stderr=float("nan"),
-                    mean_bias=np.full(2, np.nan), ground_truth=gt,
-                    replications=spec.replications,
-                    mean_se=np.full(2, np.nan), mse_components=np.full(2, np.nan),
-                    note=f"n/a: {err}",
-                ))
+        est = _setting_estimates(spec, q, target, setting_idx, runnable, threads)
+        for i, est_id in enumerate(spec.estimators):
+            if est_id not in notes:
+                rows.append(_reduce_cell(est_id, mu, sigma2, est[i], gt))
                 continue
-            rows.append(_reduce_cell(est_id, mu, sigma2, est, gt))
+            rows.append(MseRow(
+                estimator=est_id, mu=mu, sigma2=sigma2,
+                mse=float("nan"), mse_stderr=float("nan"),
+                mean_bias=np.full(2, np.nan), ground_truth=gt,
+                replications=spec.replications,
+                mean_se=np.full(2, np.nan), mse_components=np.full(2, np.nan),
+                note=notes[est_id],
+            ))
     return MseTable(spec=spec, rows=tuple(rows))
 
 

@@ -18,7 +18,6 @@ reject is a usage error (exit code 2).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
@@ -30,18 +29,13 @@ from .benchmark import (
     run_benchmark,
 )
 from .diagnostics import run_all_checks
-from .estimators import EstimatorConfig, estimate
+from .estimators import CapabilityError, EstimationError, EstimatorConfig, estimate
 from .gaussian import GaussianQ
-from .optimize import SgdSchedule, _fit_config, fit, trajectory_to_csv
-from .quadrature import gauss_hermite_rule, ground_truth_gradient
+from .optimize import SgdSchedule, VariationalSGD, _default, _fit_config, fit, trajectory_to_csv
+from .quadrature import EvaluationError, gauss_hermite_rule, ground_truth_gradient
 from .targets import resolve_target
 
 __all__ = ["main", "parse_args"]
-
-
-def _default(fn, name: str):
-    """The default of fn's parameter name, the library's own copy of the value."""
-    return inspect.signature(fn).parameters[name].default
 
 
 def _settings(text: str) -> tuple[tuple[float, float], ...]:
@@ -101,7 +95,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--reps", type=int, default=BenchmarkSpec.replications, help="replications per cell")
     p.add_argument("--threads", type=_threads, default=_default(run_benchmark, "threads"),
                    help="worker threads; output is invariant to this")
-    p.add_argument("--paired", action="store_true", help="share draws across estimators per replication")
+    p.add_argument("--paired", action="store_true", help="run every estimator on the same draws and target evaluations")
     p.add_argument("--per-component", dest="per_component", action="store_true",
                    help="also report unweighted per-component MSEs")
 
@@ -118,8 +112,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
 
     p = command("fit", "stochastic gradient descent fit")
-    p.add_argument("--mu", dest="q0_mu", type=float, default=0.0, help="initial mu")
-    p.add_argument("--sigma2", dest="q0_sigma2", type=float, default=1.0, help="initial sigma2")
+    p.add_argument("--mu", dest="q0_mu", type=float, default=_default(VariationalSGD, "mu0"), help="initial mu")
+    p.add_argument("--sigma2", dest="q0_sigma2", type=float, default=_default(VariationalSGD, "sigma20"),
+                   help="initial sigma2")
     p.add_argument("--estimator", default=_default(fit, "estimator_id"), help="unbiased estimator id")
     p.add_argument("--samples", type=int, default=SgdSchedule.samples_per_step, help="draws per step")
     p.add_argument("--split", type=float, default=_default(fit, "cv_split"), help="coefficient fraction for cv methods")
@@ -258,8 +253,21 @@ def _vector_payload(ns: argparse.Namespace, name: str, vec, extra: dict) -> str:
 
 
 def main(argv=None) -> int:
-    ns = parse_args(argv)
+    """Run the command of argv; its exit code.
 
+    Usage errors exit with code 2 (see parse_args). The library's run-time
+    errors, a non-finite estimate or ground truth or a target without a
+    needed derivative, print "gradcv: error: MESSAGE" on stderr and give 1.
+    """
+    ns = parse_args(argv)
+    try:
+        return _run(ns)
+    except (EstimationError, CapabilityError, EvaluationError) as err:
+        print(f"gradcv: error: {err}", file=sys.stderr)
+        return 1
+
+
+def _run(ns: argparse.Namespace) -> int:
     if ns.command == "benchmark":
         table = run_benchmark(ns.spec, threads=ns.threads)
         if ns.format == "csv":

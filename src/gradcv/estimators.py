@@ -33,17 +33,25 @@ EstimatorInfo holds the method's vectorized kernel, whether the budget is
 split, the fewest draws per batch, the target derivatives it needs and
 whether it is unbiased. Every kernel has the signature
 
-    kernel(q, t, x_coef, eps_coef, x_eval, eps_eval, jitter) -> ((R, 2), aux)
+    kernel(q, coef, ev, jitter) -> ((R, 2), aux)
 
-on draws x and their standard-normal noise eps of shape (R, S), one row
-per independent replication. Split-budget methods fit coefficients on the
-coefficient half and evaluate on the other; the rest get an empty
-coefficient half and ignore it, and methods without a 2x2 solve ignore
-jitter. aux maps diagnostic names to per-row arrays. One private dispatch
-checks the target's capabilities, splits the columns and calls the
-kernel; run_kernel (many rows, used by the benchmark) and estimate() and
-the est_* functions (one row) all go through it. The est_* functions are
-generated from the registry and carry their kernel's docstring.
+where coef and ev are the coefficient and evaluation halves of one Draws:
+draws x and their standard-normal noise eps of shape (R, S), one row per
+independent replication, with the target evaluated at them. A Draws
+evaluates the target's log_p and grad_x at most once, on every column,
+when a kernel first reads them; the halves are column views that read
+those evaluations, so kernels never call the target on their halves, and
+every kernel run on the same Draws shares them. Split-budget methods fit
+coefficients on coef and evaluate on ev; the rest get coef None and the
+whole Draws as ev, and methods without a 2x2 solve ignore jitter. aux maps
+diagnostic names to per-row arrays. One private dispatch checks the
+target's capabilities, splits the columns and calls the kernel;
+run_kernel (many rows: the benchmark runs every estimator of a tile of
+rows on one Draws through it) and estimate() and the est_* functions
+(one row) all go through it. The est_* functions are generated from the
+registry and carry their kernel's docstring. Every kernel treats each
+row on its own, so an estimate does not depend on which rows share its
+call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -167,22 +175,59 @@ class GradEstimate:
         object.__setattr__(self, "value", value)
 
 
+class Draws:
+    """Draws x = mu + sigma * eps of shape (R, S) and the target evaluated at them.
+
+    log_p and grad_x are evaluated on first use, once for all columns, and
+    kept; a non-finite log p is an estimation error naming its draw.
+    columns(lo, hi) is the view of a column range: its x and eps are views
+    and it reads the same evaluations, computing them for all columns if
+    they are not there yet.
+    """
+
+    __slots__ = ("t", "x", "eps", "_root", "_cols", "_log_p", "_grad_x")
+
+    def __init__(self, t: Target, x: np.ndarray, eps: np.ndarray):
+        self.t, self.x, self.eps = t, x, eps
+        # a root Draws is its own root; None, not self, since a reference
+        # cycle would keep every tile's arrays until the cycle collector runs
+        self._root, self._cols = None, slice(None)
+        self._log_p = self._grad_x = None
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def columns(self, lo: int, hi: int | None = None) -> "Draws":
+        view = Draws(self.t, self.x[:, lo:hi], self.eps[:, lo:hi])
+        view._root, view._cols = self, slice(lo, hi)
+        return view
+
+    @property
+    def log_p(self) -> np.ndarray:
+        root = self._root or self
+        if root._log_p is None:
+            lp = np.asarray(self.t.log_p(root.x), dtype=float)
+            if not np.isfinite(lp).all():
+                bad = root.x[~np.isfinite(lp)]
+                raise EstimationError(f"target {self.t.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
+            root._log_p = lp
+        return root._log_p[:, self._cols]
+
+    @property
+    def grad_x(self) -> np.ndarray:
+        root = self._root or self
+        if root._grad_x is None:
+            root._grad_x = np.asarray(self.t.grad_x(root.x), dtype=float)
+        return root._grad_x[:, self._cols]
+
+
 # ---------------------------------------------------------------------------
 # shared numerics
 
 
-def _log_p(t: Target, x: np.ndarray) -> np.ndarray:
-    """log p at the draws; a non-finite value is an estimation error naming its draw."""
-    lp = np.asarray(t.log_p(x), dtype=float)
-    if not np.isfinite(lp).all():
-        bad = x[~np.isfinite(lp)]
-        raise EstimationError(f"target {t.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
-    return lp
-
-
-def _fval(q: GaussianQ, t: Target, x: np.ndarray) -> np.ndarray:
+def _fval(q: GaussianQ, d: Draws) -> np.ndarray:
     """log q - log p at the draws."""
-    return q.log_density(x) - _log_p(t, x)
+    return q.log_density(d.x) - d.log_p
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -208,9 +253,9 @@ def _scores(q: GaussianQ, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x - q.mu, x * x - (q.mu * q.mu + q.sigma2)
 
 
-def _score_parts(q: GaussianQ, t: Target, x: np.ndarray, centered: bool = False) -> tuple:
+def _score_parts(q: GaussianQ, d: Draws, centered: bool = False) -> tuple:
     """Score components s0, s1 and integrand f = log q - log p, optionally centered."""
-    parts = (*_scores(q, x), _fval(q, t, x))
+    parts = (*_scores(q, d.x), _fval(q, d))
     return tuple(map(_centered, parts)) if centered else parts
 
 
@@ -224,38 +269,38 @@ def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
     return _dot(h0, h0), v01, v01, _dot(h1, h1), _dot(h0, f), _dot(h1, f)
 
 
-def _score_moments(q: GaussianQ, t: Target, x: np.ndarray) -> tuple:
+def _score_moments(q: GaussianQ, d: Draws) -> tuple:
     """Cov-hat[s, s] and Cov-hat[s, f] with 1/(S-1), as a 2x2 system in component form.
 
     Cov-hat[s, f] is the cov estimate of the gradient and Cov-hat[s, s]
     estimates the score covariance.
     """
-    s0, s1, f = _score_parts(q, t, x, centered=True)
-    n1 = x.shape[-1] - 1
+    s0, s1, f = _score_parts(q, d, centered=True)
+    n1 = d.x.shape[-1] - 1
     return tuple(v / n1 for v in _normal_equations(s0, s1, f))
 
 
-def _path_parts(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple:
+def _path_parts(q: GaussianQ, d: Draws) -> tuple:
     """Sampler-path ingredients of the draws x = mu + sigma * eps.
 
     The path Jacobian dx/deta has the constant first column sigma2 and the
     second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
     resid = score_x - grad_x is d/dx [log q - log p].
     """
-    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * eps
-    resid = q.score_x(x) - np.asarray(t.grad_x(x), dtype=float)
+    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * d.eps
+    resid = q.score_x(d.x) - d.grad_x
     return j1, resid
 
 
-def _path_moments(q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray) -> tuple:
+def _path_moments(q: GaussianQ, d: Draws) -> tuple:
     """Batch means of the per-draw path statistics, as a 2x2 system in component form.
 
     m_j = (dx/deta) outer (dT/dx), with dT/dx = (1, 2x), estimates the score
     covariance; f_j = (dx/deta) * resid estimates the KL gradient. Returns
     (m00, m01, m10, m11, f0, f1); m00 is the scalar sigma2. m is not symmetric.
     """
-    s2 = q.sigma2
-    j1, resid = _path_parts(q, t, x, eps)
+    s2, x = q.sigma2, d.x
+    j1, resid = _path_parts(q, d)
     n = x.shape[-1]
     return s2, 2.0 * s2 * _mean(x), _mean(j1), 2.0 * _dot(j1, x) / n, s2 * _mean(resid), _dot(j1, resid) / n
 
@@ -347,28 +392,28 @@ def _pinv_solve_sym2(a00, a01, a11, b0, b1):
 
 
 # ---------------------------------------------------------------------------
-# kernels: (q, t, x_coef, eps_coef, x_eval, eps_eval, jitter) -> ((R, 2), aux)
+# kernels: (q, coef, ev, jitter) -> ((R, 2), aux)
 #
-# Unsplit methods read only the evaluation half, named x and eps below;
+# Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
 # est_* function is est_NAME and carries the kernel's docstring.
 
 
-def _kernel_simple(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_simple(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
-    s0, s1, f = _score_parts(q, t, x)
-    n = x.shape[-1]
+    s0, s1, f = _score_parts(q, d)
+    n = d.x.shape[-1]
     return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
 
 
-def _kernel_cov(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cov(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
-    s0, s1, f = _score_parts(q, t, x, centered=True)
-    n1 = x.shape[-1] - 1
+    s0, s1, f = _score_parts(q, d, centered=True)
+    n1 = d.x.shape[-1] - 1
     return _pair(_dot(s0, f) / n1, _dot(s1, f) / n1), {}
 
 
-def _kernel_cv_ideal(q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Covariance estimator minus fitted score-covariance control variates.
 
     Coefficients are fitted on batch_coef only, so independence of the two
@@ -378,32 +423,28 @@ def _kernel_cv_ideal(q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_ev
     # mean is the cov estimate, and h^il_j = s_ij s_lj, whose mean minus
     # Cov_exact has expectation zero; Cov_exact cancels in the centering.
     # Component i regresses f^i on (h^i0, h^i1).
-    s0, s1, f = _score_parts(q, t, x_coef, centered=True)
+    s0, s1, f = _score_parts(q, coef, centered=True)
     h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
     a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter, symmetric=True)
     a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter, symmetric=True)
-    est = _cv_estimate(q, _score_moments(q, t, x_eval), (a00, a01), (a10, a11))
+    est = _cv_estimate(q, _score_moments(q, ev), (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_cv_regression(
-    q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, jitter
-) -> tuple[np.ndarray, dict]:
+def _kernel_cv_regression(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Control variates with the shared regression coefficient vector.
 
     The coefficient is the natural-gradient solve on the coefficient batch;
     with a Gaussian-form target it equals eta - eta_tilde identically and
     the estimate collapses to the exact gradient with zero variance.
     """
-    a0, a1, fallback = _solve2c(*_score_moments(q, t, x_coef), jitter, symmetric=True)
-    est = _cv_estimate(q, _score_moments(q, t, x_eval), (a0, a1), (a0, a1))
+    a0, a1, fallback = _solve2c(*_score_moments(q, coef), jitter, symmetric=True)
+    est = _cv_estimate(q, _score_moments(q, ev), (a0, a1), (a0, a1))
     return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
 
-def _kernel_cv_ideal_pathgrad(
-    q: GaussianQ, t: Target, x_coef, eps_coef, x_eval, eps_eval, jitter
-) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """cv-ideal with every covariance term estimated through the sampler path."""
     # cv-ideal with the path statistics f^i_j = (dx/deta)_i resid_j and
     # h^il_j = (dx/deta)_i (dT/dx)_l. The first Jacobian column is the
@@ -411,8 +452,8 @@ def _kernel_cv_ideal_pathgrad(
     # scalar regression of f^0 on h^01, with a zero coefficient on h^00;
     # only draws without spread (var h^01 = 0) flag a fallback.
     s2 = q.sigma2
-    j1, resid = _path_parts(q, t, x_coef, eps_coef)
-    tx = 2.0 * x_coef
+    j1, resid = _path_parts(q, coef)
+    tx = 2.0 * coef.x
     h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
     f0, f1 = _centered(s2 * resid), _centered(j1 * resid)
     var01 = _dot(h01, h01)
@@ -420,40 +461,38 @@ def _kernel_cv_ideal_pathgrad(
     a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
     a00 = np.zeros_like(a01)
     a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter, symmetric=True)
-    est = _cv_estimate(q, _path_moments(q, t, x_eval, eps_eval), (a00, a01), (a10, a11))
+    est = _cv_estimate(q, _path_moments(q, ev), (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_ranganath_cv(
-    q: GaussianQ, t: Target, x_coef, _eps_coef, x_eval, _eps_eval, _jitter
-) -> tuple[np.ndarray, dict]:
+def _kernel_ranganath_cv(q: GaussianQ, coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand s_i f
-    f_c, f_e = _fval(q, t, x_coef), _fval(q, t, x_eval)
-    n = x_eval.shape[-1]
-    est, coef, zero_var = [], [], []
-    for s_c, s_e in zip(_scores(q, x_coef), _scores(q, x_eval)):
+    f_c, f_e = _fval(q, coef), _fval(q, ev)
+    n = ev.x.shape[-1]
+    est, coefs, zero_var = [], [], []
+    for s_c, s_e in zip(_scores(q, coef.x), _scores(q, ev.x)):
         h = _centered(s_c)
         var_h, cov_fh = _dot(h, h), _dot(_centered(s_c * f_c), h)
         zero = var_h <= 0.0
         c = np.where(zero, 0.0, cov_fh / np.where(zero, 1.0, var_h))
         est.append(_dot(s_e, f_e - c[..., None]) / n)
-        coef.append(c)
+        coefs.append(c)
         zero_var.append(zero)
-    return _pair(*est), {"coef": _pair(*coef), "zero_variance": _pair(*zero_var)}
+    return _pair(*est), {"coef": _pair(*coefs), "zero_variance": _pair(*zero_var)}
 
 
-def _kernel_delta_method(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_delta_method(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Second-order Taylor control variate for log p, analytic remainder."""
-    mu, s2 = q.mu, q.sigma2
+    mu, s2, t = q.mu, q.sigma2, d.t
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
     g0 = float(np.asarray(t.grad_x(np.array(mu)), dtype=float))
     h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
-    s0, s1 = _scores(q, x)
+    s0, s1 = _scores(q, d.x)
     taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
-    remainder = _log_p(t, x) - taylor
-    n = x.shape[-1]
+    remainder = d.log_p - taylor
+    n = d.x.shape[-1]
     # d/deta E_q[log q] is the negative-entropy gradient (0, -sigma2);
     # d/deta E_q[Taylor] with frozen coefficients uses E[x - mu] = 0 and
     # E[(x - mu)^2] = sigma2 through d mu/d eta and d sigma2/d eta.
@@ -462,27 +501,27 @@ def _kernel_delta_method(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, _
     return _pair(est0, est1), {}
 
 
-def _kernel_kingma_reparam(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, eps, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_kingma_reparam(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sampler-path derivative of the Monte Carlo sum of log q - log p.
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
     differentiated, which is the unbiased covariance estimate obtained by
     differentiating the sampler.
     """
-    j1, resid = _path_parts(q, t, x, eps)
-    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / x.shape[-1]), {}
+    j1, resid = _path_parts(q, d)
+    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / d.x.shape[-1]), {}
 
 
-def _kernel_greg_samplecov(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, _eps, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_samplecov(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
-    g0, g1, fallback = _solve2c(*_score_moments(q, t, x), jitter, symmetric=True)
+    g0, g1, fallback = _solve2c(*_score_moments(q, d), jitter, symmetric=True)
     return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
-def _kernel_greg_pathgrad(q: GaussianQ, t: Target, _x_coef, _eps_coef, x, eps, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_pathgrad(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
     # the path estimate of the score covariance is not symmetric
-    g0, g1, fallback = _solve2c(*_path_moments(q, t, x, eps), jitter)
+    g0, g1, fallback = _solve2c(*_path_moments(q, d), jitter)
     return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
@@ -506,6 +545,12 @@ class EstimatorInfo:
     needs_grad: bool = False
     needs_hess: bool = False
     unbiased: bool = True
+
+    def check(self, t: Target) -> None:
+        """Raise CapabilityError if t lacks a derivative the kernel needs."""
+        for field, needed in (("grad_x", self.needs_grad), ("hess_x", self.needs_hess)):
+            if needed and getattr(t, field) is None:
+                raise CapabilityError(f"estimator {self.id!r} requires target.{field} ({t.name!r} has none)")
 
 
 ESTIMATORS: dict[str, EstimatorInfo] = {
@@ -531,13 +576,12 @@ ESTIMATOR_IDS: tuple[str, ...] = tuple(ESTIMATORS)
 # dispatch
 
 
-def _dispatch(info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int, jitter: float):
+def _dispatch(info: EstimatorInfo, q: GaussianQ, d: Draws, n_coef: int, jitter: float):
     """Check the target's capabilities, split the (R, S) draws and run the kernel."""
-    for field, needed in (("grad_x", info.needs_grad), ("hess_x", info.needs_hess)):
-        if needed and getattr(t, field) is None:
-            raise CapabilityError(f"estimator {info.id!r} requires target.{field} ({t.name!r} has none)")
-    n = n_coef if info.split_budget else 0
-    return info.kernel(q, t, x[:, :n], eps[:, :n], x[:, n:], eps[:, n:], jitter)
+    info.check(d.t)
+    if not info.split_budget:
+        return info.kernel(q, None, d, jitter)
+    return info.kernel(q, d.columns(0, n_coef), d.columns(n_coef), jitter)
 
 
 def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -> GradEstimate:
@@ -549,7 +593,7 @@ def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -
         )
     x = np.concatenate([b.draws for b in batches])[None]
     eps = np.concatenate([b.noise for b in batches])[None]
-    value, aux = _dispatch(info, q, t, x, eps, x.shape[1] - sizes[-1], jitter)
+    value, aux = _dispatch(info, q, Draws(t, x, eps), x.shape[1] - sizes[-1], jitter)
     return GradEstimate(
         value=value[0],
         estimator_id=info.id,
@@ -606,9 +650,17 @@ def run_kernel(
 
     x and eps have shape (R, S); split-budget estimators use the first
     n_coef columns as the coefficient batch and the rest for evaluation.
-    Returns the (R, 2) estimates, or with with_aux=True the pair
-    (estimates, aux), aux holding the kernel's per-row diagnostics under
-    the keys of GradEstimate.aux.
+    x may instead be a Draws of the target t, and eps is then not read:
+    every kernel run on one Draws shares its evaluations of the target,
+    as the benchmark's estimators share each tile. Returns the (R, 2)
+    estimates, or with with_aux=True the pair (estimates, aux), aux holding
+    the kernel's per-row diagnostics under the keys of GradEstimate.aux.
     """
-    value, aux = _dispatch(ESTIMATORS[estimator_id], q, t, x, eps, n_coef, jitter)
+    if isinstance(x, Draws):
+        if x.t is not t:
+            raise ValueError(f"x holds draws of target {x.t.name!r}, not of {t.name!r}")
+        d = x
+    else:
+        d = Draws(t, x, eps)
+    value, aux = _dispatch(ESTIMATORS[estimator_id], q, d, n_coef, jitter)
     return (value, aux) if with_aux else value

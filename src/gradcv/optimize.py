@@ -32,6 +32,11 @@ __all__ = [
 ETA2_MAX = -1e-8  # projection bound keeping sigma2 positive
 
 
+def _default(fn, name: str):
+    """The default of fn's parameter name, the library's own copy of the value."""
+    return inspect.signature(fn).parameters[name].default
+
+
 @dataclass(frozen=True)
 class SgdSchedule:
     """Step sizes a_t = step0 / (1 + t)^decay.
@@ -149,20 +154,22 @@ class VariationalSGD:
     target name string ("logistic", "gaussian:MU:SIGMA2").
     """
 
+    # Defaults are read from their owners, SgdSchedule and the module's fit
+    # function (the method named fit is not defined yet at this point).
     def __init__(
         self,
-        estimator: str = "cv-regression",
-        step0: float = 0.01,
-        decay: float = 0.75,
-        iterations: int = 1000,
-        samples_per_step: int = 50,
-        cv_split: float = 0.5,
-        jitter: float = 0.0,
-        natural_gradient: bool = False,
+        estimator: str = _default(fit, "estimator_id"),
+        step0: float = SgdSchedule.step0,
+        decay: float = SgdSchedule.decay,
+        iterations: int = SgdSchedule.iterations,
+        samples_per_step: int = SgdSchedule.samples_per_step,
+        cv_split: float = _default(fit, "cv_split"),
+        jitter: float = _default(fit, "jitter"),
+        natural_gradient: bool = _default(fit, "natural_gradient"),
         mu0: float = 0.0,
         sigma20: float = 1.0,
-        seed: int = 0,
-        record_every: int = 10,
+        seed: int = _default(fit, "seed"),
+        record_every: int = _default(fit, "record_every"),
     ):
         self.estimator = estimator
         self.step0 = step0

@@ -33,7 +33,7 @@ DEFAULT_ORDER = 128
 
 
 class EvaluationError(ValueError):
-    """An integrand evaluated to a non-finite value at a quadrature node."""
+    """An integrand, or the ground-truth gradient, evaluated to a non-finite value."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _eval_at_nodes(q: GaussianQ, f, rule: GhRule) -> tuple[np.ndarray, np.ndarra
     if bad.any():
         idx = int(np.argwhere(bad)[0][0])
         raise EvaluationError(
-            f"integrand is not finite at quadrature node x={x[idx]!r} (node index {idx})"
+            f"integrand is not finite at quadrature node x={float(x[idx])!r} (node index {idx})"
         )
     return x, vals
 
@@ -119,12 +119,20 @@ def kl_divergence(q: GaussianQ, target: Target, rule: GhRule | None = None) -> f
 
 
 def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = None) -> np.ndarray:
-    """Exact eta-gradient of the KL divergence: Cov_q[T(x), log q(x) - log p(x)]."""
+    """Exact eta-gradient of the KL divergence: Cov_q[T(x), log q(x) - log p(x)].
+
+    A q at a scale where the gradient is not representable (say mu = 1e200,
+    where x^2 overflows) raises EvaluationError instead of returning inf or nan.
+    """
     rule = rule or gauss_hermite_rule()
-    x, d = _eval_at_nodes(q, lambda x: q.log_density(x) - target.log_p(x), rule)
-    t = q.suff_stats(x)
-    w = rule.weights
-    et = w @ t
-    ed = w @ d
-    etd = (t * (w * d)[:, None]).sum(axis=0)
-    return etd - et * ed
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, d = _eval_at_nodes(q, lambda x: q.log_density(x) - target.log_p(x), rule)
+        t = q.suff_stats(x)
+        w = rule.weights
+        et = w @ t
+        ed = w @ d
+        etd = (t * (w * d)[:, None]).sum(axis=0)
+        grad = etd - et * ed
+    if not np.isfinite(grad).all():
+        raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: {grad}")
+    return grad

@@ -46,14 +46,10 @@ class ExpFamTarget(Target):
 
 
 def _sigmoid(x):
+    """1 / (1 + exp(-x)), stable in both tails: exp(x) / (1 + exp(x)) for x < 0."""
     x = np.asarray(x, dtype=float)
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def logistic_target() -> Target:

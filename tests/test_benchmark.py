@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcv.benchmark import (
     MSE_WEIGHTS,
     BenchmarkSpec,
+    MseTable,
+    _reduce_cell,
+    _setting_estimates,
     bias_decomposition,
     chunk_stream_key,
     format_mse_table,
@@ -11,7 +16,9 @@ from gradcv.benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from gradcv.estimators import ESTIMATOR_IDS
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, run_kernel
+from gradcv.gaussian import GaussianQ, rng_from_seed
+from gradcv.targets import Target, resolve_target
 
 
 def small_spec(**overrides):
@@ -167,6 +174,90 @@ class TestRows:
         assert all(not r.ok and "n/a" in r.note for r in by_est["kingma-reparam"])
         assert all(not r.ok for r in by_est["delta-method"])
         assert all(np.isnan(r.mse) for r in by_est["delta-method"])
+
+
+def reference_estimates(spec, setting_idx, estimator_idx):
+    """One cell's per-replication estimates: run_kernel on each whole chunk of 4096, untiled."""
+    q = GaussianQ(*spec.settings[setting_idx])
+    target = resolve_target(spec.target)
+    n_coef = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split).split_sizes()[0]
+    parts = []
+    for chunk_idx, lo in enumerate(range(0, spec.replications, 4096)):
+        key = chunk_stream_key(spec.base_seed, setting_idx, estimator_idx, chunk_idx, spec.paired)
+        eps = rng_from_seed(key).standard_normal((min(4096, spec.replications - lo), spec.samples))
+        parts.append(run_kernel(spec.estimators[estimator_idx], q, target, q.reparameterize(eps), eps, n_coef))
+    return np.concatenate(parts)
+
+
+def blackbox_spec(monkeypatch, **overrides):
+    """small_spec on the logistic log p without derivatives, target "blackbox"."""
+    import gradcv.benchmark as bench
+
+    def resolve_with_blackbox(name):
+        if name == "blackbox":
+            return Target(name="blackbox", log_p=resolve_target("logistic").log_p)
+        return resolve_target(name)
+
+    monkeypatch.setattr(bench, "resolve_target", resolve_with_blackbox)
+    return small_spec(target="blackbox", **overrides)
+
+
+class TestTilesAndSharing:
+    """Row tiles and paired sharing leave every estimate as an untiled, unshared run gives it."""
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+    @pytest.mark.parametrize("reps", [1, 1500, 5000])
+    def test_estimates_equal_run_kernel_on_whole_chunks(self, reps, paired):
+        # reps not a multiple of the chunk or of the tile, and one chunk with
+        # a partial second in the 5000 case; every thread count gives the same bits
+        spec = BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=ESTIMATOR_IDS,
+                             replications=reps, samples=12, base_seed=11, paired=paired)
+        q = GaussianQ(*spec.settings[1])
+        expected = np.stack([reference_estimates(spec, 1, i) for i in range(len(ESTIMATOR_IDS))])
+        for threads in (1, 2, 3):
+            got = _setting_estimates(spec, q, resolve_target(spec.target), 1, list(range(len(ESTIMATOR_IDS))), threads)
+            assert got.shape == expected.shape
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), threads
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=12)
+    @given(
+        mu=st.floats(-3.0, 3.0),
+        sigma2=st.floats(0.1, 5.0),
+        reps=st.integers(1, 5000),
+        samples=st.integers(6, 20),
+        split=st.floats(0.3, 0.7),
+        seed=st.integers(0, 2**32 - 1),
+        threads=st.integers(1, 3),
+        paired=st.booleans(),
+    )
+    def test_any_spec_equals_run_kernel_on_whole_chunks(self, mu, sigma2, reps, samples, split, seed, threads, paired):
+        spec = BenchmarkSpec(settings=((mu, sigma2),), estimators=ESTIMATOR_IDS, replications=reps,
+                             samples=samples, cv_split=split, base_seed=seed, paired=paired)
+        got = _setting_estimates(spec, GaussianQ(mu, sigma2), resolve_target(spec.target), 0,
+                                 list(range(len(ESTIMATOR_IDS))), threads)
+        expected = np.stack([reference_estimates(spec, 0, i) for i in range(len(ESTIMATOR_IDS))])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_table_reduces_the_reference_estimates(self):
+        spec = small_spec(estimators=ESTIMATOR_IDS, replications=5000, samples=12, paired=True)
+        table = run_benchmark(spec, threads=2)
+        for row in table.rows:
+            setting_idx = spec.settings.index((row.mu, row.sigma2))
+            est = reference_estimates(spec, setting_idx, spec.estimators.index(row.estimator))
+            ref = _reduce_cell(row.estimator, row.mu, row.sigma2, est, row.ground_truth)
+            assert tables_equal(MseTable(spec, (row,)), MseTable(spec, (ref,)))
+
+    def test_paired_target_without_grad_gives_na_rows_and_unchanged_others(self, monkeypatch):
+        spec = blackbox_spec(monkeypatch, estimators=ESTIMATOR_IDS, paired=True)
+        table = run_benchmark(spec)
+        path_ids = {e for e in ESTIMATOR_IDS if ESTIMATORS[e].needs_grad}
+        assert path_ids == {"cv-ideal-grad", "delta-method", "kingma-reparam", "greg-pathgrad"}
+        na = [r for r in table.rows if r.estimator in path_ids]
+        assert len(na) == 2 * len(path_ids)
+        assert all(r.note.startswith("n/a: ") and "requires target.grad_x" in r.note for r in na)
+        others = tuple(e for e in ESTIMATOR_IDS if e not in path_ids)
+        alone = run_benchmark(blackbox_spec(monkeypatch, estimators=others, paired=True))
+        assert tables_equal(MseTable(spec, tuple(r for r in table.rows if r.ok)), alone)
 
 
 class TestBiasDecomposition:

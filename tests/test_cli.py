@@ -29,6 +29,21 @@ _OUT_OF_DOMAIN = [
     pytest.param(["estimate", "--config", {"sigma2": 0}], "--sigma2", id="estimate-config-sigma2-zero"),
 ]
 
+# in-domain argv the library cannot compute at, and the start of its error message
+_RUNTIME_ERRORS = [
+    pytest.param(["estimate", "--mu", "1e200"], "non-finite gradient estimate", id="estimate-mu-1e200"),
+    pytest.param(["estimate", "--sigma2", "1e300"], "non-finite gradient estimate", id="estimate-sigma2-1e300"),
+    pytest.param(["fit", "--target", "gaussian:1e200:1"], "integrand is not finite", id="fit-target-1e200"),
+    pytest.param(["ground-truth", "--mu", "1e200"], "ground-truth gradient is not finite", id="ground-truth-mu-1e200"),
+]
+
+
+def run_cli(argv):
+    """Run gradcv as its own process, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(gradcv.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "gradcv.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
 
 class TestParseArgs:
     def test_benchmark_defaults_reproduce_standard_configuration(self):
@@ -145,11 +160,17 @@ class TestParseArgs:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(argv[-1]))
             argv = argv[:-1] + [str(cfg)]
-        env = {**os.environ, "PYTHONPATH": str(Path(gradcv.__file__).parents[1])}
-        proc = subprocess.run([sys.executable, "-m", "gradcv.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli(argv)
         assert proc.returncode == 2
         assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv,message", _RUNTIME_ERRORS)
+    def test_runtime_error_is_reported_without_traceback(self, argv, message):
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        assert f"gradcv: error: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 

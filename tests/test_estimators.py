@@ -5,6 +5,7 @@ from gradcv.estimators import (
     ESTIMATOR_IDS,
     ESTIMATORS,
     CapabilityError,
+    Draws,
     EstimationError,
     EstimatorConfig,
     est_cov,
@@ -150,8 +151,8 @@ class TestControlVariates:
         # the h statistic (sample minus exact score covariance) averages to
         # zero over 100000 independent batches, within 4 standard errors
         q = GaussianQ(0.0, 2.0)
-        x, _ = draws_for(q, 100_000, 25, "h-zero-mean")
-        m00, m01, m10, m11, _, _ = _score_moments(q, logistic_target(), x)
+        x, eps = draws_for(q, 100_000, 25, "h-zero-mean")
+        m00, m01, m10, m11, _, _ = _score_moments(q, Draws(logistic_target(), x, eps))
         h = np.stack([m00, m01, m10, m11], axis=-1) - q.exact_suffstat_cov().ravel()
         se = h.std(axis=0, ddof=1) / np.sqrt(h.shape[0])
         np.testing.assert_array_less(np.abs(h.mean(axis=0)), 4.0 * se)

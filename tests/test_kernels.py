@@ -7,7 +7,9 @@ identities must hold on every row of a batch whose size is not a multiple
 of the benchmark's 4096-replication chunk.
 """
 
+import gc
 import inspect
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import gradcv
 from gradcv.benchmark import BenchmarkSpec, run_benchmark
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, estimate, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimatorConfig, estimate, run_kernel
 from gradcv.gaussian import DrawBatch, GaussianQ, rng_from_seed
 from gradcv.targets import gaussian_target, logistic_target
 
@@ -148,3 +150,19 @@ class TestZeroVarianceOffChunk:
             scale = max(np.abs(row.ground_truth).max(), 1.0)
             # REPS * mse bounds the weighted squared error of every replication
             assert np.sqrt(self.REPS * row.mse) / scale < 1e-10, (row.estimator, row.mu, row.sigma2)
+
+
+def test_draws_are_freed_without_the_cycle_collector():
+    # a tile's Draws and the evaluations it caches go when the last reference
+    # does: a reference cycle would hold every tile of a benchmark run until
+    # the cycle collector ran, and raise its peak memory
+    x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+    d = Draws(logistic_target(), x, x.copy())
+    d.columns(0, 2).log_p, d.columns(2).grad_x
+    cached = weakref.ref(d.columns(2).log_p.base)
+    gc.disable()
+    try:
+        del d
+        assert cached() is None
+    finally:
+        gc.enable()

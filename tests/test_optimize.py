@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,25 @@ class TestFit:
 
 
 class TestVariationalSGD:
+    def test_defaults_are_read_from_their_owners(self):
+        params = VariationalSGD().get_params()
+        fit_defaults = {n: p.default for n, p in inspect.signature(fit).parameters.items()}
+        schedule = SgdSchedule()
+        assert params == {
+            "estimator": fit_defaults["estimator_id"],
+            "step0": schedule.step0,
+            "decay": schedule.decay,
+            "iterations": schedule.iterations,
+            "samples_per_step": schedule.samples_per_step,
+            "cv_split": fit_defaults["cv_split"],
+            "jitter": fit_defaults["jitter"],
+            "natural_gradient": fit_defaults["natural_gradient"],
+            "mu0": 0.0,
+            "sigma20": 1.0,
+            "seed": fit_defaults["seed"],
+            "record_every": fit_defaults["record_every"],
+        }
+
     def test_get_set_params_round_trip(self):
         model = VariationalSGD(step0=0.02, iterations=123)
         params = model.get_params()

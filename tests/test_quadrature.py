@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,14 @@ class TestExpect:
         q = GaussianQ(0.0, 1.0)
         with pytest.raises(EvaluationError, match="node"):
             expect(q, lambda x: np.where(x > 0, np.inf, x))
+
+    def test_nonfinite_ground_truth_is_evaluation_error(self):
+        # x^2 overflows at mu = 1e200; the result is an error, not inf or nan,
+        # and numpy's overflow warning does not leak
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="ground-truth gradient is not finite"):
+                ground_truth_gradient(GaussianQ(1e200, 2.0), logistic_target())
 
 
 class TestCov:

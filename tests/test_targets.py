@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradcv.targets import ExpFamTarget, gaussian_target, logistic_target, resolve_target
+from gradcv.targets import ExpFamTarget, _sigmoid, gaussian_target, logistic_target, resolve_target
 
 PROBE_GRID = np.array([-5.0, -2.0, 0.0, 2.0, 5.0])
 
@@ -11,7 +11,32 @@ def fd_check(f, df, grid, step=1e-6, tol=1e-6):
     np.testing.assert_allclose(df(grid), fd, rtol=tol, atol=tol)
 
 
+def two_branch_sigmoid(x):
+    """The masked two-branch sigmoid that _sigmoid replaced."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestLogistic:
+    def test_sigmoid_equals_two_branch_form_bit_for_bit(self):
+        grid = np.concatenate([
+            np.random.default_rng(0).standard_normal((4096, 25)).ravel() * 4.0,
+            np.linspace(-800.0, 800.0, 16001),
+            [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2,
+             800.0, -800.0, np.inf, -np.inf],
+        ])
+        with np.errstate(over="ignore"):
+            expected = two_branch_sigmoid(grid)
+        got = _sigmoid(grid)
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+        # nan stays nan (the sign of a nan is not a value)
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+
     def test_values_at_zero(self):
         t = logistic_target()
         assert t.log_p(0.0) == pytest.approx(-np.log(2.0), rel=1e-12)
