@@ -105,7 +105,7 @@ __all__ = [
 # below which a 2x2 solve falls back to the pseudo-inverse.
 _SINGULAR_RTOL = 1e-12
 # Singular-value cutoff, relative to the largest, of np.linalg.lstsq(rcond=None)
-# on a 2x2 system: the non-symmetric fallback reproduces its solution.
+# on a 2x2 system: the singular fallback reproduces its solution.
 _LSTSQ_RCOND = 2 * np.finfo(float).eps
 
 
@@ -245,7 +245,8 @@ _dot = getattr(np, "vecdot", lambda a, b: np.einsum("...s,...s->...", a, b))
 
 
 def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    return np.stack([a0, a1], axis=-1)
+    """np.stack([a0, a1], axis=-1), with less per-call overhead."""
+    return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
 
 
 def _scores(q: GaussianQ, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,7 +278,9 @@ def _score_moments(q: GaussianQ, d: Draws) -> tuple:
     """
     s0, s1, f = _score_parts(q, d, centered=True)
     n1 = d.x.shape[-1] - 1
-    return tuple(v / n1 for v in _normal_equations(s0, s1, f))
+    a00, a01, _, a11, b0, b1 = _normal_equations(s0, s1, f)
+    a01 = a01 / n1
+    return a00 / n1, a01, a01, a11 / n1, b0 / n1, b1 / n1
 
 
 def _path_parts(q: GaussianQ, d: Draws) -> tuple:
@@ -313,15 +316,15 @@ def _cv_estimate(q: GaussianQ, moments: tuple, alpha0: tuple, alpha1: tuple) -> 
     gradient component i: est_i = f_i - sum_l (m_il - Cov_exact_il) alpha_il.
     """
     m00, m01, m10, m11, f0, f1 = moments
-    c = q.exact_suffstat_cov()
-    h00, h01, h10, h11 = m00 - c[0, 0], m01 - c[0, 1], m10 - c[1, 0], m11 - c[1, 1]
+    (c00, c01), (c10, c11) = q.exact_suffstat_cov().tolist()
+    h00, h01, h10, h11 = m00 - c00, m01 - c01, m10 - c10, m11 - c11
     return _pair(f0 - (h00 * alpha0[0] + h01 * alpha0[1]), f1 - (h10 * alpha1[0] + h11 * alpha1[1]))
 
 
 def _times_exact(q: GaussianQ, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     """Cov_exact @ (g0, g1): a natural gradient mapped to eta coordinates."""
-    c = q.exact_suffstat_cov()
-    return _pair(c[0, 0] * g0 + c[0, 1] * g1, c[1, 0] * g0 + c[1, 1] * g1)
+    (c00, c01), (c10, c11) = q.exact_suffstat_cov().tolist()
+    return _pair(c00 * g0 + c01 * g1, c10 * g0 + c11 * g1)
 
 
 def _det_scale(a00, a01, a10, a11):
@@ -330,7 +333,7 @@ def _det_scale(a00, a01, a10, a11):
     return det, scale
 
 
-def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0, symmetric: bool = False):
+def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
     """Batched 2x2 solve a @ x = b on component arrays, with a singular fallback.
 
     Well-conditioned systems use the closed-form inverse. When |det| falls
@@ -351,44 +354,11 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0, symmetric: bool = 
     x0 = np.asarray((a11 * b0 - a01 * b1) / safe_det)
     x1 = np.asarray((a00 * b1 - a10 * b0) / safe_det)
     if degenerate.any():
-        if symmetric:
-            p0, p1 = _pinv_solve_sym2(a00, a01, a11, b0, b1)
-            x0, x1 = np.where(degenerate, p0, x0), np.where(degenerate, p1, x1)
-        else:
-            rows = [np.broadcast_to(c, degenerate.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
-            m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
-            sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
-            x0[degenerate], x1[degenerate] = sol[:, 0, 0], sol[:, 1, 0]
+        rows = [np.broadcast_to(c, degenerate.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
+        m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
+        sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
+        x0[degenerate], x1[degenerate] = sol[:, 0, 0], sol[:, 1, 0]
     return x0, x1, bad
-
-
-def _pinv_solve_sym2(a00, a01, a11, b0, b1):
-    """Minimum-norm solve via the closed-form eigendecomposition of a sym 2x2."""
-    half_tr = 0.5 * (a00 + a11)
-    disc = np.sqrt(np.maximum(0.25 * (a00 - a11) ** 2 + a01 * a01, 0.0))
-    lam1 = half_tr + disc
-    lam2 = half_tr - disc
-    # eigenvector (v0, v1) for lam1; pick the better-conditioned of the two algebraic forms
-    u0, u1 = a01, lam1 - a00
-    w0, w1 = lam1 - a11, a01
-    norm_u = np.sqrt(u0 * u0 + u1 * u1)
-    norm_w = np.sqrt(w0 * w0 + w1 * w1)
-    use_alt = norm_u < norm_w
-    norm = np.where(use_alt, norm_w, norm_u)
-    nonzero = norm > 0.0
-    safe_norm = np.where(nonzero, norm, 1.0)
-    v0 = np.where(nonzero, np.where(use_alt, w0, u0) / safe_norm, 1.0)
-    v1 = np.where(nonzero, np.where(use_alt, w1, u1) / safe_norm, 0.0)
-    lam_floor = _SINGULAR_RTOL * np.maximum(np.abs(lam1), np.abs(lam2))
-
-    def _recip(lam):
-        keep = np.abs(lam) > lam_floor
-        return np.where(keep, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
-
-    # coordinates along the eigenvectors (v0, v1) of lam1 and (-v1, v0) of lam2
-    c1 = (v0 * b0 + v1 * b1) * _recip(lam1)
-    c2 = (v0 * b1 - v1 * b0) * _recip(lam2)
-    return c1 * v0 - c2 * v1, c1 * v1 + c2 * v0
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +395,8 @@ def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.n
     # Component i regresses f^i on (h^i0, h^i1).
     s0, s1, f = _score_parts(q, coef, centered=True)
     h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
-    a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter, symmetric=True)
-    a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter, symmetric=True)
+    a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter)
+    a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter)
     est = _cv_estimate(q, _score_moments(q, ev), (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
@@ -439,7 +409,7 @@ def _kernel_cv_regression(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple
     with a Gaussian-form target it equals eta - eta_tilde identically and
     the estimate collapses to the exact gradient with zero variance.
     """
-    a0, a1, fallback = _solve2c(*_score_moments(q, coef), jitter, symmetric=True)
+    a0, a1, fallback = _solve2c(*_score_moments(q, coef), jitter)
     est = _cv_estimate(q, _score_moments(q, ev), (a0, a1), (a0, a1))
     return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
@@ -460,7 +430,7 @@ def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> t
     fb0 = var01 <= 0.0
     a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
     a00 = np.zeros_like(a01)
-    a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter, symmetric=True)
+    a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter)
     est = _cv_estimate(q, _path_moments(q, ev), (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
@@ -514,7 +484,7 @@ def _kernel_kingma_reparam(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.n
 
 def _kernel_greg_samplecov(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
-    g0, g1, fallback = _solve2c(*_score_moments(q, d), jitter, symmetric=True)
+    g0, g1, fallback = _solve2c(*_score_moments(q, d), jitter)
     return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
@@ -585,7 +555,10 @@ def _dispatch(info: EstimatorInfo, q: GaussianQ, d: Draws, n_coef: int, jitter: 
 
 
 def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -> GradEstimate:
-    """One estimate from its batches (the coefficient batch first), run as a (1, S) row."""
+    """One estimate from its batches (the coefficient batch first), run as a (1, S) row.
+
+    Overflow is not warned about: a non-finite estimate is an EstimationError.
+    """
     sizes = [b.size for b in batches]
     if min(sizes) < info.min_draws:
         raise ValueError(
@@ -593,7 +566,8 @@ def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -
         )
     x = np.concatenate([b.draws for b in batches])[None]
     eps = np.concatenate([b.noise for b in batches])[None]
-    value, aux = _dispatch(info, q, Draws(t, x, eps), x.shape[1] - sizes[-1], jitter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, aux = _dispatch(info, q, Draws(t, x, eps), x.shape[1] - sizes[-1], jitter)
     return GradEstimate(
         value=value[0],
         estimator_id=info.id,

@@ -40,10 +40,14 @@ def _seed_key(seed) -> tuple[int, ...]:
 
 
 def rng_from_seed(seed) -> np.random.Generator:
-    """Counter-based generator (Philox) keyed by an int or tuple of ints.
+    """Counter-based generator (Philox) keyed by an int, a str label or a tuple of those.
 
-    Distinct keys give independent streams; the same key reproduces the
-    same stream regardless of process or thread layout.
+    The same key reproduces the same stream regardless of process or thread
+    layout. Distinct keys give independent streams, except that
+    SeedSequence reads the key as 32-bit words (an int above 2^32 spans
+    several) zero-padded to four: keys whose words agree after that padding
+    share a stream. (5,), (5, 0) and (5, 0, 0) collide, and so do (2**32,)
+    and (0, 1); keys of more than four words do not pad.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed_key(seed))))
 

@@ -3,9 +3,11 @@
 Drives any unbiased gradient estimator to fit q to a target by iterating
 eta <- eta - a_t * estimate with a_t = step0 / (1 + t)^decay. Iterates are
 projected to keep the second natural parameter negative, so the variance
-stays positive. The biased regression estimators are rejected: their
-per-step error does not average out over iterations, so plain stochastic
-gradient descent is inconsistent with them.
+stays positive. A stochastic fit draws its noise from one stream keyed by
+(seed, FIT_STREAM_LABEL), step t reading row t of it, so a shorter fit with
+the same seed is the exact prefix of a longer one. The biased regression
+estimators are rejected: their per-step error does not average out over
+iterations, so plain stochastic gradient descent is inconsistent with them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATORS, EstimatorConfig, estimate
-from .gaussian import GaussianQ, from_natural
+from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, run_kernel
+from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
 
@@ -30,6 +32,16 @@ __all__ = [
 ]
 
 ETA2_MAX = -1e-8  # projection bound keeping sigma2 positive
+
+# The fit's noise stream is keyed (seed, FIT_STREAM_LABEL). The label is
+# longer than eight bytes, so its key carries three 32-bit words after the
+# seed's, the last neither 0 nor 1: no (seed, t, i) key of estimate() agrees
+# with it even after the zero padding under which SeedSequence lets keys
+# collide (see rng_from_seed).
+FIT_STREAM_LABEL = "gradcv.fit"
+# Draws per call of the generator: the stream is drawn in blocks of whole
+# steps, this many draws each (one step if a step takes more).
+_NOISE_BLOCK_DRAWS = 1 << 14
 
 
 def _default(fn, name: str):
@@ -98,6 +110,45 @@ def _fit_config(
     return config
 
 
+def _block_steps(samples: int) -> int:
+    """Steps per block of the fit's noise stream."""
+    return max(1, _NOISE_BLOCK_DRAWS // samples)
+
+
+def _noise_rows(seed: int, steps: int, samples: int):
+    """Step t's (1, samples) noise row, for t < steps, from the fit's one stream.
+
+    The rows are drawn in blocks; the generator continues its stream from
+    block to block, so each row equals row t of the whole stream drawn at
+    once, whatever the number of steps.
+    """
+    rng = rng_from_seed((seed, FIT_STREAM_LABEL))
+    block = _block_steps(samples)
+    for start in range(0, steps, block):
+        yield from rng.standard_normal((min(block, steps - start), 1, samples))
+
+
+def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, steps: int):
+    """The stochastic gradient of each fit step: q -> its estimate on the step's noise row.
+
+    Split-budget estimators fit their coefficients on the row's first
+    batch_sizes()[0] columns, as estimate() lays out its batches.
+    """
+    n_coef = config.batch_sizes()[0]
+    rows = _noise_rows(seed, steps, config.total_samples)
+
+    def gradient(q: GaussianQ) -> np.ndarray:
+        eps = next(rows)
+        value = run_kernel(
+            config.estimator_id, q, target, Draws(target, q.reparameterize(eps), eps), None, n_coef, config.jitter
+        )[0]
+        if not np.isfinite(value).all():
+            raise EstimationError(f"non-finite gradient estimate: {value}")
+        return value
+
+    return gradient
+
+
 def fit(
     q0: GaussianQ,
     target: Target,
@@ -114,28 +165,32 @@ def fit(
 
     gradient_fn overrides the stochastic estimator with a deterministic
     gradient callable q -> 2-vector (used for oracle descent runs); the
-    schedule and projection are applied identically either way.
+    schedule and projection are applied identically either way. Without
+    it, step t runs the estimator on row t of the fit's noise stream
+    (_noise_rows). Overflow inside a step is not warned about: a
+    non-finite estimate is an EstimationError, and a non-finite iterate a
+    ValueError of from_natural.
     """
     schedule = schedule or SgdSchedule()
     stochastic_id = estimator_id if gradient_fn is None else None
     config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split, jitter)
+    if config is not None:
+        gradient_fn = _estimator_gradient(target, config, seed, schedule.iterations)
     rule = gauss_hermite_rule()
     eta = np.array(q0.eta)
     q = q0
     history = [TrajectoryPoint(0, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(0))]
-    for t in range(schedule.iterations):
-        if gradient_fn is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(schedule.iterations):
             grad = np.asarray(gradient_fn(q), dtype=float)
-        else:
-            grad = estimate(q, target, config, seed=(seed, t)).value
-        if natural_gradient:
-            grad = np.linalg.solve(q.exact_suffstat_cov(), grad)
-        eta = eta - schedule.step(t) * grad
-        eta[1] = min(eta[1], ETA2_MAX)
-        q = from_natural(eta)
-        it = t + 1
-        if it % record_every == 0 or it == schedule.iterations:
-            history.append(TrajectoryPoint(it, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(t)))
+            if natural_gradient:
+                grad = np.linalg.solve(q.exact_suffstat_cov(), grad)
+            eta = eta - schedule.step(t) * grad
+            eta[1] = min(eta[1], ETA2_MAX)
+            q = from_natural(eta)
+            it = t + 1
+            if it % record_every == 0 or it == schedule.iterations:
+                history.append(TrajectoryPoint(it, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(t)))
     return FitResult(final=q, trajectory=tuple(history))
 
 

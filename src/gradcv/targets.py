@@ -56,12 +56,14 @@ def logistic_target() -> Target:
     """Single Bernoulli success term: log p(x) = x - log(1 + exp(x)).
 
     Improper as a posterior (it integrates to infinity); accepted as-is.
-    Stable for large |x| via logaddexp.
+    log_p is computed as min(x, 0) - log1p(exp(-|x|)), which neither
+    overflows nor cancels: x - logaddexp(0, x) loses every digit of the
+    small negative value in the right tail (0.0 at x = 40, not -4.25e-18).
     """
 
     def log_p(x):
         x = np.asarray(x, dtype=float)
-        return x - np.logaddexp(0.0, x)
+        return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
     def grad_x(x):
         return _sigmoid(-np.asarray(x, dtype=float))

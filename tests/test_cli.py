@@ -174,6 +174,19 @@ class TestParseArgs:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--mu", "1e200"],
+        ["estimate", "--sigma2", "1e300"],
+        ["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"],
+        ["fit", "--mu", "1e200", "--iterations", "5"],
+    ])
+    def test_overflow_gives_the_error_line_alone(self, argv):
+        # numpy's overflow RuntimeWarnings no longer precede the error line
+        proc = run_cli(argv)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("gradcv: error: non-finite gradient estimate"), proc.stderr
+
     def test_parse_args_builds_the_command_objects(self):
         ns = parse_args(["estimate", "--mu", "1", "--sigma2", "0.5", "--estimator", "cov", "--jitter", "0.1"])
         assert (ns.q.mu, ns.q.sigma2) == (1.0, 0.5)

@@ -50,7 +50,7 @@ class TestSolver:
         a = rng.standard_normal((40, 2, 2))
         a = a @ np.swapaxes(a, -1, -2) + 0.5 * np.eye(2)
         b = rng.standard_normal((40, 2))
-        x0, x1, fallback = _solve2c(*components(a, b), symmetric=True)
+        x0, x1, fallback = _solve2c(*components(a, b))
         ref = np.linalg.solve(a, b[..., None])[..., 0]
         np.testing.assert_allclose(np.stack([x0, x1], axis=-1), ref, rtol=1e-10)
         assert not fallback.any()
@@ -59,14 +59,14 @@ class TestSolver:
         # rank-1 matrix with consistent rhs: pseudo-inverse solution expected
         a = np.array([[[0.0, 0.0], [0.0, 4.0]]])
         b = np.array([[0.0, 2.0]])
-        x0, x1, fallback = _solve2c(*components(a, b), symmetric=True)
+        x0, x1, fallback = _solve2c(*components(a, b))
         np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[0.0, 0.5]], atol=1e-14)
         assert fallback.all()
 
     def test_jitter_applied_before_pinv(self):
         a = np.array([[[0.0, 0.0], [0.0, 0.0]]])
         b = np.array([[1.0, 1.0]])
-        x0, x1, fallback = _solve2c(*components(a, b), jitter=0.5, symmetric=True)
+        x0, x1, fallback = _solve2c(*components(a, b), jitter=0.5)
         np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[2.0, 2.0]], rtol=1e-12)
         assert fallback.all()
 
@@ -89,6 +89,24 @@ class TestSolver:
         ref = np.array([np.linalg.lstsq(m, v, rcond=None)[0] for m, v in zip(a, b)])
         scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
         np.testing.assert_array_less(np.abs(got - ref) / scale, 1e-12)
+
+    def test_symmetric_fallback_matches_lstsq(self):
+        # the symmetric systems of the score-function kernels take the same
+        # fallback: rank 0, rank 1 and near-singular symmetric matrices
+        rng = np.random.default_rng(9)
+        mats = [np.zeros((2, 2))]
+        for size in (0.0, 1e-14, 1e-17):
+            for _ in range(5):
+                v = rng.standard_normal(2)
+                e = size * rng.standard_normal((2, 2))
+                mats.append(np.outer(v, v) * (1.0 + e + e.T))
+        a = np.array(mats)
+        b = rng.standard_normal((len(a), 2))
+        x0, x1, fallback = _solve2c(*components(a, b))
+        assert fallback.all()
+        ref = np.array([np.linalg.lstsq(m, v, rcond=None)[0] for m, v in zip(a, b)])
+        scale = np.maximum(np.abs(ref).max(axis=1, keepdims=True), 1e-300)
+        np.testing.assert_array_less(np.abs(np.stack([x0, x1], axis=-1) - ref) / scale, 1e-12)
 
 
 class TestUnbiasedness:

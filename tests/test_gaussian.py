@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gradcv.gaussian import DrawBatch, GaussianQ, _seed_key, from_moments, from_natural
+from gradcv.gaussian import DrawBatch, GaussianQ, _seed_key, from_moments, from_natural, rng_from_seed
 from gradcv.quadrature import gauss_hermite_rule
 
 
@@ -202,6 +202,18 @@ class TestSampling:
         assert not np.array_equal(a.draws, b.draws)
         assert not np.array_equal(a.draws, c.draws)
         assert _seed_key(("exactness", 0)) != _seed_key(("exactnesQ", 0))
+
+    def test_keys_equal_after_zero_padding_collide(self):
+        # SeedSequence reads a key as 32-bit words, zero-padded to four:
+        # trailing zeros, and an int that spans the words of a tuple, do
+        # not change the stream
+        def first(key):
+            return rng_from_seed(key).standard_normal(4)
+
+        np.testing.assert_array_equal(first((5,)), first((5, 0)))
+        np.testing.assert_array_equal(first((5,)), first((5, 0, 0)))
+        np.testing.assert_array_equal(first((1 << 32,)), first((0, 1)))
+        assert not np.array_equal(first((1, 2, 3, 4)), first((1, 2, 3, 4, 0)))
 
     def test_short_labels_keep_their_key(self):
         # a label of at most eight bytes keeps the key, hence the stream, it always had

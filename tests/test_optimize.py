@@ -1,12 +1,17 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
-from gradcv.gaussian import GaussianQ
-from gradcv.optimize import FitResult, SgdSchedule, VariationalSGD, fit, trajectory_to_csv
+from gradcv import optimize
+from gradcv.estimators import EstimationError, EstimatorConfig, estimate, run_kernel
+from gradcv.gaussian import GaussianQ, from_natural, rng_from_seed
+from gradcv.optimize import (
+    FIT_STREAM_LABEL, FitResult, SgdSchedule, VariationalSGD, _block_steps, _noise_rows, fit, trajectory_to_csv,
+)
 from gradcv.quadrature import gauss_hermite_rule, ground_truth_gradient
-from gradcv.targets import gaussian_target, logistic_target
+from gradcv.targets import Target, gaussian_target, logistic_target
 
 
 class TestSchedule:
@@ -123,6 +128,118 @@ class TestFit:
         a = fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", sched, seed=5, record_every=10**9)
         b = fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", sched, seed=5, record_every=10**9)
         assert a.final.mu == b.final.mu and a.final.sigma2 == b.final.sigma2
+        # the whole trajectory repeats, and another seed moves every step
+        runs = [fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", sched, seed=s, record_every=1) for s in (5, 5, 6)]
+        assert runs[0].trajectory == runs[1].trajectory
+        assert all(p != r for p, r in zip(runs[0].trajectory[1:], runs[2].trajectory[1:]))
+
+
+class TestNoiseStream:
+    def test_blocks_are_rows_of_the_whole_stream(self):
+        for samples in (50, 400, 20_000):
+            steps = 2 * _block_steps(samples) + 3
+            rows = np.array(list(_noise_rows(7, steps, samples)))
+            whole = rng_from_seed((7, FIT_STREAM_LABEL)).standard_normal((steps, 1, samples))
+            np.testing.assert_array_equal(rows, whole)
+
+    @pytest.mark.parametrize("seed", [0, 3, (1 << 32) + 5])
+    def test_fit_stream_is_no_estimate_stream(self, seed):
+        # estimate(seed=s) draws from (s, i), and estimate(seed=(s, t)), as
+        # fits used to call it at step t, from (s, t, i), i = 0, 1; t also runs
+        # over the label's own low words, where a short label would collide
+        label = int.from_bytes(FIT_STREAM_LABEL.encode(), "little")
+        fit_row = next(_noise_rows(seed, 1, 8))[0]
+        keys = [(seed, i) for i in (0, 1)]
+        keys += [(seed, t, i) for t in (*range(100), label & 0xFFFFFFFF, label & 0xFFFFFFFFFFFFFFFF) for i in (0, 1)]
+        for key in keys:
+            assert not np.array_equal(fit_row, rng_from_seed(key).standard_normal(8)), key
+        # the contrast: a label of at most four bytes is a single word
+        short = int.from_bytes(b"fit", "little")
+        np.testing.assert_array_equal(
+            rng_from_seed((seed, "fit")).standard_normal(8), rng_from_seed((seed, short, 0)).standard_normal(8))
+
+    def test_estimate_keeps_its_streams(self):
+        # estimate(seed=key) draws its one batch from (*key, 0)
+        q, t = GaussianQ(0.4, 1.3), logistic_target()
+        got = estimate(q, t, EstimatorConfig(total_samples=20, estimator_id="cov"), seed=(4, 2))
+        x = q.reparameterize(rng_from_seed((4, 2, 0)).standard_normal(20))
+        np.testing.assert_array_equal(got.value, run_kernel("cov", q, t, x[None], None, 0)[0])
+
+
+class TestFitLoop:
+    SAMPLES = 400  # a block of 40 steps
+
+    def csv(self, steps):
+        sched = SgdSchedule(step0=0.02, decay=0.6, iterations=steps, samples_per_step=self.SAMPLES)
+        result = fit(GaussianQ(0.2, 1.5), logistic_target(), "cv-regression", sched, seed=11, record_every=1)
+        return trajectory_to_csv(result)
+
+    def test_shorter_fit_is_a_prefix(self):
+        block = _block_steps(self.SAMPLES)
+        assert block == 40
+        lengths = (1, block - 1, block, block + 1, 2 * block + 3)
+        longest = self.csv(3 * block).splitlines(keepends=True)
+        for steps in lengths:
+            lines = self.csv(steps).splitlines(keepends=True)
+            assert len(lines) == steps + 2
+            assert "".join(lines) == "".join(longest[: steps + 2]), steps
+
+    @pytest.mark.parametrize("estimator, cv_split", [("cv-ideal", 0.3), ("cov", 0.5)])
+    def test_step_runs_the_kernel_on_its_row(self, estimator, cv_split):
+        # step t: the kernel on row t of the stream, split as estimate() splits its budget
+        q0, target = GaussianQ(0.2, 1.5), logistic_target()
+        sched = SgdSchedule(step0=0.02, decay=0.6, iterations=3, samples_per_step=self.SAMPLES)
+        result = fit(q0, target, estimator, sched, seed=4, cv_split=cv_split, record_every=1)
+        config = EstimatorConfig(total_samples=self.SAMPLES, cv_split=cv_split, estimator_id=estimator)
+        eta, q = q0.eta, q0
+        for t, eps in enumerate(_noise_rows(4, 3, self.SAMPLES)):
+            x = q.reparameterize(eps)
+            eta = eta - sched.step(t) * run_kernel(estimator, q, target, x, eps, config.batch_sizes()[0])[0]
+            q = from_natural(eta)  # the projection is inactive at these steps
+            assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
+
+    def test_nonfinite_log_p_at_a_draw_is_estimation_error(self, monkeypatch):
+        # log p is nan right of 0, where half of the draws from q0 land; the
+        # KL, evaluated on quadrature nodes on both sides, is stubbed out
+        monkeypatch.setattr(optimize, "kl_divergence", lambda q, target, rule=None: 0.0)
+        half = Target("half-nan", log_p=lambda x: np.where(np.asarray(x) > 0.0, np.nan, -0.5 * np.square(x)))
+        sched = SgdSchedule(iterations=5, samples_per_step=20)
+        with pytest.raises(EstimationError, match="log_p is not finite at draw"):
+            fit(GaussianQ(0.0, 1.0), half, "cv-regression", sched, seed=0)
+
+    def test_nonfinite_estimate_is_estimation_error_without_warnings(self):
+        sched = SgdSchedule(iterations=5, samples_per_step=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="non-finite gradient estimate"):
+                fit(GaussianQ(1e200, 2.0), logistic_target(), "cv-regression", sched, seed=0)
+
+    @pytest.mark.parametrize("natural_gradient, mu, sigma2", [
+        (False, 0.9584843325010122, 3.0879410444852127),
+        (True, 0.471646890100819, 1.9432937802016375),
+    ])
+    def test_oracle_fit_numbers_are_unchanged(self, natural_gradient, mu, sigma2):
+        # the gradient_fn path gives the values it gave with per-step estimate() calls
+        target = gaussian_target(1.0, 3.0)
+        rule = gauss_hermite_rule()
+        result = fit(
+            GaussianQ(0.0, 1.0), target, schedule=SgdSchedule(step0=0.05, decay=0.51, iterations=200),
+            gradient_fn=lambda q: ground_truth_gradient(q, target, rule),
+            natural_gradient=natural_gradient, record_every=50,
+        )
+        assert (result.final.mu, result.final.sigma2) == (mu, sigma2)
+
+    def test_natural_gradient_fit_follows_the_oracle(self):
+        # cv-regression has zero variance on a Gaussian target, so the
+        # preconditioned stochastic fit is the preconditioned oracle fit
+        target = gaussian_target(1.0, 3.0)
+        rule = gauss_hermite_rule()
+        sched = SgdSchedule(step0=0.05, decay=0.51, iterations=200, samples_per_step=20)
+        oracle = fit(GaussianQ(0.0, 1.0), target, schedule=sched, natural_gradient=True,
+                     gradient_fn=lambda q: ground_truth_gradient(q, target, rule))
+        noisy = fit(GaussianQ(0.0, 1.0), target, "cv-regression", sched, seed=2, natural_gradient=True)
+        for p, r in zip(noisy.trajectory, oracle.trajectory):
+            assert p.mu == pytest.approx(r.mu, abs=1e-12) and p.sigma2 == pytest.approx(r.sigma2, abs=1e-12)
 
 
 class TestVariationalSGD:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ class TestLogistic:
         assert t.log_p(-700.0) == pytest.approx(-700.0, abs=1e-10)
         assert np.isfinite(t.log_p(700.0))
         assert np.isfinite(t.grad_x(np.array([-700.0, 700.0]))).all()
+
+    def test_log_p_matches_log1p_reference(self):
+        # -log1p(exp(-x)) is accurate wherever exp(-x) is finite; below that
+        # (x = -800, -inf) log p = x - log1p(exp(x)) equals x to the last bit.
+        # x - logaddexp(0, x) returned 0.0 at x = 40 and lost 7 digits at 20.
+        grid = np.concatenate([
+            [0.0, -0.0, 5.0, -5.0, 20.0, -20.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf],
+            np.linspace(-700.0, 700.0, 14001),
+            np.logspace(-300.0, 2.8, 601),
+            -np.logspace(-300.0, 2.8, 601),
+        ])
+        got = logistic_target().log_p(grid)
+        ref = np.array([-math.log1p(math.exp(-x)) if x > -700.0 else x for x in grid])
+        finite = np.isfinite(ref)
+        assert np.array_equal(got[~finite], ref[~finite])
+        err = np.abs(got[finite] - ref[finite])
+        assert np.all(err <= 2.0 * np.finfo(float).eps * np.abs(ref[finite]))
+        assert got[grid == 40.0][0] == pytest.approx(-4.248354255291589e-18, rel=1e-15)
 
     def test_derivatives_match_finite_differences(self):
         t = logistic_target()
