@@ -20,15 +20,19 @@ One loop serves both modes. For each setting, every (stream, chunk) pair
 is one task, run on the thread pool: a stream is a noise stream and the
 estimators that read it. Unpaired, each estimator has its own stream;
 paired (--paired), the stream key has no estimator index, so one stream
-per chunk serves every estimator. A task walks its chunk in row tiles of
-1024: it draws the tile's noise, maps it to draws, and runs each of its
-estimators on one shared Draws, which evaluates the target's log_p and
-grad_x once for the tile. Paired tables thus draw and evaluate the target
-once per tile for all estimators. Tiles keep each kernel's (rows, S)
-temporaries small enough to stay in cache. Drawing a chunk's noise tile
-by tile gives the same numbers as drawing it at once, and every kernel
-treats each row on its own, so neither the tiles nor the sharing change
-any estimate.
+per chunk serves every estimator. A task walks its chunk in row tiles: it
+draws the tile's noise, maps it to draws, and runs each of its estimators
+on one shared Draws, the tile's ingredient cache. The Draws evaluates the
+target's log_p and grad_x once for the tile, and the q-side ingredients
+too: the scores, the integrand log q - log p, the path pieces, and the
+score and path moments of each column range. Paired tables thus draw,
+evaluate the target and compute each ingredient once per tile for all
+estimators. Unpaired tiles have 512 rows, which keeps one kernel's
+(rows, S) arrays in cache; paired tiles have 1024, over which the ten
+kernels' per-call cost is spread. Drawing a chunk's noise tile by tile
+gives the same numbers as drawing it at once, every kernel treats each
+row on its own, and a cached ingredient is the value the kernel would
+compute alone, so neither the tiles nor the sharing change any estimate.
 """
 
 from __future__ import annotations
@@ -64,8 +68,13 @@ MSE_WEIGHTS.setflags(write=False)
 DEFAULT_SETTINGS: tuple[tuple[float, float], ...] = ((0.0, 2.0), (-2.0, 2.0), (2.0, 2.0), (0.0, 4.0))
 
 _CHUNK = 4096
-# Rows per kernel call within a chunk; a divisor of _CHUNK.
-_TILE = 1024
+# Rows per kernel call within a chunk; divisors of _CHUNK. An unpaired tile
+# serves one estimator: 512 rows keep its (rows, S) ingredients and
+# temporaries small enough to stay in cache. A paired tile serves every
+# estimator from one set of cached ingredients: 1024 rows spread each
+# kernel's per-call cost over twice the rows.
+_TILE = 512
+_PAIRED_TILE = 1024
 
 _CSV_HEADER = "estimator,mu,sigma2,mse,mse_stderr,bias1,bias2,gt1,gt2,replications"
 
@@ -146,15 +155,16 @@ def _setting_estimates(
     # (stream index, the estimators that read the stream)
     streams = [(0, runnable)] if spec.paired else [(i, [i]) for i in runnable]
     n_chunks = -(-spec.replications // _CHUNK)
+    tile = _PAIRED_TILE if spec.paired else _TILE
     tasks = [(stream, chunk_idx) for stream in streams if stream[1] for chunk_idx in range(n_chunks)]
 
     def run(task) -> None:
         (stream_idx, members), chunk_idx = task
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
         stop = min((chunk_idx + 1) * _CHUNK, spec.replications)
-        for lo in range(chunk_idx * _CHUNK, stop, _TILE):
-            eps = rng.standard_normal((min(_TILE, stop - lo), spec.samples))
-            draws = Draws(target, q.reparameterize(eps), eps)
+        for lo in range(chunk_idx * _CHUNK, stop, tile):
+            eps = rng.standard_normal((min(tile, stop - lo), spec.samples))
+            draws = Draws(q, target, q.reparameterize(eps), eps)
             for i in members:
                 est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, eps, n_coef)
 

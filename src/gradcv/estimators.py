@@ -36,22 +36,17 @@ whether it is unbiased. Every kernel has the signature
     kernel(q, coef, ev, jitter) -> ((R, 2), aux)
 
 where coef and ev are the coefficient and evaluation halves of one Draws:
-draws x and their standard-normal noise eps of shape (R, S), one row per
-independent replication, with the target evaluated at them. A Draws
-evaluates the target's log_p and grad_x at most once, on every column,
-when a kernel first reads them; the halves are column views that read
-those evaluations, so kernels never call the target on their halves, and
-every kernel run on the same Draws shares them. Split-budget methods fit
-coefficients on coef and evaluate on ev; the rest get coef None and the
-whole Draws as ev, and methods without a 2x2 solve ignore jitter. aux maps
-diagnostic names to per-row arrays. One private dispatch checks the
-target's capabilities, splits the columns and calls the kernel;
-run_kernel (many rows: the benchmark runs every estimator of a tile of
-rows on one Draws through it) and estimate() and the est_* functions
-(one row) all go through it. The est_* functions are generated from the
-registry and carry their kernel's docstring. Every kernel treats each
-row on its own, so an estimate does not depend on which rows share its
-call.
+draws x of q and their standard-normal noise eps of shape (R, S), one row
+per independent replication. Split-budget methods fit coefficients on coef
+and evaluate on ev; the rest get coef None and the whole Draws as ev, and
+methods without a 2x2 solve ignore jitter. aux maps diagnostic names to
+per-row arrays. One private dispatch checks the target's capabilities,
+splits the columns and calls the kernel; run_kernel (many rows: the
+benchmark runs every estimator of a tile of rows on one Draws through it)
+and estimate() and the est_* functions (one row) all go through it. The
+est_* functions are generated from the registry and carry their kernel's
+docstring. Every kernel treats each row on its own, so an estimate does
+not depend on which rows share its call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -61,13 +56,27 @@ estimator is a function of a few per-draw quantities:
   s1 = x^2 - E_q[x^2] and the integrand f = log q - log p;
 * path methods use the path Jacobian dx/deta, whose first column is the
   constant sigma2 and whose second is j1 = 2 mu sigma2 + sigma^3 eps, and
-  the residual d/dx [log q - log p] = score_x - grad_x.
+  the residual resid = d/dx [log q - log p] = score_x - grad_x.
 
-Each batch computes its ingredients once and centers each once. Every
-covariance is a sum over the draw axis of a product of two centered
-(R, S) arrays, and every 2x2 coefficient or natural-gradient system is
-solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No stacked
-(R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
+A Draws is the cache of these quantities for its tile. It computes each
+elementwise ingredient (the target's log_p, the scores, f, and j1 with
+resid, which reads grad_x) at most once, on every column, when a kernel
+first reads it; the halves are column views that slice it. It also keeps the (R,)
+moment tuples of a column range: the score moments Cov-hat[s, s] and
+Cov-hat[s, f], and the path moments. So every kernel run on one Draws
+reads what another has computed: cv-ideal and cv-regression share the
+evaluation half's score moments, cov and greg-samplecov the whole range's,
+and all path methods j1 and resid. A cached value is computed by the same
+expression, on the same values, as a kernel alone would compute it, so
+sharing changes no estimate. A kernel alone on a Draws computes nothing
+it does not read, except cov: its estimate is the (b0, b1) of the whole
+range's score moments, and it computes all six so that greg-samplecov can
+read them. Centered (R, S) arrays are not kept: each kernel centers what
+it needs and lets it go, so a tile's memory is its elementwise
+ingredients. Every covariance is a sum over the draw axis of a product of
+two centered (R, S) arrays, and every 2x2 coefficient or natural-gradient
+system is solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No
+stacked (R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
 """
 
 from __future__ import annotations
@@ -127,8 +136,6 @@ class EstimatorConfig:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.total_samples < 2:
-            raise ValueError(f"total_samples must be >= 2, got {self.total_samples}")
         if not 0.0 < self.cv_split < 1.0:
             raise ValueError(f"cv_split must be in (0, 1), got {self.cv_split}")
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
@@ -176,58 +183,124 @@ class GradEstimate:
 
 
 class Draws:
-    """Draws x = mu + sigma * eps of shape (R, S) and the target evaluated at them.
+    """Draws x = mu + sigma * eps of q, shape (R, S): the ingredient cache of one tile.
 
-    log_p and grad_x are evaluated on first use, once for all columns, and
-    kept; a non-finite log p is an estimation error naming its draw.
-    columns(lo, hi) is the view of a column range: its x and eps are views
-    and it reads the same evaluations, computing them for all columns if
-    they are not there yet.
+    Kernels read the per-draw ingredients from their Draws, so kernels run
+    on one Draws compute each once. It keeps:
+
+    * the elementwise ingredients, keyed by the function that computes them:
+      the target's log_p (_log_p; a non-finite log p is an estimation error
+      naming its draw), the scores (s0, s1) (_scores), the integrand f
+      (_fval) and the path pieces (j1, resid) (_path_parts), which read the
+      target's grad_x. Each is computed on first use, once for all columns;
+    * the (R,) moment tuples of _score_moments and _path_moments, keyed by
+      the reduction and the column range (lo, hi) as columns() was given it.
+
+    columns(lo, hi) is the view of a column range: its x and eps are views,
+    its elementwise ingredients are column slices of those of the Draws it
+    came from, and its moments are kept there. Centered (R, S) arrays are
+    not kept; each kernel makes its own and lets them go.
     """
 
-    __slots__ = ("t", "x", "eps", "_root", "_cols", "_log_p", "_grad_x")
+    __slots__ = ("q", "t", "x", "eps", "_root", "_cols", "_cache")
 
-    def __init__(self, t: Target, x: np.ndarray, eps: np.ndarray):
-        self.t, self.x, self.eps = t, x, eps
+    def __init__(self, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray):
+        self.q, self.t, self.x, self.eps = q, t, x, eps
         # a root Draws is its own root; None, not self, since a reference
         # cycle would keep every tile's arrays until the cycle collector runs
         self._root, self._cols = None, slice(None)
-        self._log_p = self._grad_x = None
+        self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.x)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
-        view = Draws(self.t, self.x[:, lo:hi], self.eps[:, lo:hi])
+        view = Draws(self.q, self.t, self.x[:, lo:hi], self.eps[:, lo:hi])
         view._root, view._cols = self, slice(lo, hi)
         return view
 
-    @property
-    def log_p(self) -> np.ndarray:
-        root = self._root or self
-        if root._log_p is None:
-            lp = np.asarray(self.t.log_p(root.x), dtype=float)
-            if not np.isfinite(lp).all():
-                bad = root.x[~np.isfinite(lp)]
-                raise EstimationError(f"target {self.t.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
-            root._log_p = lp
-        return root._log_p[:, self._cols]
+    def _elementwise(self, compute):
+        """compute(root) of the whole Draws, kept by it and sliced to this one's columns."""
+        if self._root is None:
+            value = self._cache.get(compute)
+            if value is None:
+                value = self._cache[compute] = compute(self)
+            return value
+        value, cols = self._root._elementwise(compute), self._cols
+        return (value[0][:, cols], value[1][:, cols]) if type(value) is tuple else value[:, cols]
+
+    def _reduced(self, reduce) -> tuple:
+        """reduce(self), kept by the whole Draws under this one's column range."""
+        cache = self._cache if self._root is None else self._root._cache
+        key = (reduce, self._cols.start, self._cols.stop)
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = reduce(self)
+        return value
 
     @property
-    def grad_x(self) -> np.ndarray:
-        root = self._root or self
-        if root._grad_x is None:
-            root._grad_x = np.asarray(self.t.grad_x(root.x), dtype=float)
-        return root._grad_x[:, self._cols]
+    def log_p(self) -> np.ndarray:
+        return self._elementwise(_log_p)
+
+    @property
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._elementwise(_scores)
+
+    @property
+    def f(self) -> np.ndarray:
+        return self._elementwise(_fval)
+
+    @property
+    def path(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._elementwise(_path_parts)
+
+    @property
+    def score_moments(self) -> tuple:
+        return self._reduced(_score_moments)
+
+    @property
+    def path_moments(self) -> tuple:
+        return self._reduced(_path_moments)
+
+
+# ---------------------------------------------------------------------------
+# per-draw ingredients, each computed on a whole Draws d (see Draws)
+
+
+def _log_p(d: Draws) -> np.ndarray:
+    lp = np.asarray(d.t.log_p(d.x), dtype=float)
+    if not np.isfinite(lp).all():
+        bad = d.x[~np.isfinite(lp)]
+        raise EstimationError(f"target {d.t.name!r} log_p is not finite at draw x={bad.flat[0]!r}")
+    return lp
+
+
+def _scores(d: Draws) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of score_eta: x - mu and x^2 - E_q[x^2]."""
+    q, x = d.q, d.x
+    return x - q.mu, x * x - (q.mu * q.mu + q.sigma2)
+
+
+def _fval(d: Draws) -> np.ndarray:
+    """The integrand log q - log p."""
+    return d.q.log_density(d.x) - d.log_p
+
+
+def _path_parts(d: Draws) -> tuple[np.ndarray, np.ndarray]:
+    """Sampler-path ingredients of the draws x = mu + sigma * eps.
+
+    The path Jacobian dx/deta has the constant first column sigma2 and the
+    second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
+    resid = score_x - grad_x is d/dx [log q - log p]. The target's grad_x is
+    read through resid alone, so it is not kept.
+    """
+    q = d.q
+    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * d.eps
+    return j1, q.score_x(d.x) - np.asarray(d.t.grad_x(d.x), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # shared numerics
-
-
-def _fval(q: GaussianQ, d: Draws) -> np.ndarray:
-    """log q - log p at the draws."""
-    return q.log_density(d.x) - d.log_p
 
 
 def _mean(a: np.ndarray) -> np.ndarray:
@@ -249,17 +322,6 @@ def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
 
 
-def _scores(q: GaussianQ, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of score_eta: x - mu and x^2 - E_q[x^2]."""
-    return x - q.mu, x * x - (q.mu * q.mu + q.sigma2)
-
-
-def _score_parts(q: GaussianQ, d: Draws, centered: bool = False) -> tuple:
-    """Score components s0, s1 and integrand f = log q - log p, optionally centered."""
-    parts = (*_scores(q, d.x), _fval(q, d))
-    return tuple(map(_centered, parts)) if centered else parts
-
-
 def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
     """Regression of f on (h0, h1), all centered, as a 2x2 system in component form.
 
@@ -270,40 +332,29 @@ def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
     return _dot(h0, h0), v01, v01, _dot(h1, h1), _dot(h0, f), _dot(h1, f)
 
 
-def _score_moments(q: GaussianQ, d: Draws) -> tuple:
+def _score_moments(d: Draws) -> tuple:
     """Cov-hat[s, s] and Cov-hat[s, f] with 1/(S-1), as a 2x2 system in component form.
 
     Cov-hat[s, f] is the cov estimate of the gradient and Cov-hat[s, s]
-    estimates the score covariance.
+    estimates the score covariance. Read it as d.score_moments.
     """
-    s0, s1, f = _score_parts(q, d, centered=True)
+    (s0, s1), f = d.scores, d.f
     n1 = d.x.shape[-1] - 1
-    a00, a01, _, a11, b0, b1 = _normal_equations(s0, s1, f)
+    a00, a01, _, a11, b0, b1 = _normal_equations(_centered(s0), _centered(s1), _centered(f))
     a01 = a01 / n1
     return a00 / n1, a01, a01, a11 / n1, b0 / n1, b1 / n1
 
 
-def _path_parts(q: GaussianQ, d: Draws) -> tuple:
-    """Sampler-path ingredients of the draws x = mu + sigma * eps.
-
-    The path Jacobian dx/deta has the constant first column sigma2 and the
-    second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
-    resid = score_x - grad_x is d/dx [log q - log p].
-    """
-    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * d.eps
-    resid = q.score_x(d.x) - d.grad_x
-    return j1, resid
-
-
-def _path_moments(q: GaussianQ, d: Draws) -> tuple:
+def _path_moments(d: Draws) -> tuple:
     """Batch means of the per-draw path statistics, as a 2x2 system in component form.
 
     m_j = (dx/deta) outer (dT/dx), with dT/dx = (1, 2x), estimates the score
     covariance; f_j = (dx/deta) * resid estimates the KL gradient. Returns
     (m00, m01, m10, m11, f0, f1); m00 is the scalar sigma2. m is not symmetric.
+    Read it as d.path_moments.
     """
-    s2, x = q.sigma2, d.x
-    j1, resid = _path_parts(q, d)
+    s2, x = d.q.sigma2, d.x
+    j1, resid = d.path
     n = x.shape[-1]
     return s2, 2.0 * s2 * _mean(x), _mean(j1), 2.0 * _dot(j1, x) / n, s2 * _mean(resid), _dot(j1, resid) / n
 
@@ -366,21 +417,23 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
 #
 # Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
-# est_* function is est_NAME and carries the kernel's docstring.
+# est_* function is est_NAME and carries the kernel's docstring. Kernels
+# read the per-draw ingredients and the moment tuples from the Draws, so
+# kernels run on one Draws share them; what a kernel centers is its own.
 
 
 def _kernel_simple(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
-    s0, s1, f = _score_parts(q, d)
+    (s0, s1), f = d.scores, d.f
     n = d.x.shape[-1]
     return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
 
 
 def _kernel_cov(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
-    s0, s1, f = _score_parts(q, d, centered=True)
-    n1 = d.x.shape[-1] - 1
-    return _pair(_dot(s0, f) / n1, _dot(s1, f) / n1), {}
+    # Cov-hat[s, f], the right-hand side of the score moments
+    *_, b0, b1 = d.score_moments
+    return _pair(b0, b1), {}
 
 
 def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
@@ -393,11 +446,12 @@ def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.n
     # mean is the cov estimate, and h^il_j = s_ij s_lj, whose mean minus
     # Cov_exact has expectation zero; Cov_exact cancels in the centering.
     # Component i regresses f^i on (h^i0, h^i1).
-    s0, s1, f = _score_parts(q, coef, centered=True)
+    s0, s1 = map(_centered, coef.scores)
+    f = _centered(coef.f)
     h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
     a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter)
     a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter)
-    est = _cv_estimate(q, _score_moments(q, ev), (a00, a01), (a10, a11))
+    est = _cv_estimate(q, ev.score_moments, (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
@@ -409,8 +463,8 @@ def _kernel_cv_regression(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple
     with a Gaussian-form target it equals eta - eta_tilde identically and
     the estimate collapses to the exact gradient with zero variance.
     """
-    a0, a1, fallback = _solve2c(*_score_moments(q, coef), jitter)
-    est = _cv_estimate(q, _score_moments(q, ev), (a0, a1), (a0, a1))
+    a0, a1, fallback = _solve2c(*coef.score_moments, jitter)
+    est = _cv_estimate(q, ev.score_moments, (a0, a1), (a0, a1))
     return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
 
@@ -422,7 +476,7 @@ def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> t
     # scalar regression of f^0 on h^01, with a zero coefficient on h^00;
     # only draws without spread (var h^01 = 0) flag a fallback.
     s2 = q.sigma2
-    j1, resid = _path_parts(q, coef)
+    j1, resid = coef.path
     tx = 2.0 * coef.x
     h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
     f0, f1 = _centered(s2 * resid), _centered(j1 * resid)
@@ -431,7 +485,7 @@ def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> t
     a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
     a00 = np.zeros_like(a01)
     a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter)
-    est = _cv_estimate(q, _path_moments(q, ev), (a00, a01), (a10, a11))
+    est = _cv_estimate(q, ev.path_moments, (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
@@ -439,10 +493,10 @@ def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> t
 def _kernel_ranganath_cv(q: GaussianQ, coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand s_i f
-    f_c, f_e = _fval(q, coef), _fval(q, ev)
+    f_c, f_e = coef.f, ev.f
     n = ev.x.shape[-1]
     est, coefs, zero_var = [], [], []
-    for s_c, s_e in zip(_scores(q, coef.x), _scores(q, ev.x)):
+    for s_c, s_e in zip(coef.scores, ev.scores):
         h = _centered(s_c)
         var_h, cov_fh = _dot(h, h), _dot(_centered(s_c * f_c), h)
         zero = var_h <= 0.0
@@ -459,7 +513,7 @@ def _kernel_delta_method(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.nda
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
     g0 = float(np.asarray(t.grad_x(np.array(mu)), dtype=float))
     h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
-    s0, s1 = _scores(q, d.x)
+    s0, s1 = d.scores
     taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
     remainder = d.log_p - taylor
     n = d.x.shape[-1]
@@ -478,20 +532,21 @@ def _kernel_kingma_reparam(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.n
     differentiated, which is the unbiased covariance estimate obtained by
     differentiating the sampler.
     """
-    j1, resid = _path_parts(q, d)
+    # the f0, f1 of d.path_moments, without the moments' three other reductions
+    j1, resid = d.path
     return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / d.x.shape[-1]), {}
 
 
 def _kernel_greg_samplecov(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
-    g0, g1, fallback = _solve2c(*_score_moments(q, d), jitter)
+    g0, g1, fallback = _solve2c(*d.score_moments, jitter)
     return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
 def _kernel_greg_pathgrad(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
     # the path estimate of the score covariance is not symmetric
-    g0, g1, fallback = _solve2c(*_path_moments(q, d), jitter)
+    g0, g1, fallback = _solve2c(*d.path_moments, jitter)
     return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
@@ -567,7 +622,7 @@ def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -
     x = np.concatenate([b.draws for b in batches])[None]
     eps = np.concatenate([b.noise for b in batches])[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        value, aux = _dispatch(info, q, Draws(t, x, eps), x.shape[1] - sizes[-1], jitter)
+        value, aux = _dispatch(info, q, Draws(q, t, x, eps), x.shape[1] - sizes[-1], jitter)
     return GradEstimate(
         value=value[0],
         estimator_id=info.id,
@@ -624,17 +679,19 @@ def run_kernel(
 
     x and eps have shape (R, S); split-budget estimators use the first
     n_coef columns as the coefficient batch and the rest for evaluation.
-    x may instead be a Draws of the target t, and eps is then not read:
-    every kernel run on one Draws shares its evaluations of the target,
-    as the benchmark's estimators share each tile. Returns the (R, 2)
-    estimates, or with with_aux=True the pair (estimates, aux), aux holding
-    the kernel's per-row diagnostics under the keys of GradEstimate.aux.
+    x may instead be a Draws of q and the target t, and eps is then not
+    read: every kernel run on one Draws shares its ingredients, as the
+    benchmark's estimators share each tile. Returns the (R, 2) estimates,
+    or with with_aux=True the pair (estimates, aux), aux holding the
+    kernel's per-row diagnostics under the keys of GradEstimate.aux.
     """
     if isinstance(x, Draws):
         if x.t is not t:
             raise ValueError(f"x holds draws of target {x.t.name!r}, not of {t.name!r}")
+        if x.q is not q:
+            raise ValueError(f"x holds draws of {x.q}, not of {q}")
         d = x
     else:
-        d = Draws(t, x, eps)
+        d = Draws(q, t, x, eps)
     value, aux = _dispatch(ESTIMATORS[estimator_id], q, d, n_coef, jitter)
     return (value, aux) if with_aux else value

@@ -70,8 +70,8 @@ class SgdSchedule:
             raise ValueError(f"decay must lie in (0.5, 1], got {self.decay}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.samples_per_step < 2:
-            raise ValueError(f"samples_per_step must be >= 2, got {self.samples_per_step}")
+        if self.samples_per_step < 1:
+            raise ValueError(f"samples_per_step must be >= 1, got {self.samples_per_step}")
 
     def step(self, t: int) -> float:
         return self.step0 / (1.0 + t) ** self.decay
@@ -140,7 +140,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     def gradient(q: GaussianQ) -> np.ndarray:
         eps = next(rows)
         value = run_kernel(
-            config.estimator_id, q, target, Draws(target, q.reparameterize(eps), eps), None, n_coef, config.jitter
+            config.estimator_id, q, target, Draws(q, target, q.reparameterize(eps), eps), None, n_coef, config.jitter
         )[0]
         if not np.isfinite(value).all():
             raise EstimationError(f"non-finite gradient estimate: {value}")

@@ -20,7 +20,6 @@ from gradcv.estimators import (
     est_simple,
     estimate,
     run_kernel,
-    _score_moments,
     _solve2c,
 )
 from gradcv.gaussian import GaussianQ, DrawBatch, rng_from_seed
@@ -170,7 +169,7 @@ class TestControlVariates:
         # zero over 100000 independent batches, within 4 standard errors
         q = GaussianQ(0.0, 2.0)
         x, eps = draws_for(q, 100_000, 25, "h-zero-mean")
-        m00, m01, m10, m11, _, _ = _score_moments(q, Draws(logistic_target(), x, eps))
+        m00, m01, m10, m11, _, _ = Draws(q, logistic_target(), x, eps).score_moments
         h = np.stack([m00, m01, m10, m11], axis=-1) - q.exact_suffstat_cov().ravel()
         se = h.std(axis=0, ddof=1) / np.sqrt(h.shape[0])
         np.testing.assert_array_less(np.abs(h.mean(axis=0)), 4.0 * se)
@@ -317,9 +316,23 @@ class TestKingma:
 
 
 class TestConfigAndErrors:
-    def test_total_samples_minimum(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(total_samples=1)
+    def test_one_draw_simple_budget_runs(self):
+        # the draw floor is the registry's min_draws alone: simple takes 1 draw
+        q, target = GaussianQ(0.3, 1.2), logistic_target()
+        config = EstimatorConfig(total_samples=1)
+        result = estimate(q, target, config, seed=3)
+        assert result.samples_used == 1
+        batch = q.sample(seed=(3, 0), size=1)
+        np.testing.assert_array_equal(result.value, est_simple(q, target, batch).value)
+
+    @pytest.mark.parametrize("total_samples", [0, -1])
+    def test_empty_budget_rejected(self, total_samples):
+        with pytest.raises(ValueError, match="'simple' needs >= 1 samples"):
+            EstimatorConfig(total_samples=total_samples)
+
+    def test_one_draw_cov_raises_min_draws(self):
+        with pytest.raises(ValueError, match="'cov' needs >= 2 samples in each batch; got 1"):
+            EstimatorConfig(total_samples=1, estimator_id="cov")
 
     def test_cv_split_needs_two_per_half(self):
         with pytest.raises(ValueError, match="2 samples"):

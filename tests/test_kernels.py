@@ -152,17 +152,100 @@ class TestZeroVarianceOffChunk:
             assert np.sqrt(self.REPS * row.mse) / scale < 1e-10, (row.estimator, row.mu, row.sigma2)
 
 
+# coefficient-batch sizes at the edges of the split, and in its middle
+N_COEF_EDGES = (2, SAMPLES // 2, SAMPLES - 2)
+
+
+def assert_same_run(got, ref):
+    (value, aux), (ref_value, ref_aux) = got, ref
+    np.testing.assert_array_equal(value, ref_value)
+    assert set(aux) == set(ref_aux)
+    for key in aux:
+        np.testing.assert_array_equal(aux[key], ref_aux[key])
+
+
+class TestSharedDraws:
+    """Kernels sharing one Draws read its cached ingredients and moments.
+
+    Sharing must not change any value: every kernel gives, bit for bit,
+    what it gives on a fresh Draws, whatever ran on the Draws before it,
+    also when coefficient batches of different sizes share the Draws.
+    """
+
+    @pytest.mark.parametrize("target_name", list(TARGETS))
+    def test_shared_equals_fresh_in_any_order(self, target_name):
+        q, t = GaussianQ(0.5, 1.5), TARGETS[target_name]
+        x, eps = draws(q, 7, ("cache", target_name))
+        runs = [(est_id, n_coef) for n_coef in N_COEF_EDGES for est_id in ESTIMATOR_IDS]
+        fresh = {
+            (est_id, n_coef): run_kernel(est_id, q, t, Draws(q, t, x, eps), None, n_coef, with_aux=True)
+            for est_id, n_coef in runs
+        }
+        for order in (runs, runs[::-1]):
+            shared = Draws(q, t, x, eps)
+            for est_id, n_coef in order:
+                got = run_kernel(est_id, q, t, shared, None, n_coef, with_aux=True)
+                assert_same_run(got, fresh[est_id, n_coef])
+
+    def test_draws_of_another_q_or_target_rejected(self):
+        q, t = GaussianQ(0.5, 1.5), logistic_target()
+        x, eps = draws(q, 3, "another")
+        d = Draws(q, t, x, eps)
+        with pytest.raises(ValueError, match="draws of GaussianQ"):
+            run_kernel("simple", GaussianQ(0.5, 1.6), t, d, None, 0)
+        with pytest.raises(ValueError, match="draws of target 'logistic'"):
+            run_kernel("simple", q, gaussian_target(1.0, 3.0), d, None, 0)
+
+
 def test_draws_are_freed_without_the_cycle_collector():
-    # a tile's Draws and the evaluations it caches go when the last reference
+    # a tile's Draws and the ingredients it caches go when the last reference
     # does: a reference cycle would hold every tile of a benchmark run until
-    # the cycle collector ran, and raise its peak memory
+    # the cycle collector ran, and raise its peak memory. Checked for a Draws
+    # its column views have read from, and for one every kernel has filled.
+    q, t = GaussianQ(0.0, 1.0), logistic_target()
     x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
-    d = Draws(logistic_target(), x, x.copy())
-    d.columns(0, 2).log_p, d.columns(2).grad_x
-    cached = weakref.ref(d.columns(2).log_p.base)
-    gc.disable()
-    try:
-        del d
-        assert cached() is None
-    finally:
-        gc.enable()
+    for fill in (False, True):
+        d = Draws(q, t, x, x.copy())
+        d.columns(0, 2).log_p, d.columns(2).path
+        cached = [weakref.ref(d.columns(2).log_p.base), weakref.ref(d.columns(2).path[1].base)]
+        if fill:
+            for est_id in ESTIMATOR_IDS:
+                run_kernel(est_id, q, t, d, None, 2)
+            arrays = (d.f, *d.scores, d.columns(2).score_moments[0], d.path_moments[1], d.score_moments[0])
+            cached += [weakref.ref(a) for a in arrays]
+            del arrays
+        gc.disable()
+        try:
+            del d
+            assert all(ref() is None for ref in cached), fill
+        finally:
+            gc.enable()
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    mu=st.floats(-4.0, 4.0),
+    sigma2=st.floats(0.25, 4.0),
+    target_mu=st.floats(-4.0, 4.0),
+    target_sigma2=st.floats(0.25, 4.0),
+    samples=st.integers(6, 64),
+    split=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_target_zero_variance_property(shared, mu, sigma2, target_mu, target_sigma2, samples, split, seed):
+    # every row of a zero-variance estimator is the exact gradient, to 1e-10
+    # of its scale, with 3 or more draws in each batch (the fewest that make
+    # the coefficient systems non-singular) and whether or not the four
+    # estimators share one Draws
+    n_coef = int(round(samples * split))
+    assume(3 <= n_coef <= samples - 3)
+    q, t = GaussianQ(mu, sigma2), gaussian_target(target_mu, target_sigma2)
+    exact = q.exact_suffstat_cov() @ (q.eta - t.eta_tilde)
+    scale = max(np.abs(exact).max(), 1.0)
+    eps = rng_from_seed(("zero-variance-property", seed)).standard_normal((4, samples))
+    x = q.reparameterize(eps)
+    d = Draws(q, t, x, eps)
+    for est_id in ZERO_VARIANCE_IDS:
+        est = run_kernel(est_id, q, t, d if shared else Draws(q, t, x, eps), None, n_coef)
+        assert np.abs(est - exact).max() / scale < 1e-10, est_id

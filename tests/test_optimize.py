@@ -34,6 +34,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             SgdSchedule(step0=-0.1)
 
+    def test_one_draw_per_step_is_the_floor(self):
+        SgdSchedule(samples_per_step=1)
+        with pytest.raises(ValueError, match="samples_per_step must be >= 1"):
+            SgdSchedule(samples_per_step=0)
+
     def test_step_decay(self):
         sched = SgdSchedule(step0=0.5, decay=1.0)
         assert sched.step(0) == 0.5
@@ -197,6 +202,21 @@ class TestFitLoop:
             eta = eta - sched.step(t) * run_kernel(estimator, q, target, x, eps, config.batch_sizes()[0])[0]
             q = from_natural(eta)  # the projection is inactive at these steps
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
+
+    def test_one_draw_simple_fit_runs_the_kernel_on_its_row(self):
+        q0, target = GaussianQ(0.2, 1.5), logistic_target()
+        sched = SgdSchedule(step0=0.02, decay=0.6, iterations=3, samples_per_step=1)
+        result = fit(q0, target, "simple", sched, seed=4, record_every=1)
+        eta, q = q0.eta, q0
+        for t, eps in enumerate(_noise_rows(4, 3, 1)):
+            eta = eta - sched.step(t) * run_kernel("simple", q, target, q.reparameterize(eps), eps, 0)[0]
+            q = from_natural(eta)
+            assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
+
+    def test_one_draw_cov_fit_raises_min_draws(self):
+        sched = SgdSchedule(iterations=3, samples_per_step=1)
+        with pytest.raises(ValueError, match="'cov' needs >= 2 samples in each batch; got 1"):
+            fit(GaussianQ(0.2, 1.5), logistic_target(), "cov", sched, seed=4)
 
     def test_nonfinite_log_p_at_a_draw_is_estimation_error(self, monkeypatch):
         # log p is nan right of 0, where half of the draws from q0 land; the
