@@ -39,11 +39,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimatorConfig, run_kernel
+from .estimators import (
+    ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimationError, EstimatorConfig, run_kernel,
+)
 from .gaussian import GaussianQ, rng_from_seed
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import Target, resolve_target
@@ -181,8 +183,10 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
     """Fill the estimator-by-setting MSE table.
 
     Estimators that need target derivatives the target does not provide
-    produce an "n/a" row instead of failing the whole run. Output is
-    deterministic given the spec, independent of the thread count.
+    produce an "n/a" row instead of failing the whole run. A non-finite
+    estimate or cell statistic is an EstimationError: no computed cell is
+    NaN. Output is deterministic given the spec, independent of the thread
+    count.
     """
     target = resolve_target(spec.target)
     rule = gauss_hermite_rule()
@@ -214,20 +218,24 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
 
 
 def _reduce_cell(est_id: str, mu: float, sigma2: float, est: np.ndarray, gt: np.ndarray) -> MseRow:
+    """The statistics of one cell's estimates; overflow in them is an EstimationError."""
     n = est.shape[0]
-    err = est - gt
-    weighted = (MSE_WEIGHTS * err * err).sum(axis=1)
-    mse = float(weighted.mean())
-    mse_stderr = float(weighted.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    mean_est = est.mean(axis=0)
-    mean_se = est.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(2)
-    return MseRow(
-        estimator=est_id, mu=mu, sigma2=sigma2,
-        mse=mse, mse_stderr=mse_stderr,
-        mean_bias=mean_est - gt, ground_truth=gt,
-        replications=n, mean_se=mean_se,
-        mse_components=(err * err).mean(axis=0),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = est - gt
+        weighted = (MSE_WEIGHTS * err * err).sum(axis=1)
+        mse = float(weighted.mean())
+        mse_stderr = float(weighted.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        mean_bias = est.mean(axis=0) - gt
+        mean_se = est.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(2)
+        mse_components = (err * err).mean(axis=0)
+    stats = {"mse": mse, "mse_stderr": mse_stderr, "mean_bias": mean_bias, "mean_se": mean_se,
+             "mse_components": mse_components}
+    bad = [f"{name}={np.asarray(value).tolist()}" for name, value in stats.items() if not np.isfinite(value).all()]
+    if bad:
+        raise EstimationError(
+            f"non-finite cell statistics of {est_id!r} at mu={mu:g}, sigma2={sigma2:g}: {', '.join(bad)}"
+        )
+    return MseRow(estimator=est_id, mu=mu, sigma2=sigma2, ground_truth=gt, replications=n, **stats)
 
 
 def bias_decomposition(rows) -> list[tuple[float, float]]:
@@ -281,20 +289,7 @@ def mse_table_to_json(table: MseTable) -> str:
             "mse_components": list(map(float, r.mse_components)),
             "note": r.note,
         })
-    spec = table.spec
-    payload = {
-        "spec": {
-            "settings": [list(s) for s in spec.settings],
-            "estimators": list(spec.estimators),
-            "replications": spec.replications,
-            "samples": spec.samples,
-            "cv_split": spec.cv_split,
-            "base_seed": spec.base_seed,
-            "target": spec.target,
-            "paired": spec.paired,
-        },
-        "rows": rows,
-    }
+    payload = {"spec": asdict(table.spec), "rows": rows}
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
 

@@ -33,20 +33,22 @@ EstimatorInfo holds the method's vectorized kernel, whether the budget is
 split, the fewest draws per batch, the target derivatives it needs and
 whether it is unbiased. Every kernel has the signature
 
-    kernel(q, coef, ev, jitter) -> ((R, 2), aux)
+    kernel(coef, ev, jitter) -> ((R, 2), aux)
 
 where coef and ev are the coefficient and evaluation halves of one Draws:
 draws x of q and their standard-normal noise eps of shape (R, S), one row
-per independent replication. Split-budget methods fit coefficients on coef
-and evaluate on ev; the rest get coef None and the whole Draws as ev, and
-methods without a 2x2 solve ignore jitter. aux maps diagnostic names to
-per-row arrays. One private dispatch checks the target's capabilities,
-splits the columns and calls the kernel; run_kernel (many rows: the
-benchmark runs every estimator of a tile of rows on one Draws through it)
-and estimate() and the est_* functions (one row) all go through it. The
-est_* functions are generated from the registry and carry their kernel's
-docstring. Every kernel treats each row on its own, so an estimate does
-not depend on which rows share its call.
+per independent replication, with q and the target. Split-budget methods
+fit coefficients on coef and evaluate on ev; the rest get coef None and the
+whole Draws as ev, and methods without a 2x2 solve ignore jitter. aux maps
+diagnostic names to per-row arrays. run_kernel is the one dispatch: it
+checks the target's capabilities, splits the columns, calls the kernel
+with overflow not warned about, and raises EstimationError on a
+non-finite estimate. The benchmark runs every estimator of a tile of rows
+on one Draws through it, the fit runs one row per step, and estimate()
+and the est_* functions run one row. The est_* functions are generated
+from the registry and carry their kernel's docstring. Every kernel treats
+each row on its own, so an estimate does not depend on which rows share
+its call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -86,7 +88,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, sample
+from .gaussian import DrawBatch, GaussianQ, rng_from_seed
 from .targets import Target
 
 __all__ = [
@@ -413,30 +415,30 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# kernels: (q, coef, ev, jitter) -> ((R, 2), aux)
+# kernels: (coef, ev, jitter) -> ((R, 2), aux)
 #
 # Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
 # est_* function is est_NAME and carries the kernel's docstring. Kernels
-# read the per-draw ingredients and the moment tuples from the Draws, so
+# read q, the per-draw ingredients and the moment tuples from the Draws, so
 # kernels run on one Draws share them; what a kernel centers is its own.
 
 
-def _kernel_simple(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_simple(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
     (s0, s1), f = d.scores, d.f
     n = d.x.shape[-1]
     return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
 
 
-def _kernel_cov(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cov(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
     # Cov-hat[s, f], the right-hand side of the score moments
     *_, b0, b1 = d.score_moments
     return _pair(b0, b1), {}
 
 
-def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Covariance estimator minus fitted score-covariance control variates.
 
     Coefficients are fitted on batch_coef only, so independence of the two
@@ -451,12 +453,12 @@ def _kernel_cv_ideal(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.n
     h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
     a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter)
     a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter)
-    est = _cv_estimate(q, ev.score_moments, (a00, a01), (a10, a11))
+    est = _cv_estimate(ev.q, ev.score_moments, (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_cv_regression(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_regression(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Control variates with the shared regression coefficient vector.
 
     The coefficient is the natural-gradient solve on the coefficient batch;
@@ -464,18 +466,18 @@ def _kernel_cv_regression(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple
     the estimate collapses to the exact gradient with zero variance.
     """
     a0, a1, fallback = _solve2c(*coef.score_moments, jitter)
-    est = _cv_estimate(q, ev.score_moments, (a0, a1), (a0, a1))
+    est = _cv_estimate(ev.q, ev.score_moments, (a0, a1), (a0, a1))
     return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
 
 
-def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     """cv-ideal with every covariance term estimated through the sampler path."""
     # cv-ideal with the path statistics f^i_j = (dx/deta)_i resid_j and
     # h^il_j = (dx/deta)_i (dT/dx)_l. The first Jacobian column is the
     # constant sigma2, so h^00 is zero once centered and component 0 is the
     # scalar regression of f^0 on h^01, with a zero coefficient on h^00;
     # only draws without spread (var h^01 = 0) flag a fallback.
-    s2 = q.sigma2
+    s2 = coef.q.sigma2
     j1, resid = coef.path
     tx = 2.0 * coef.x
     h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
@@ -485,12 +487,12 @@ def _kernel_cv_ideal_pathgrad(q: GaussianQ, coef: Draws, ev: Draws, jitter) -> t
     a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
     a00 = np.zeros_like(a01)
     a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter)
-    est = _cv_estimate(q, ev.path_moments, (a00, a01), (a10, a11))
+    est = _cv_estimate(ev.q, ev.path_moments, (a00, a01), (a10, a11))
     alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_ranganath_cv(q: GaussianQ, coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_ranganath_cv(coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand s_i f
     f_c, f_e = coef.f, ev.f
@@ -507,9 +509,9 @@ def _kernel_ranganath_cv(q: GaussianQ, coef: Draws, ev: Draws, _jitter) -> tuple
     return _pair(*est), {"coef": _pair(*coefs), "zero_variance": _pair(*zero_var)}
 
 
-def _kernel_delta_method(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_delta_method(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Second-order Taylor control variate for log p, analytic remainder."""
-    mu, s2, t = q.mu, q.sigma2, d.t
+    mu, s2, t = d.q.mu, d.q.sigma2, d.t
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
     g0 = float(np.asarray(t.grad_x(np.array(mu)), dtype=float))
     h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
@@ -525,7 +527,7 @@ def _kernel_delta_method(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.nda
     return _pair(est0, est1), {}
 
 
-def _kernel_kingma_reparam(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_kingma_reparam(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sampler-path derivative of the Monte Carlo sum of log q - log p.
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
@@ -534,20 +536,20 @@ def _kernel_kingma_reparam(q: GaussianQ, _coef, d: Draws, _jitter) -> tuple[np.n
     """
     # the f0, f1 of d.path_moments, without the moments' three other reductions
     j1, resid = d.path
-    return _pair(q.sigma2 * _mean(resid), _dot(j1, resid) / d.x.shape[-1]), {}
+    return _pair(d.q.sigma2 * _mean(resid), _dot(j1, resid) / d.x.shape[-1]), {}
 
 
-def _kernel_greg_samplecov(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_samplecov(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
     g0, g1, fallback = _solve2c(*d.score_moments, jitter)
-    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
+    return _times_exact(d.q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
-def _kernel_greg_pathgrad(q: GaussianQ, _coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_pathgrad(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
     # the path estimate of the score covariance is not symmetric
     g0, g1, fallback = _solve2c(*d.path_moments, jitter)
-    return _times_exact(q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
+    return _times_exact(d.q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
 
 
 # ---------------------------------------------------------------------------
@@ -601,69 +603,6 @@ ESTIMATOR_IDS: tuple[str, ...] = tuple(ESTIMATORS)
 # dispatch
 
 
-def _dispatch(info: EstimatorInfo, q: GaussianQ, d: Draws, n_coef: int, jitter: float):
-    """Check the target's capabilities, split the (R, S) draws and run the kernel."""
-    info.check(d.t)
-    if not info.split_budget:
-        return info.kernel(q, None, d, jitter)
-    return info.kernel(q, d.columns(0, n_coef), d.columns(n_coef), jitter)
-
-
-def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches, jitter: float) -> GradEstimate:
-    """One estimate from its batches (the coefficient batch first), run as a (1, S) row.
-
-    Overflow is not warned about: a non-finite estimate is an EstimationError.
-    """
-    sizes = [b.size for b in batches]
-    if min(sizes) < info.min_draws:
-        raise ValueError(
-            f"estimator {info.id!r} needs >= {info.min_draws} draws in each batch, got {'+'.join(map(str, sizes))}"
-        )
-    x = np.concatenate([b.draws for b in batches])[None]
-    eps = np.concatenate([b.noise for b in batches])[None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, aux = _dispatch(info, q, Draws(q, t, x, eps), x.shape[1] - sizes[-1], jitter)
-    return GradEstimate(
-        value=value[0],
-        estimator_id=info.id,
-        samples_used=x.shape[1],
-        aux={k: v[0] for k, v in aux.items()} or None,
-    )
-
-
-def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
-    """The public est_* function of an estimator: its kernel on one row of draws."""
-    if info.split_budget:
-        def est(
-            q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-            config: EstimatorConfig | None = None,
-        ) -> GradEstimate:
-            return _row(info, q, t, (batch_coef, batch_eval), config.jitter if config else 0.0)
-    else:
-        def est(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
-            return _row(info, q, t, (batch,), config.jitter if config else 0.0)
-    est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
-    est.__doc__ = info.kernel.__doc__
-    return est
-
-
-for _info in ESTIMATORS.values():
-    _fn = _alias(_info)
-    globals()[_fn.__name__] = _fn
-del _info, _fn
-
-
-def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEstimate:
-    """Draw the configured budget from q and run the configured estimator.
-
-    Split-budget methods get two disjoint seeded batches; the rest get one
-    undivided batch. Deterministic given (q, config, seed).
-    """
-    base = seed if isinstance(seed, tuple) else (seed,)
-    batches = [sample(q, base + (i,), n) for i, n in enumerate(config.batch_sizes())]
-    return _row(ESTIMATORS[config.estimator_id], q, t, batches, config.jitter)
-
-
 def run_kernel(
     estimator_id: str,
     q: GaussianQ,
@@ -684,6 +623,11 @@ def run_kernel(
     benchmark's estimators share each tile. Returns the (R, 2) estimates,
     or with with_aux=True the pair (estimates, aux), aux holding the
     kernel's per-row diagnostics under the keys of GradEstimate.aux.
+
+    This is the one caller of a kernel. It checks the target's
+    capabilities, splits the columns and runs the kernel with overflow not
+    warned about: a non-finite estimate in any row is an EstimationError
+    naming the estimator and q.
     """
     if isinstance(x, Draws):
         if x.t is not t:
@@ -693,5 +637,67 @@ def run_kernel(
         d = x
     else:
         d = Draws(q, t, x, eps)
-    value, aux = _dispatch(ESTIMATORS[estimator_id], q, d, n_coef, jitter)
+    info = ESTIMATORS[estimator_id]
+    info.check(t)
+    coef, ev = (d.columns(0, n_coef), d.columns(n_coef)) if info.split_budget else (None, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, aux = info.kernel(coef, ev, jitter)
+    if not np.isfinite(value).all():
+        bad = value[~np.isfinite(value).all(axis=-1)][0]
+        raise EstimationError(f"non-finite gradient estimate {bad} of {estimator_id!r} at {q}")
     return (value, aux) if with_aux else value
+
+
+def _row(
+    info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int, jitter: float
+) -> GradEstimate:
+    """The GradEstimate of the one (1, S) row of draws x."""
+    value, aux = run_kernel(info.id, q, t, x, eps, n_coef, jitter, with_aux=True)
+    return GradEstimate(value[0], info.id, samples_used=x.shape[1], aux={k: v[0] for k, v in aux.items()} or None)
+
+
+def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
+    """The public est_* function of an estimator: its kernel on one row of draws."""
+
+    def row(q: GaussianQ, t: Target, batches, config: EstimatorConfig | None) -> GradEstimate:
+        sizes = [b.size for b in batches]
+        if min(sizes) < info.min_draws:
+            raise ValueError(
+                f"estimator {info.id!r} needs >= {info.min_draws} draws in each batch, got {'+'.join(map(str, sizes))}"
+            )
+        x = np.concatenate([b.draws for b in batches])[None]
+        eps = np.concatenate([b.noise for b in batches])[None]
+        return _row(info, q, t, x, eps, sizes[0], config.jitter if config else 0.0)
+
+    if info.split_budget:
+        def est(
+            q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
+            config: EstimatorConfig | None = None,
+        ) -> GradEstimate:
+            return row(q, t, (batch_coef, batch_eval), config)
+    else:
+        def est(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+            return row(q, t, (batch,), config)
+    est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
+    est.__doc__ = info.kernel.__doc__
+    return est
+
+
+for _info in ESTIMATORS.values():
+    _fn = _alias(_info)
+    globals()[_fn.__name__] = _fn
+del _info, _fn
+
+
+def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEstimate:
+    """Draw the configured budget from q and run the configured estimator.
+
+    Split-budget methods get two disjoint seeded batches; the rest get one
+    undivided batch. Batch i's noise is the stream keyed (*seed, i), the
+    noise of q.sample((*seed, i), n), drawn into its columns of one row.
+    Deterministic given (q, config, seed).
+    """
+    base = seed if isinstance(seed, tuple) else (seed,)
+    sizes = config.batch_sizes()
+    eps = np.concatenate([rng_from_seed(base + (i,)).standard_normal(n) for i, n in enumerate(sizes)])[None]
+    return _row(ESTIMATORS[config.estimator_id], q, t, q.reparameterize(eps), eps, sizes[0], config.jitter)

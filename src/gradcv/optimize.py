@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, run_kernel
+from .estimators import ESTIMATORS, EstimatorConfig, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
@@ -139,12 +139,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
 
     def gradient(q: GaussianQ) -> np.ndarray:
         eps = next(rows)
-        value = run_kernel(
-            config.estimator_id, q, target, Draws(q, target, q.reparameterize(eps), eps), None, n_coef, config.jitter
-        )[0]
-        if not np.isfinite(value).all():
-            raise EstimationError(f"non-finite gradient estimate: {value}")
-        return value
+        return run_kernel(config.estimator_id, q, target, q.reparameterize(eps), eps, n_coef, config.jitter)[0]
 
     return gradient
 

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from gradcv.benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimatorConfig, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimationError, EstimatorConfig, run_kernel
 from gradcv.gaussian import GaussianQ, rng_from_seed
 from gradcv.targets import Target, resolve_target
 
@@ -260,6 +263,40 @@ class TestTilesAndSharing:
         assert tables_equal(MseTable(spec, tuple(r for r in table.rows if r.ok)), alone)
 
 
+class TestNonFinite:
+    # at sigma2 = 1e150 the squared draws reach 1e300: the control-variate and
+    # regression estimates overflow to nan, and simple's estimates (~1e223)
+    # are finite but their squared errors are not
+    NAN_CV_IDEAL = r"non-finite gradient estimate \[nan nan\] of 'cv-ideal' at GaussianQ\(mu=0.0, sigma2=1e\+150\)"
+
+    @pytest.mark.parametrize("estimators,paired,threads,match", [
+        (ESTIMATOR_IDS, False, 1, NAN_CV_IDEAL),
+        (ESTIMATOR_IDS, False, 2, NAN_CV_IDEAL),
+        (ESTIMATOR_IDS, True, 1, NAN_CV_IDEAL),
+        (("simple",), False, 1,
+         r"non-finite cell statistics of 'simple' at mu=0, sigma2=1e\+150: mse=inf, mse_stderr=nan"),
+    ], ids=["unpaired", "unpaired-2-threads", "paired", "simple-cell"])
+    def test_overflow_is_estimation_error_without_warnings(self, estimators, paired, threads, match):
+        spec = BenchmarkSpec(settings=((0.0, 1e150),), estimators=estimators, replications=10, paired=paired)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match=match):
+                run_benchmark(spec, threads=threads)
+
+    def test_cell_statistics_formulas(self):
+        est = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
+        gt = np.array([1.5, 0.5])
+        row = _reduce_cell("simple", 0.0, 2.0, est, gt)
+        err = est - gt
+        weighted = (MSE_WEIGHTS * err * err).sum(axis=1)
+        assert row.mse == weighted.mean()
+        assert row.mse_stderr == weighted.std(ddof=1) / np.sqrt(3)
+        np.testing.assert_array_equal(row.mean_bias, est.mean(axis=0) - gt)
+        np.testing.assert_array_equal(row.mean_se, est.std(axis=0, ddof=1) / np.sqrt(3))
+        np.testing.assert_array_equal(row.mse_components, (err * err).mean(axis=0))
+        assert row.ok and row.replications == 3
+
+
 class TestBiasDecomposition:
     def test_unbiased_rows_have_small_squared_bias(self):
         table = run_benchmark(small_spec(replications=20_000, estimators=("cov",)))
@@ -310,6 +347,7 @@ class TestOutputFormats:
                     "ground_truth", "replications"):
             assert key in row
         assert payload["spec"]["samples"] == 20
+        assert list(payload["spec"]) == [f.name for f in dataclasses.fields(BenchmarkSpec)]
 
     def test_pretty_table_layout(self):
         table = run_benchmark(small_spec())

@@ -35,6 +35,12 @@ _RUNTIME_ERRORS = [
     pytest.param(["estimate", "--sigma2", "1e300"], "non-finite gradient estimate", id="estimate-sigma2-1e300"),
     pytest.param(["fit", "--target", "gaussian:1e200:1"], "integrand is not finite", id="fit-target-1e200"),
     pytest.param(["ground-truth", "--mu", "1e200"], "ground-truth gradient is not finite", id="ground-truth-mu-1e200"),
+    pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10"],
+                 "non-finite gradient estimate", id="benchmark-sigma2-1e150"),
+    pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"],
+                 "non-finite gradient estimate", id="benchmark-paired-sigma2-1e150"),
+    pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10", "--estimators", "simple"],
+                 "non-finite cell statistics", id="benchmark-simple-sigma2-1e150"),
 ]
 
 
@@ -174,18 +180,22 @@ class TestParseArgs:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("argv", [
-        ["estimate", "--mu", "1e200"],
-        ["estimate", "--sigma2", "1e300"],
-        ["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"],
-        ["fit", "--mu", "1e200", "--iterations", "5"],
-    ])
-    def test_overflow_gives_the_error_line_alone(self, argv):
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--mu", "1e200"], "non-finite gradient estimate"),
+        (["estimate", "--sigma2", "1e300"], "non-finite gradient estimate"),
+        (["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"], "non-finite gradient estimate"),
+        (["fit", "--mu", "1e200", "--iterations", "5"], "non-finite gradient estimate"),
+        (["benchmark", "--settings", "0:1e150", "--reps", "10"], "non-finite gradient estimate"),
+        (["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"], "non-finite gradient estimate"),
+        (["benchmark", "--settings", "0:1e150", "--reps", "10", "--estimators", "simple"],
+         "non-finite cell statistics"),
+    ], ids=[f"argv{i}" for i in range(7)])
+    def test_overflow_gives_the_error_line_alone(self, argv, message):
         # numpy's overflow RuntimeWarnings no longer precede the error line
         proc = run_cli(argv)
         assert proc.returncode == 1
         lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("gradcv: error: non-finite gradient estimate"), proc.stderr
+        assert len(lines) == 1 and lines[0].startswith(f"gradcv: error: {message}"), proc.stderr
 
     def test_parse_args_builds_the_command_objects(self):
         ns = parse_args(["estimate", "--mu", "1", "--sigma2", "0.5", "--estimator", "cov", "--jitter", "0.1"])

@@ -9,6 +9,8 @@ of the benchmark's 4096-replication chunk.
 
 import gc
 import inspect
+import re
+import warnings
 import weakref
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 import gradcv
 from gradcv.benchmark import BenchmarkSpec, run_benchmark
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimatorConfig, estimate, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, estimate, run_kernel
 from gradcv.gaussian import DrawBatch, GaussianQ, rng_from_seed
 from gradcv.targets import gaussian_target, logistic_target
 
@@ -195,6 +197,22 @@ class TestSharedDraws:
             run_kernel("simple", GaussianQ(0.5, 1.6), t, d, None, 0)
         with pytest.raises(ValueError, match="draws of target 'logistic'"):
             run_kernel("simple", q, gaussian_target(1.0, 3.0), d, None, 0)
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_nonfinite_row_is_estimation_error_without_warnings(est_id):
+    # one overflowing row of three fails the whole call, and the message
+    # names that row's estimate, the estimator and q
+    q, t = GaussianQ(0.0, 1.0), TARGETS["logistic"]
+    _, eps = draws(q, 3, "overflow")
+    eps[1] *= 1e200
+    x = q.reparameterize(eps)
+    message = rf"^non-finite gradient estimate \[.*\] of {re.escape(repr(est_id))} at {re.escape(str(q))}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(run_kernel(est_id, q, t, x[::2], eps[::2], n_coef_of(est_id))).all()
+        with pytest.raises(EstimationError, match=message):
+            run_kernel(est_id, q, t, x, eps, n_coef_of(est_id))
 
 
 def test_draws_are_freed_without_the_cycle_collector():
