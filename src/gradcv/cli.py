@@ -8,11 +8,14 @@ Subcommands:
   fit           stochastic gradient descent fit, trajectory as CSV
   selftest      run the identity and exactness suites
 
-All randomness flows from --seed. A JSON config file may supply any flag
-value; explicit flags win. Defaults and value checks are the library's:
-parse_args builds the command's objects (GaussianQ, EstimatorConfig,
-BenchmarkSpec, SgdSchedule, the target), and a value their constructors
-reject is a usage error (exit code 2).
+A command has only the flags it reads. All randomness flows from --seed.
+A JSON --config file supplies values of the command's own flags, keyed by
+destination name (reps, record_every, ...); argparse checks them as it
+checks the flags, an unknown key is a usage error, and explicit flags win.
+Defaults and value checks are the library's: parse_args builds the
+command's objects (GaussianQ, EstimatorConfig, BenchmarkSpec, SgdSchedule,
+the target), and a value their constructors reject is a usage error (exit
+code 2).
 """
 
 from __future__ import annotations
@@ -70,24 +73,30 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name.
 
     Every default that is not about the command line itself is read from
-    the library object or function that owns it.
+    the library object or function that owns it. A command has only the
+    flags it reads.
     """
     parser = argparse.ArgumentParser(
         prog="gradcv",
         description="Gradient estimators for Gaussian variational inference: benchmark, evaluate, fit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--seed": dict(type=int, default=BenchmarkSpec.base_seed, help="base seed for all randomness"),
+        "--format": dict(choices=("csv", "json", "table"), default="table", help="output format"),
+        "--target": dict(default=BenchmarkSpec.target, help="target id: logistic or gaussian:MU:SIGMA2"),
+    }
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
+    def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
+        """The subcommand name with --out, --config and the shared flags named."""
         p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--seed", type=int, default=BenchmarkSpec.base_seed, help="base seed for all randomness")
-        p.add_argument("--format", choices=("csv", "json", "table"), default="table", help="output format")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--out", default=None, help="output path, or stdout")
-        p.add_argument("--config", default=None, help="JSON file supplying flag values; flags override")
-        p.add_argument("--target", default=BenchmarkSpec.target, help="target id: logistic or gaussian:MU:SIGMA2")
+        p.add_argument("--config", default=None, help="JSON file of flag values keyed by destination name")
         return p
 
-    p = command("benchmark", "estimator-by-setting MSE table")
+    p = command("benchmark", "estimator-by-setting MSE table", "--seed", "--format", "--target")
     p.add_argument("--settings", type=_settings, default=BenchmarkSpec.settings, help="comma list of MU:SIGMA2 pairs")
     p.add_argument("--estimators", type=_ids, default=BenchmarkSpec.estimators, help="comma list of estimator ids")
     p.add_argument("--samples", type=int, default=BenchmarkSpec.samples, help="draws per replication")
@@ -99,7 +108,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--per-component", dest="per_component", action="store_true",
                    help="also report unweighted per-component MSEs")
 
-    p = command("estimate", "single gradient estimate")
+    p = command("estimate", "single gradient estimate", "--seed", "--format", "--target")
     p.add_argument("--mu", type=float, default=0.0, help="mean of q")
     p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
     p.add_argument("--estimator", default=EstimatorConfig.estimator_id, help="estimator id")
@@ -107,14 +116,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--split", type=float, default=EstimatorConfig.cv_split, help="coefficient fraction for cv methods")
     p.add_argument("--jitter", type=float, default=EstimatorConfig.jitter, help="ridge for singular 2x2 solves")
 
-    p = command("ground-truth", "exact gradient via quadrature")
+    p = command("ground-truth", "exact gradient via quadrature", "--format", "--target")
     p.add_argument("--mu", type=float, default=0.0, help="mean of q")
     p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
 
-    p = command("fit", "stochastic gradient descent fit")
-    p.add_argument("--mu", dest="q0_mu", type=float, default=_default(VariationalSGD, "mu0"), help="initial mu")
-    p.add_argument("--sigma2", dest="q0_sigma2", type=float, default=_default(VariationalSGD, "sigma20"),
-                   help="initial sigma2")
+    p = command("fit", "stochastic gradient descent fit, trajectory as CSV", "--seed", "--target")
+    p.add_argument("--mu", type=float, default=_default(VariationalSGD, "mu0"), help="initial mu")
+    p.add_argument("--sigma2", type=float, default=_default(VariationalSGD, "sigma20"), help="initial sigma2")
     p.add_argument("--estimator", default=_default(fit, "estimator_id"), help="unbiased estimator id")
     p.add_argument("--samples", type=int, default=SgdSchedule.samples_per_step, help="draws per step")
     p.add_argument("--split", type=float, default=_default(fit, "cv_split"), help="coefficient fraction for cv methods")
@@ -130,42 +138,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _config_values(file_cfg: dict, cmd: argparse.ArgumentParser) -> dict:
-    """--config values for the subcommand's options, checked as the same flags are.
+def _config_tokens(file_cfg: dict, cmd: argparse.ArgumentParser) -> list[str]:
+    """--config values as flag tokens, for argparse to check as it checks the flags.
 
-    A value of a typed flag goes through the flag's type= conversion, an
-    on/off flag takes a JSON boolean, a flag with choices takes one of
-    them, and any other flag takes a string; a JSON list stands for the
-    comma list of --estimators or --settings, with inner lists joined by
-    ":" as in --settings. Values of options the subcommand does not have
-    are dropped.
+    A key is the destination name of one of the command's flags, matched
+    exactly; any other key is a usage error. A key becomes --KEY=VALUE;
+    true becomes the bare on/off flag and false nothing, and false is a
+    value of an on/off flag alone. A JSON list stands for the comma list
+    of --settings or --estimators, with inner lists joined by ":" as in
+    --settings.
     """
-    out = {}
-    for action in cmd._actions:
-        name = action.dest
-        if name not in file_cfg or name in ("help", "config"):
-            continue
-        value = file_cfg[name]
+    actions = {a.dest: a for a in cmd._actions if a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in file_cfg.items():
+        action = actions.get(key)
+        if action is None:
+            cmd.error(f"--config: unknown key {key!r}; the keys are {', '.join(actions)}")
+        flag = action.option_strings[0]
         if isinstance(value, list) and action.type in (_settings, _ids):
             value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
-        if action.nargs == 0:  # store_true
-            if not isinstance(value, bool):
-                cmd.error(f"--config: {name!r} must be true or false, got {value!r}")
-        elif action.type is not None:
-            try:
-                if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                    raise ValueError
-                value = action.type(str(value))
-            except argparse.ArgumentTypeError as err:
-                cmd.error(f"--config: {name!r}: {err}")
-            except ValueError:
-                cmd.error(f"--config: {name!r}: invalid {action.type.__name__} value {value!r}")
-        elif not isinstance(value, str):
-            cmd.error(f"--config: {name!r} must be a string, got {value!r}")
-        if action.choices is not None and value not in action.choices:
-            cmd.error(f"--config: {name!r}: invalid choice {value!r} (choose from {', '.join(action.choices)})")
-        out[name] = value
-    return out
+        if value is True:
+            tokens.append(flag)
+        elif value is False:
+            if action.nargs != 0:
+                cmd.error(f"--config: {key!r}: false is a value of an on/off flag only")
+        else:
+            tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def _build(cmd: argparse.ArgumentParser, flags: str, make, *args, **kwargs):
@@ -179,16 +178,20 @@ def _build(cmd: argparse.ArgumentParser, flags: str, make, *args, **kwargs):
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv and build the command's library objects. Usage errors exit with code 2.
 
-    The namespace holds the command's own flags, --config values filling
-    in for flags not given, plus the objects the command runs, each built
-    and checked once by its own constructor: resolved_target for every
-    command; q (GaussianQ) for estimate, ground-truth and fit;
-    estimator_config (EstimatorConfig) for estimate and fit; spec
+    --config values are parsed as flags given before argv's own, so
+    argparse checks both alike and an explicit flag wins. The namespace
+    holds the command's own flags plus the objects the command runs, each
+    built and checked once by its own constructor: resolved_target for
+    every command with --target; q (GaussianQ) for estimate, ground-truth
+    and fit; estimator_config (EstimatorConfig) for estimate and fit; spec
     (BenchmarkSpec) for benchmark; schedule (SgdSchedule) for fit.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, command_parsers = _build_parser()
-    ns = parser.parse_args(argv)
+    ns, unknown = parser.parse_known_args(argv)
     cmd = command_parsers[ns.command]
+    if unknown:
+        cmd.error(f"unrecognized arguments: {' '.join(unknown)}")
     if ns.config is not None:
         try:
             with open(ns.config) as fh:
@@ -197,11 +200,11 @@ def parse_args(argv=None) -> argparse.Namespace:
             cmd.error(f"--config: cannot read {ns.config!r}: {err}")
         if not isinstance(file_cfg, dict):
             cmd.error("--config: top-level JSON value must be an object")
-        cmd.set_defaults(**_config_values(file_cfg, cmd))
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args([ns.command, *_config_tokens(file_cfg, cmd), *argv[1:]])
 
-    ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)
-    if ns.command in ("estimate", "ground-truth"):
+    if hasattr(ns, "target"):
+        ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)
+    if ns.command in ("estimate", "ground-truth", "fit"):
         ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.mu, ns.sigma2)
     if ns.command == "estimate":
         ns.estimator_config = _build(
@@ -215,7 +218,6 @@ def parse_args(argv=None) -> argparse.Namespace:
             cv_split=ns.split, base_seed=ns.seed, target=ns.target, paired=ns.paired,
         )
     elif ns.command == "fit":
-        ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.q0_mu, ns.q0_sigma2)
         ns.schedule = _build(
             cmd, "--step0/--decay/--iterations/--samples", SgdSchedule,
             step0=ns.step0, decay=ns.decay, iterations=ns.iterations, samples_per_step=ns.samples,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .estimators import run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
-from .quadrature import expect, gauss_hermite_rule
+from .quadrature import cov, expect, gauss_hermite_rule
 from .targets import gaussian_target, logistic_target
 
 __all__ = [
@@ -36,15 +36,6 @@ class CheckResult:
 
 
 _CHECK_QS = ((0.0, 2.0), (-2.0, 2.0), (1.5, 0.7))
-
-
-def _cov_score_h(q: GaussianQ, h, rule) -> np.ndarray:
-    """Quadrature Cov_q[score_eta, h] as a 2-vector."""
-    x = q.mu + q.sigma * rule.nodes
-    hv = np.asarray(h(x), dtype=float)
-    s = q.score_eta(x)
-    w = rule.weights
-    return (s * (w * hv)[:, None]).sum(axis=0) - (w @ s) * (w @ hv)
 
 
 def _fd_expect_eta(q: GaussianQ, h, rule, step: float) -> np.ndarray:
@@ -73,7 +64,7 @@ def check_covariance_identity(step: float = 1e-5, tol: float = 1e-6) -> CheckRes
     for mu, s2 in _CHECK_QS:
         q = GaussianQ(mu, s2)
         for h in funcs:
-            cov_val = _cov_score_h(q, h, rule)
+            cov_val = cov(q, q.score_eta, h, rule)[:, 0]
             fd = _fd_expect_eta(q, h, rule, step)
             scale = max(float(np.abs(fd).max()), 1.0)
             worst = max(worst, float(np.abs(cov_val - fd).max()) / scale)

@@ -63,22 +63,24 @@ estimator is a function of a few per-draw quantities:
 A Draws is the cache of these quantities for its tile. It computes each
 elementwise ingredient (the target's log_p, the scores, f, and j1 with
 resid, which reads grad_x) at most once, on every column, when a kernel
-first reads it; the halves are column views that slice it. It also keeps the (R,)
-moment tuples of a column range: the score moments Cov-hat[s, s] and
-Cov-hat[s, f], and the path moments. So every kernel run on one Draws
+first reads it; the halves are column views that slice it. It also keeps
+the (R,) moment tuples of a column range: the score moments Cov-hat[s, s]
+and Cov-hat[s, f], and the path moments. So every kernel run on one Draws
 reads what another has computed: cv-ideal and cv-regression share the
 evaluation half's score moments, cov and greg-samplecov the whole range's,
-and all path methods j1 and resid. A cached value is computed by the same
+kingma-reparam and greg-pathgrad the whole range's path moments, and all
+path methods j1 and resid. A cached value is computed by the same
 expression, on the same values, as a kernel alone would compute it, so
 sharing changes no estimate. A kernel alone on a Draws computes nothing
-it does not read, except cov: its estimate is the (b0, b1) of the whole
-range's score moments, and it computes all six so that greg-samplecov can
-read them. Centered (R, S) arrays are not kept: each kernel centers what
-it needs and lets it go, so a tile's memory is its elementwise
-ingredients. Every covariance is a sum over the draw axis of a product of
-two centered (R, S) arrays, and every 2x2 coefficient or natural-gradient
-system is solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No
-stacked (R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
+it does not read, except that a moment tuple is computed whole: cov's
+estimate is the (b0, b1) of the score moments and kingma-reparam's the
+(f0, f1) of the path moments. Centered (R, S) arrays are not kept: each
+kernel centers what it needs and lets it go, so a tile's memory is its
+elementwise ingredients. Every covariance is a sum over the draw axis of
+a product of two centered (R, S) arrays, and every 2x2 coefficient or
+natural-gradient system is solved on (R,) component arrays a00, a01, a10,
+a11, b0, b1. No stacked (R, S, 2) score or (R, S, 2, 2) outer-product
+arrays are built.
 """
 
 from __future__ import annotations
@@ -532,11 +534,9 @@ def _kernel_kingma_reparam(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
     differentiated, which is the unbiased covariance estimate obtained by
-    differentiating the sampler.
+    differentiating the sampler. It is the (f0, f1) of the path moments.
     """
-    # the f0, f1 of d.path_moments, without the moments' three other reductions
-    j1, resid = d.path
-    return _pair(d.q.sigma2 * _mean(resid), _dot(j1, resid) / d.x.shape[-1]), {}
+    return _pair(*d.path_moments[4:]), {}
 
 
 def _kernel_greg_samplecov(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:

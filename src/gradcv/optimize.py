@@ -13,7 +13,7 @@ iterations, so plain stochastic gradient descent is inconsistent with them.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -196,53 +196,38 @@ def trajectory_to_csv(result: FitResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(eq=False)
 class VariationalSGD:
     """Scikit-learn style front end for the stochastic fit.
 
     Constructor arguments are hyperparameters stored verbatim; fitted state
     lands in trailing-underscore attributes. fit accepts a Target or a
-    target name string ("logistic", "gaussian:MU:SIGMA2").
+    target name string ("logistic", "gaussian:MU:SIGMA2"). Equality and
+    hashing are by identity, as for any estimator object.
     """
 
     # Defaults are read from their owners, SgdSchedule and the module's fit
     # function (the method named fit is not defined yet at this point).
-    def __init__(
-        self,
-        estimator: str = _default(fit, "estimator_id"),
-        step0: float = SgdSchedule.step0,
-        decay: float = SgdSchedule.decay,
-        iterations: int = SgdSchedule.iterations,
-        samples_per_step: int = SgdSchedule.samples_per_step,
-        cv_split: float = _default(fit, "cv_split"),
-        jitter: float = _default(fit, "jitter"),
-        natural_gradient: bool = _default(fit, "natural_gradient"),
-        mu0: float = 0.0,
-        sigma20: float = 1.0,
-        seed: int = _default(fit, "seed"),
-        record_every: int = _default(fit, "record_every"),
-    ):
-        self.estimator = estimator
-        self.step0 = step0
-        self.decay = decay
-        self.iterations = iterations
-        self.samples_per_step = samples_per_step
-        self.cv_split = cv_split
-        self.jitter = jitter
-        self.natural_gradient = natural_gradient
-        self.mu0 = mu0
-        self.sigma20 = sigma20
-        self.seed = seed
-        self.record_every = record_every
-
-    # the constructor's arguments, read as scikit-learn's get_params reads them
-    _param_names = tuple(inspect.signature(__init__).parameters)[1:]
+    estimator: str = _default(fit, "estimator_id")
+    step0: float = SgdSchedule.step0
+    decay: float = SgdSchedule.decay
+    iterations: int = SgdSchedule.iterations
+    samples_per_step: int = SgdSchedule.samples_per_step
+    cv_split: float = _default(fit, "cv_split")
+    jitter: float = _default(fit, "jitter")
+    natural_gradient: bool = _default(fit, "natural_gradient")
+    mu0: float = 0.0
+    sigma20: float = 1.0
+    seed: int = _default(fit, "seed")
+    record_every: int = _default(fit, "record_every")
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "VariationalSGD":
+        names = {f.name for f in fields(self)}
         for name, value in params.items():
-            if name not in self._param_names:
+            if name not in names:
                 raise ValueError(f"invalid parameter {name!r} for VariationalSGD")
             setattr(self, name, value)
         return self

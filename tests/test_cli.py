@@ -150,6 +150,7 @@ class TestParseArgs:
         {"format": "xml"},
         {"target": 5},
         {"settings": [[0, "x"]]},
+        {"reps": False},
     ])
     def test_config_values_get_flag_type_checks(self, values, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -217,6 +218,48 @@ class TestParseArgs:
         assert (rc.reps, rc.split, rc.seed, rc.paired, rc.format) == (500, 0.4, -1, True, "csv")
         assert rc.settings == ((0.0, 2.0), (-1.5, 0.5))
         assert rc.estimators == ("simple", "cov")
+
+
+    def test_fit_config_mu_sigma2_mean_what_they_mean_for_estimate(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 5, "sigma2": 0.5}))
+        for command in ("fit", "estimate"):
+            assert parse_args([command, "--config", str(cfg)]).q == GaussianQ(5.0, 0.5)
+
+    def test_config_false_leaves_an_on_off_flag_off(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paired": False, "per_component": True}))
+        ns = parse_args(["benchmark", "--config", str(cfg)])
+        assert (ns.paired, ns.per_component) == (False, True)
+
+    @pytest.mark.parametrize("command,values", [
+        ("benchmark", {"rep": 3}),  # a prefix of reps
+        ("ground-truth", {"reps": 5}),  # a key of another command
+        ("fit", {"record-every": 5}),  # the flag's spelling, not its destination name
+        ("fit", {"config": "other.json"}),
+    ])
+    def test_unknown_config_key_is_usage_error(self, command, values, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as exc:
+            parse_args([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"gradcv {command}: error: --config: unknown key {next(iter(values))!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["ground-truth", "--seed", "1"],
+        ["fit", "--format", "json"],
+        ["selftest", "--seed", "1"],
+        ["selftest", "--format", "json"],
+        ["selftest", "--target", "logistic"],
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"gradcv {argv[0]}: error: unrecognized arguments: {argv[1]}" in err
 
 
 class TestGroundTruthCommand:
