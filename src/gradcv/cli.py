@@ -69,16 +69,18 @@ def _threads(text: str) -> int:
     return n
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser(exit_on_error: bool = True) -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name.
 
     Every default that is not about the command line itself is read from
     the library object or function that owns it. A command has only the
-    flags it reads.
+    flags it reads, matched exactly (no abbreviations). With exit_on_error
+    false, a bad flag value raises argparse.ArgumentError instead of exiting.
     """
     parser = argparse.ArgumentParser(
         prog="gradcv",
         description="Gradient estimators for Gaussian variational inference: benchmark, evaluate, fit.",
+        exit_on_error=exit_on_error,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
@@ -89,7 +91,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
         """The subcommand name with --out, --config and the shared flags named."""
-        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+                           allow_abbrev=False, exit_on_error=exit_on_error)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
         p.add_argument("--out", default=None, help="output path, or stdout")
@@ -179,12 +182,14 @@ def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv and build the command's library objects. Usage errors exit with code 2.
 
     --config values are parsed as flags given before argv's own, so
-    argparse checks both alike and an explicit flag wins. The namespace
-    holds the command's own flags plus the objects the command runs, each
-    built and checked once by its own constructor: resolved_target for
-    every command with --target; q (GaussianQ) for estimate, ground-truth
-    and fit; estimator_config (EstimatorConfig) for estimate and fit; spec
-    (BenchmarkSpec) for benchmark; schedule (SgdSchedule) for fit.
+    argparse checks both alike and an explicit flag wins; a bad value from
+    the file is reported as "--config 'PATH': argument --FLAG: ...". The
+    namespace holds the command's own flags plus the objects the command
+    runs, each built and checked once by its own constructor:
+    resolved_target for every command with --target; q (GaussianQ) for
+    estimate, ground-truth and fit; estimator_config (EstimatorConfig) for
+    estimate and fit; spec (BenchmarkSpec) for benchmark; schedule
+    (SgdSchedule) for fit.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, command_parsers = _build_parser()
@@ -200,7 +205,12 @@ def parse_args(argv=None) -> argparse.Namespace:
             cmd.error(f"--config: cannot read {ns.config!r}: {err}")
         if not isinstance(file_cfg, dict):
             cmd.error("--config: top-level JSON value must be an object")
-        ns = parser.parse_args([ns.command, *_config_tokens(file_cfg, cmd), *argv[1:]])
+        tokens = _config_tokens(file_cfg, cmd)
+        try:
+            _build_parser(exit_on_error=False)[0].parse_args([ns.command, *tokens])
+        except argparse.ArgumentError as err:
+            cmd.error(f"--config {ns.config!r}: {err}")
+        ns = parser.parse_args([ns.command, *tokens, *argv[1:]])
 
     if hasattr(ns, "target"):
         ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)

@@ -45,11 +45,30 @@ class ExpFamTarget(Target):
         object.__setattr__(self, "eta_tilde", eta_tilde)
 
 
+def _exp_neg_abs(x: np.ndarray) -> np.ndarray:
+    """exp(-|x|) as a fresh array of x's shape (0-d for 0-d x), computed in place."""
+    e = np.abs(x, out=np.empty_like(x))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _ratio(x: np.ndarray, ones: np.ndarray):
+    """1 / (1 + e) where ones, else e / (1 + e), with e = exp(-|x|); a scalar for 0-d x.
+
+    This is the logistic sigmoid of x for ones = x >= 0 and of -x for
+    ones = x <= 0, stable in both tails and never negating x. As e <= 1,
+    max(e, ones) is the numerator without a masked (branching) write.
+    """
+    e = _exp_neg_abs(x)
+    d = e + 1.0
+    np.maximum(e, ones, out=e)
+    return np.divide(e, d, out=e)[()]
+
+
 def _sigmoid(x):
     """1 / (1 + exp(-x)), stable in both tails: exp(x) / (1 + exp(x)) for x < 0."""
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return _ratio(x, x >= 0)
 
 
 def logistic_target() -> Target:
@@ -59,18 +78,22 @@ def logistic_target() -> Target:
     log_p is computed as min(x, 0) - log1p(exp(-|x|)), which neither
     overflows nor cancels: x - logaddexp(0, x) loses every digit of the
     small negative value in the right tail (0.0 at x = 40, not -4.25e-18).
+    log_p and grad_x = sigmoid(-x) each build exp(-|x|) in one fresh array
+    and finish on it in place; the caller's x is never written.
     """
 
     def log_p(x):
         x = np.asarray(x, dtype=float)
-        return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+        e = _exp_neg_abs(x)
+        np.log1p(e, out=e)
+        return np.subtract(np.minimum(x, 0.0), e, out=e)[()]
 
     def grad_x(x):
-        return _sigmoid(-np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return _ratio(x, x <= 0)
 
     def hess_x(x):
-        x = np.asarray(x, dtype=float)
-        return -_sigmoid(x) * _sigmoid(-x)
+        return -_sigmoid(x) * grad_x(x)
 
     return Target(name="logistic", log_p=log_p, grad_x=grad_x, hess_x=hess_x)
 

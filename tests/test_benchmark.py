@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -295,6 +296,26 @@ class TestNonFinite:
         np.testing.assert_array_equal(row.mean_se, est.std(axis=0, ddof=1) / np.sqrt(3))
         np.testing.assert_array_equal(row.mse_components, (err * err).mean(axis=0))
         assert row.ok and row.replications == 3
+
+    def test_cell_statistics_accurate_at_a_large_offset(self):
+        # An (8192, 2) cell whose estimates share an offset of 100. mse and
+        # mse_stderr are the per-row formulas bit for bit; the column means
+        # and SEs are within 1e-13 of exactly rounded sums (a sequential
+        # axis-0 mean of these columns misses the bias by 1.8e-13).
+        n = 8192
+        est = 100.0 + np.random.default_rng(0).standard_normal((n, 2)) * [1.0, 0.5]
+        gt = np.array([100.01, 99.98])
+        row = _reduce_cell("simple", 0.0, 2.0, est, gt)
+        err = est - gt
+        weighted = (MSE_WEIGHTS * err * err).sum(axis=1)
+        assert row.mse == weighted.mean()
+        assert row.mse_stderr == weighted.std(ddof=1) / np.sqrt(n)
+        mean = [math.fsum(est[:, k]) / n for k in range(2)]
+        se = [math.sqrt(math.fsum((x - mean[k]) ** 2 for x in est[:, k]) / (n - 1) / n) for k in range(2)]
+        components = [math.fsum(e * e for e in err[:, k]) / n for k in range(2)]
+        np.testing.assert_allclose(row.mean_bias, np.array(mean) - gt, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(row.mean_se, se, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(row.mse_components, components, rtol=1e-13, atol=0.0)
 
 
 class TestBiasDecomposition:

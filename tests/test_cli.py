@@ -253,6 +253,8 @@ class TestParseArgs:
         ["selftest", "--seed", "1"],
         ["selftest", "--format", "json"],
         ["selftest", "--target", "logistic"],
+        ["benchmark", "--rep", "3"],  # flags are matched exactly, not by prefix
+        ["fit", "--iter", "5", "--rec", "1"],
     ])
     def test_flag_the_command_does_not_read_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +262,25 @@ class TestParseArgs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"gradcv {argv[0]}: error: unrecognized arguments: {argv[1]}" in err
+
+    def test_bad_config_value_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"reps": "abc"}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["benchmark", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"gradcv benchmark: error: --config {str(cfg)!r}: argument --reps: invalid int value: 'abc'"
+
+    def test_bad_typed_value_keeps_the_flag_message(self, tmp_path, capsys):
+        cfg = tmp_path / "good.json"
+        cfg.write_text(json.dumps({"reps": 5}))
+        for argv in (["benchmark", "--reps", "abc"], ["benchmark", "--config", str(cfg), "--reps", "abc"]):
+            with pytest.raises(SystemExit) as exc:
+                parse_args(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1] == \
+                "gradcv benchmark: error: argument --reps: invalid int value: 'abc'"
 
 
 class TestGroundTruthCommand:

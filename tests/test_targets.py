@@ -39,6 +39,38 @@ class TestLogistic:
         # nan stays nan (the sign of a nan is not a value)
         assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
 
+    def test_in_place_forms_equal_the_expressions_bit_for_bit(self):
+        # the expressions log_p, grad_x and _sigmoid evaluated before they
+        # worked in place; same bits, same return types, input untouched
+        def sigmoid_ref(x):
+            x = np.asarray(x, dtype=float)
+            e = np.exp(-np.abs(x))
+            return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+        def log_p_ref(x):
+            x = np.asarray(x, dtype=float)
+            return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+        t = logistic_target()
+        pairs = [
+            (t.log_p, log_p_ref),
+            (t.grad_x, lambda x: sigmoid_ref(-np.asarray(x, dtype=float))),
+            (_sigmoid, sigmoid_ref),
+            (t.hess_x, lambda x: -sigmoid_ref(x) * sigmoid_ref(-np.asarray(x, dtype=float))),
+        ]
+        edges = [0.0, -0.0, 20.0, -20.0, 40.0, -40.0, 709.5, -709.5, 745.1, -745.1, 800.0, -800.0, np.inf, -np.inf]
+        flat = np.concatenate([edges, np.random.default_rng(1).standard_normal(100_000) * 30.0])
+        inputs = [flat, flat.reshape(-1, 2), flat.reshape(-1, 2)[:, 1], np.array(-0.0), np.array(709.5),
+                  -745.1, 0.0, 20.0]
+        for new, ref in pairs:
+            for x in inputs:
+                before = np.array(x, copy=True)
+                got, expected = new(x), ref(x)
+                assert type(got) is type(expected)
+                assert np.asarray(got).shape == np.asarray(expected).shape
+                np.testing.assert_array_equal(np.asarray(got).view(np.uint64), np.asarray(expected).view(np.uint64))
+                np.testing.assert_array_equal(np.asarray(x).view(np.uint64), before.view(np.uint64))
+
     def test_values_at_zero(self):
         t = logistic_target()
         assert t.log_p(0.0) == pytest.approx(-np.log(2.0), rel=1e-12)
