@@ -69,18 +69,18 @@ def _threads(text: str) -> int:
     return n
 
 
-def _build_parser(exit_on_error: bool = True) -> tuple[argparse.ArgumentParser, dict]:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name.
 
     Every default that is not about the command line itself is read from
     the library object or function that owns it. A command has only the
-    flags it reads, matched exactly (no abbreviations). With exit_on_error
-    false, a bad flag value raises argparse.ArgumentError instead of exiting.
+    flags it reads, matched exactly (no abbreviations). A bad flag value
+    raises argparse.ArgumentError instead of exiting (see _parse).
     """
     parser = argparse.ArgumentParser(
         prog="gradcv",
         description="Gradient estimators for Gaussian variational inference: benchmark, evaluate, fit.",
-        exit_on_error=exit_on_error,
+        exit_on_error=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     shared = {
@@ -92,7 +92,7 @@ def _build_parser(exit_on_error: bool = True) -> tuple[argparse.ArgumentParser, 
     def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
         """The subcommand name with --out, --config and the shared flags named."""
         p = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-                           allow_abbrev=False, exit_on_error=exit_on_error)
+                           allow_abbrev=False, exit_on_error=False)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
         p.add_argument("--out", default=None, help="output path, or stdout")
@@ -141,22 +141,22 @@ def _build_parser(exit_on_error: bool = True) -> tuple[argparse.ArgumentParser, 
     return parser, sub.choices
 
 
-def _config_tokens(file_cfg: dict, cmd: argparse.ArgumentParser) -> list[str]:
+def _config_tokens(file_cfg: dict, cmd: argparse.ArgumentParser, path: str) -> list[str]:
     """--config values as flag tokens, for argparse to check as it checks the flags.
 
     A key is the destination name of one of the command's flags, matched
-    exactly; any other key is a usage error. A key becomes --KEY=VALUE;
-    true becomes the bare on/off flag and false nothing, and false is a
-    value of an on/off flag alone. A JSON list stands for the comma list
-    of --settings or --estimators, with inner lists joined by ":" as in
-    --settings.
+    exactly; any other key is a usage error naming the file at path. A key
+    becomes --KEY=VALUE; true becomes the bare on/off flag and false
+    nothing, and false is a value of an on/off flag alone. A JSON list
+    stands for the comma list of --settings or --estimators, with inner
+    lists joined by ":" as in --settings.
     """
     actions = {a.dest: a for a in cmd._actions if a.dest not in ("help", "config")}
     tokens = []
     for key, value in file_cfg.items():
         action = actions.get(key)
         if action is None:
-            cmd.error(f"--config: unknown key {key!r}; the keys are {', '.join(actions)}")
+            cmd.error(f"--config {path!r}: unknown key {key!r}; the keys are {', '.join(actions)}")
         flag = action.option_strings[0]
         if isinstance(value, list) and action.type in (_settings, _ids):
             value = ",".join(":".join(map(str, v)) if isinstance(v, list) else str(v) for v in value)
@@ -164,7 +164,7 @@ def _config_tokens(file_cfg: dict, cmd: argparse.ArgumentParser) -> list[str]:
             tokens.append(flag)
         elif value is False:
             if action.nargs != 0:
-                cmd.error(f"--config: {key!r}: false is a value of an on/off flag only")
+                cmd.error(f"--config {path!r}: {key!r}: false is a value of an on/off flag only")
         else:
             tokens.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return tokens
@@ -178,12 +178,33 @@ def _build(cmd: argparse.ArgumentParser, flags: str, make, *args, **kwargs):
         cmd.error(f"{flags}: {err}")
 
 
+def _parse(parser: argparse.ArgumentParser, commands: dict, argv: list[str]):
+    """parser.parse_known_args(argv), with an argparse error a usage error of the command it came from.
+
+    A bad flag value raises here, as the parser does not exit on errors. A
+    valued flag followed by a token that starts with "-" (say --settings
+    -50:2, where argparse reads -50:2 as a flag) gets a message naming the
+    --FLAG=VALUE form that works.
+    """
+    try:
+        return parser.parse_known_args(argv)
+    except argparse.ArgumentError as err:
+        message = str(err)
+        if message.endswith("expected one argument"):
+            for flag, value in zip(argv, argv[1:]):
+                if flag == err.argument_name and value.startswith("-"):
+                    message += f"; a value that starts with '-' is given as {flag}={value}"
+                    break
+        (commands.get(argv[0]) or parser).error(message)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse argv and build the command's library objects. Usage errors exit with code 2.
 
     --config values are parsed as flags given before argv's own, so
-    argparse checks both alike and an explicit flag wins; a bad value from
-    the file is reported as "--config 'PATH': argument --FLAG: ...". The
+    argparse checks both alike and an explicit flag wins; an error in the
+    file is reported as "--config 'PATH': ...", for a bad value as
+    "--config 'PATH': argument --FLAG: ...". The
     namespace holds the command's own flags plus the objects the command
     runs, each built and checked once by its own constructor:
     resolved_target for every command with --target; q (GaussianQ) for
@@ -193,7 +214,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, command_parsers = _build_parser()
-    ns, unknown = parser.parse_known_args(argv)
+    ns, unknown = _parse(parser, command_parsers, argv)
     cmd = command_parsers[ns.command]
     if unknown:
         cmd.error(f"unrecognized arguments: {' '.join(unknown)}")
@@ -204,13 +225,13 @@ def parse_args(argv=None) -> argparse.Namespace:
         except (OSError, json.JSONDecodeError) as err:
             cmd.error(f"--config: cannot read {ns.config!r}: {err}")
         if not isinstance(file_cfg, dict):
-            cmd.error("--config: top-level JSON value must be an object")
-        tokens = _config_tokens(file_cfg, cmd)
+            cmd.error(f"--config {ns.config!r}: top-level JSON value must be an object")
+        tokens = _config_tokens(file_cfg, cmd, ns.config)
         try:
-            _build_parser(exit_on_error=False)[0].parse_args([ns.command, *tokens])
+            parser.parse_known_args([ns.command, *tokens])
         except argparse.ArgumentError as err:
             cmd.error(f"--config {ns.config!r}: {err}")
-        ns = parser.parse_args([ns.command, *tokens, *argv[1:]])
+        ns, _ = _parse(parser, command_parsers, [ns.command, *tokens, *argv[1:]])
 
     if hasattr(ns, "target"):
         ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)

@@ -54,37 +54,48 @@ The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
 estimator is a function of a few per-draw quantities:
 
-* score-function methods use the score components s0 = x - mu and
-  s1 = x^2 - E_q[x^2] and the integrand f = log q - log p;
+* score-function methods use the standardized score u = (eps, u1), with
+  u1 = eps^2 - 1, and the integrand f = log q - log p. The eta score is
+  s = (x - mu, x^2 - E_q[x^2]) = L u with L = [[sigma, 0], [2 mu sigma,
+  sigma2]], and Cov_q[u] = diag(1, 2) exactly. Each regression of f on
+  the score is posed on u, where its 2x2 system is well conditioned
+  however far mu is from the origin: a gradient estimate maps back to eta
+  by L, and coefficients on s (the alpha and g_nat of aux) by L^-T. The
+  integrand reads log q from the noise, log q(x) = -log(2 pi sigma2)/2 -
+  eps^2/2, so neither x - mu nor x^2 is formed;
 * path methods use the path Jacobian dx/deta, whose first column is the
   constant sigma2 and whose second is j1 = 2 mu sigma2 + sigma^3 eps, and
   the residual resid = d/dx [log q - log p] = score_x - grad_x.
 
-A Draws is the cache of these quantities for its tile. It computes each
-elementwise ingredient (the target's log_p, the scores, f, and j1 with
-resid, which reads grad_x) at most once, on every column, when a kernel
-first reads it; the halves are column views that slice it. It also keeps
-the (R,) moment tuples of a column range: the score moments Cov-hat[s, s]
-and Cov-hat[s, f], and the path moments. So every kernel run on one Draws
-reads what another has computed: cv-ideal and cv-regression share the
-evaluation half's score moments, cov and greg-samplecov the whole range's,
+The values are cached by what they read. A Noise is a block of noise
+rows: per column range it keeps the moments of u (its sample mean, its
+Gram Cov-hat[u, u] and the Gram's inverse), which read the noise alone. A
+Draws is the cache of one tile's draws of q and the target, over a Noise
+of the same rows. It computes each elementwise ingredient (u1, the
+target's log_p, f, and j1 with resid, which reads grad_x) at most once, on
+every column, when a kernel first reads it; the halves are column views
+that slice it. It also keeps the (R,) moment tuples of a column range:
+Cov-hat[u, f] and the path moments. So every kernel run on one Draws reads
+what another has computed: cv-ideal and cv-regression share the
+evaluation half's moments, cov and greg-samplecov the whole range's,
 kingma-reparam and greg-pathgrad the whole range's path moments, and all
-path methods j1 and resid. A cached value is computed by the same
-expression, on the same values, as a kernel alone would compute it, so
-sharing changes no estimate. A kernel alone on a Draws computes nothing
-it does not read, except that a moment tuple is computed whole: cov's
-estimate is the (b0, b1) of the score moments and kingma-reparam's the
-(f0, f1) of the path moments. Centered (R, S) arrays are not kept: each
+path methods j1 and resid. A benchmark tile is its own Noise. A fit draws
+its noise in blocks, and step t's Draws is row t of its block with that
+step's q, so the moments of u are computed once per block for all its
+steps. A cached value is computed by the same expression, on the same
+values, as a kernel alone would compute it, and every reduction is over
+one row, so neither the sharing nor the block changes any estimate. A
+kernel alone on a Draws computes nothing it does not read, except that a
+moment tuple is computed whole. Centered (R, S) arrays are not kept: each
 kernel centers what it needs and lets it go, so a tile's memory is its
-elementwise ingredients. Every covariance is a sum over the draw axis of
-a product of two centered (R, S) arrays, and every 2x2 coefficient or
-natural-gradient system is solved on (R,) component arrays a00, a01, a10,
-a11, b0, b1. No stacked (R, S, 2) score or (R, S, 2, 2) outer-product
-arrays are built.
+elementwise ingredients. Every 2x2 coefficient or natural-gradient system
+is solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No stacked
+(R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,6 +131,9 @@ _SINGULAR_RTOL = 1e-12
 # Singular-value cutoff, relative to the largest, of np.linalg.lstsq(rcond=None)
 # on a 2x2 system: the singular fallback reproduces its solution.
 _LSTSQ_RCOND = 2 * np.finfo(float).eps
+# The components of the unit vectors e0 and e1 side by side, the right-hand
+# sides whose solutions are the columns of an inverse.
+_UNIT0, _UNIT1 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
 
 
 class CapabilityError(RuntimeError):
@@ -186,30 +200,81 @@ class GradEstimate:
         object.__setattr__(self, "value", value)
 
 
+class Noise:
+    """Standard-normal noise eps of shape (R, S), and the moments that read it alone.
+
+    Per column range (lo, hi) it keeps the moments of the standardized
+    score u = (eps, eps^2 - 1) (_u_moments: the sample mean of u and its
+    Gram Cov-hat[u, u] with 1/(n-1)) and, per jitter, the matrix that solves
+    the Gram (_gram_inverse), each as (R,) components computed on first
+    use, once for all rows. rows(lo, hi) is the view of a row range: its eps
+    is a view, and its moments are row slices of those of the Noise it came
+    from, which keeps them.
+    """
+
+    __slots__ = ("eps", "_root", "_rows", "_cache")
+
+    def __init__(self, eps: np.ndarray):
+        self.eps = eps
+        self._root, self._rows, self._cache = None, slice(None), {}
+
+    def __len__(self) -> int:
+        return len(self.eps)
+
+    def rows(self, lo: int, hi: int) -> "Noise":
+        view = Noise(self.eps[lo:hi])
+        view._root, view._rows = self, slice(lo, hi)
+        return view
+
+    def _kept(self, compute, *args) -> tuple:
+        """compute(root, *args), kept by the root Noise and sliced to this one's rows."""
+        if self._root is not None:
+            rows = self._rows
+            # a list, not a generator: tuple(generator) resizes the tuple it
+            # builds, and CPython then keeps every one freed on a free list
+            return tuple([v[rows] for v in self._root._kept(compute, *args)])
+        key = (compute, *args)
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = compute(self, *args)
+        return value
+
+    def moments(self, lo: int | None, hi: int | None) -> tuple:
+        return self._kept(_u_moments, lo, hi)
+
+    def gram_inverse(self, lo: int | None, hi: int | None, jitter: float) -> tuple:
+        return self._kept(_gram_inverse, lo, hi, jitter)
+
+
 class Draws:
     """Draws x = mu + sigma * eps of q, shape (R, S): the ingredient cache of one tile.
 
     Kernels read the per-draw ingredients from their Draws, so kernels run
-    on one Draws compute each once. It keeps:
+    on one Draws compute each once. noise is the Noise of the same rows (an
+    array of eps is made one); eps is its noise on the Draws' columns, and
+    u_moments and gram_inverse its moments of u there. The Draws keeps:
 
     * the elementwise ingredients, keyed by the function that computes them:
-      the target's log_p (_log_p; a non-finite log p is an estimation error
-      naming its draw), the scores (s0, s1) (_scores), the integrand f
-      (_fval) and the path pieces (j1, resid) (_path_parts), which read the
-      target's grad_x. Each is computed on first use, once for all columns;
-    * the (R,) moment tuples of _score_moments and _path_moments, keyed by
-      the reduction and the column range (lo, hi) as columns() was given it.
+      u1 = eps^2 - 1 (_u1), the target's log_p (_log_p; a non-finite log p
+      is an estimation error naming its draw), the integrand f (_fval) and
+      the path pieces (j1, resid) (_path_parts), which read the target's
+      grad_x. Each is computed on first use, once for all columns;
+    * the (R,) moment tuples of _cov_uf and _path_moments, keyed by the
+      reduction and the column range (lo, hi) as columns() was given it.
 
-    columns(lo, hi) is the view of a column range: its x and eps are views,
-    its elementwise ingredients are column slices of those of the Draws it
-    came from, and its moments are kept there. Centered (R, S) arrays are
-    not kept; each kernel makes its own and lets them go.
+    columns(lo, hi) is the view of a column range of a whole Draws: its x
+    and eps are views, its elementwise ingredients are column slices of
+    those of the Draws it came from, and its moments are kept there.
+    Centered (R, S) arrays are not kept; each kernel makes its own and lets
+    them go.
     """
 
-    __slots__ = ("q", "t", "x", "eps", "_root", "_cols", "_cache")
+    __slots__ = ("q", "t", "x", "eps", "noise", "_root", "_cols", "_cache")
 
-    def __init__(self, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray):
-        self.q, self.t, self.x, self.eps = q, t, x, eps
+    def __init__(self, q: GaussianQ, t: Target, x: np.ndarray, noise):
+        self.q, self.t, self.x = q, t, x
+        self.noise = noise if isinstance(noise, Noise) else Noise(noise)
+        self.eps = self.noise.eps
         # a root Draws is its own root; None, not self, since a reference
         # cycle would keep every tile's arrays until the cycle collector runs
         self._root, self._cols = None, slice(None)
@@ -219,7 +284,8 @@ class Draws:
         return len(self.x)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
-        view = Draws(self.q, self.t, self.x[:, lo:hi], self.eps[:, lo:hi])
+        view = Draws(self.q, self.t, self.x[:, lo:hi], self.noise)
+        view.eps = self.eps[:, lo:hi]
         view._root, view._cols = self, slice(lo, hi)
         return view
 
@@ -243,12 +309,19 @@ class Draws:
         return value
 
     @property
-    def log_p(self) -> np.ndarray:
-        return self._elementwise(_log_p)
+    def u1(self) -> np.ndarray:
+        return self._elementwise(_u1)
 
     @property
-    def scores(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._elementwise(_scores)
+    def u_moments(self) -> tuple:
+        return self.noise.moments(self._cols.start, self._cols.stop)
+
+    def gram_inverse(self, jitter: float) -> tuple:
+        return self.noise.gram_inverse(self._cols.start, self._cols.stop, jitter)
+
+    @property
+    def log_p(self) -> np.ndarray:
+        return self._elementwise(_log_p)
 
     @property
     def f(self) -> np.ndarray:
@@ -259,8 +332,8 @@ class Draws:
         return self._elementwise(_path_parts)
 
     @property
-    def score_moments(self) -> tuple:
-        return self._reduced(_score_moments)
+    def cov_uf(self) -> tuple:
+        return self._reduced(_cov_uf)
 
     @property
     def path_moments(self) -> tuple:
@@ -268,7 +341,48 @@ class Draws:
 
 
 # ---------------------------------------------------------------------------
-# per-draw ingredients, each computed on a whole Draws d (see Draws)
+# per-draw ingredients and moments: of a whole Noise n (see Noise), or of a
+# whole Draws d (see Draws)
+
+
+def _u_moments(n: Noise, lo: int | None, hi: int | None) -> tuple:
+    """The sample mean of u on the columns lo:hi and its Cov-hat[u, u] with 1/(n-1).
+
+    Returns (m0, m1, g00, g01, g11); the Gram's expectation is diag(1, 2).
+    It is formed from c = eps - m0 and d = c^2 - mean c^2, the two
+    temporaries, since u1 - m1 = d + 2 m0 c.
+    """
+    e = n.eps[:, lo:hi]
+    k = e.shape[-1]
+    m0 = _mean(e)
+    c = e - m0[..., None]
+    d = c * c
+    v = _mean(d)
+    d -= v[..., None]
+    cc, cd, dd = _dot(c, c), _dot(c, d), _dot(d, d)
+    k1, m2 = k - 1, 2.0 * m0
+    g01 = cd + m2 * cc
+    return m0, v + m0 * m0 - 1.0, cc / k1, g01 / k1, (dd + m2 * (cd + g01)) / k1
+
+
+def _gram_inverse(n: Noise, lo: int | None, hi: int | None, jitter: float) -> tuple:
+    """The matrix m that solves Cov-hat[u, u] of the columns lo:hi, as (m00, m01, m10, m11, fallback).
+
+    Its columns are the _solve2c solutions for the unit vectors, so m @ b
+    is the solve of any right-hand side b, with the jitter and pseudo-inverse
+    fallback of a singular Gram, which the fallback mask flags.
+    """
+    g00, g01, g11 = (g[..., None] for g in n.moments(lo, hi)[2:])
+    # both unit right-hand sides in one solve, along a trailing axis
+    x0, x1, fallback = _solve2c(g00, g01, g01, g11, _UNIT0, _UNIT1, jitter)
+    return x0[..., 0], x0[..., 1], x1[..., 0], x1[..., 1], fallback[..., 0]
+
+
+def _u1(d: Draws) -> np.ndarray:
+    """The second standardized score component eps^2 - 1."""
+    u1 = d.eps * d.eps
+    u1 -= 1.0
+    return u1
 
 
 def _log_p(d: Draws) -> np.ndarray:
@@ -279,15 +393,29 @@ def _log_p(d: Draws) -> np.ndarray:
     return lp
 
 
-def _scores(d: Draws) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of score_eta: x - mu and x^2 - E_q[x^2]."""
-    q, x = d.q, d.x
-    return x - q.mu, x * x - (q.mu * q.mu + q.sigma2)
-
-
 def _fval(d: Draws) -> np.ndarray:
-    """The integrand log q - log p."""
-    return d.q.log_density(d.x) - d.log_p
+    """The integrand log q - log p, with log q = -log(2 pi sigma2)/2 - eps^2/2 read from the noise."""
+    f = np.multiply(d.u1, -0.5)
+    f += -0.5 * (math.log(2.0 * math.pi * d.q.sigma2) + 1.0)
+    f -= d.log_p
+    return f
+
+
+def _cov_uf(d: Draws) -> tuple:
+    """Cov-hat[u, f] with 1/(S-1), as (b0, b1); L @ (b0, b1) is the cov estimate of the gradient.
+
+    It is sum (u - mean u)(f - f_0), formed as sum u (f - f_0) minus mean u
+    times the sum of f - f_0, for f_0 the first draw's f: shifting by a
+    value of f takes its offset out of the sums, which then cancel to the
+    rounding of its spread, and the kept mean of u stands in for centered
+    u arrays. Read it as d.cov_uf.
+    """
+    f = d.f
+    f = f - f[:, :1]
+    m0, m1 = d.u_moments[:2]
+    sf = f.sum(-1)
+    n1 = f.shape[-1] - 1
+    return (_dot(d.eps, f) - m0 * sf) / n1, (_dot(d.u1, f) - m1 * sf) / n1
 
 
 def _path_parts(d: Draws) -> tuple[np.ndarray, np.ndarray]:
@@ -316,6 +444,12 @@ def _centered(a: np.ndarray) -> np.ndarray:
     return a - a.sum(-1, keepdims=True) / a.shape[-1]
 
 
+def _center(a: np.ndarray) -> np.ndarray:
+    """_centered(a) in place, for an array of the caller's own: one tile-sized array fewer."""
+    a -= a.sum(-1, keepdims=True) / a.shape[-1]
+    return a
+
+
 # Sum over the draw axis of a * b, without the product temporary. np.vecdot
 # (numpy >= 2.0) has the least per-call overhead; einsum is the fallback.
 _dot = getattr(np, "vecdot", lambda a, b: np.einsum("...s,...s->...", a, b))
@@ -334,19 +468,6 @@ def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
     """
     v01 = _dot(h0, h1)
     return _dot(h0, h0), v01, v01, _dot(h1, h1), _dot(h0, f), _dot(h1, f)
-
-
-def _score_moments(d: Draws) -> tuple:
-    """Cov-hat[s, s] and Cov-hat[s, f] with 1/(S-1), as a 2x2 system in component form.
-
-    Cov-hat[s, f] is the cov estimate of the gradient and Cov-hat[s, s]
-    estimates the score covariance. Read it as d.score_moments.
-    """
-    (s0, s1), f = d.scores, d.f
-    n1 = d.x.shape[-1] - 1
-    a00, a01, _, a11, b0, b1 = _normal_equations(_centered(s0), _centered(s1), _centered(f))
-    a01 = a01 / n1
-    return a00 / n1, a01, a01, a11 / n1, b0 / n1, b1 / n1
 
 
 def _path_moments(d: Draws) -> tuple:
@@ -382,6 +503,42 @@ def _times_exact(q: GaussianQ, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
     return _pair(c00 * g0 + c01 * g1, c10 * g0 + c11 * g1)
 
 
+def _times_l(q: GaussianQ, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """L @ (v0, v1), L = [[sigma, 0], [2 mu sigma, sigma2]]: a u-basis vector mapped to eta coordinates."""
+    sigma = q.sigma
+    return _pair(sigma * v0, (2.0 * q.mu * sigma) * v0 + q.sigma2 * v1)
+
+
+def _solve_lt(q: GaussianQ, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """L^-T @ (v0, v1): coefficients on u mapped to coefficients on the eta score s = L u."""
+    a1 = v1 / q.sigma2
+    return _pair((v0 - (2.0 * q.mu * q.sigma) * a1) / q.sigma, a1)
+
+
+def _score_directions(u0: np.ndarray, u1: np.ndarray, q: GaussianQ) -> tuple[np.ndarray, np.ndarray]:
+    """The eta score s = L u per draw, each component up to its constant factor: (s0 / sigma, s1 / sigma2).
+
+    That is (u0, u0 * 2 mu / sigma + u1); s1 / sigma2 is formed in place.
+    """
+    w1 = u0 * (2.0 * q.mu / q.sigma)
+    w1 += u1
+    return u0, w1
+
+
+def _regression(d: Draws, jitter: float):
+    """Cov-hat[u, u]^-1 Cov-hat[u, f]: the regression of f on u, as (v0, v1, fallback mask)."""
+    m00, m01, m10, m11, fallback = d.gram_inverse(jitter)
+    b0, b1 = d.cov_uf
+    return m00 * b0 + m01 * b1, m10 * b0 + m11 * b1, fallback
+
+
+def _cv_residual(ev: Draws, v0: np.ndarray, v1: np.ndarray) -> tuple:
+    """Cov-hat[u, f] minus the control variates (Cov-hat[u, u] - diag(1, 2)) @ (v0, v1) of ev."""
+    g00, g01, g11 = ev.u_moments[2:]
+    b0, b1 = ev.cov_uf
+    return b0 - ((g00 - 1.0) * v0 + g01 * v1), b1 - (g01 * v0 + (g11 - 2.0) * v1)
+
+
 def _det_scale(a00, a01, a10, a11):
     det = a00 * a11 - a01 * a10
     scale = np.maximum(np.maximum(np.abs(a00), np.abs(a01)), np.maximum(np.abs(a10), np.abs(a11)))
@@ -400,7 +557,9 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
     """
     det, scale = _det_scale(a00, a01, a10, a11)
     bad = degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
-    if jitter > 0.0 and bad.any():
+    if not bad.any():
+        return (a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det, bad
+    if jitter > 0.0:
         bump = np.where(bad, jitter, 0.0)
         a00, a11 = a00 + bump, a11 + bump
         det, scale = _det_scale(a00, a01, a10, a11)
@@ -409,7 +568,8 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
     x0 = np.asarray((a11 * b0 - a01 * b1) / safe_det)
     x1 = np.asarray((a00 * b1 - a10 * b0) / safe_det)
     if degenerate.any():
-        rows = [np.broadcast_to(c, degenerate.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
+        degenerate = np.broadcast_to(degenerate, x0.shape)
+        rows = [np.broadcast_to(c, x0.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
         m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
         sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
         x0[degenerate], x1[degenerate] = sol[:, 0, 0], sol[:, 1, 0]
@@ -428,16 +588,15 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
 
 def _kernel_simple(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
-    (s0, s1), f = d.scores, d.f
-    n = d.x.shape[-1]
-    return _pair(_dot(s0, f) / n, _dot(s1, f) / n), {}
+    # the mean of s f = L (u f)
+    f, n = d.f, d.x.shape[-1]
+    return _times_l(d.q, _dot(d.eps, f) / n, _dot(d.u1, f) / n), {}
 
 
 def _kernel_cov(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
-    # Cov-hat[s, f], the right-hand side of the score moments
-    *_, b0, b1 = d.score_moments
-    return _pair(b0, b1), {}
+    # Cov-hat[s, f] = L Cov-hat[u, f]
+    return _times_l(d.q, *d.cov_uf), {}
 
 
 def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
@@ -446,17 +605,41 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     Coefficients are fitted on batch_coef only, so independence of the two
     batches keeps the evaluated estimate unbiased.
     """
-    # Per-draw statistics of the coefficient batch: f^i_j = s_ij f_j, whose
-    # mean is the cov estimate, and h^il_j = s_ij s_lj, whose mean minus
-    # Cov_exact has expectation zero; Cov_exact cancels in the centering.
-    # Component i regresses f^i on (h^i0, h^i1).
-    s0, s1 = map(_centered, coef.scores)
+    # Per-draw statistics of the coefficient batch, on the centered draws:
+    # f^i_j = s_ij f_j, whose mean is the cov estimate, and the control
+    # variates s_ij s_lj, whose mean minus Cov_exact has expectation zero.
+    # As s = L u, (s_i s_0, s_i s_1) spans what (s_i u_0, s_i u_1) spans, so
+    # component i regresses f^i on (s_i u_0, s_i u_1), with s_i scaled by a
+    # constant, which changes no coefficient. Its u coefficients gamma_i give
+    # est_i = (L (Cov-hat[u, f] - (Cov-hat[u, u] - diag(1, 2)) gamma_i))_i on
+    # the evaluation batch, and alpha_i = L^-T gamma_i.
+    #
+    # With s_0 ~ u_0 and s_1 ~ k u_0 + u_1, k = 2 mu / sigma, both systems
+    # are sums of the products of five per-draw statistics: the centered
+    # a = u_0 u_0, b = u_0 u_1, c = u_1 u_1 and the responses u_0 f, u_1 f
+    # (which need no centering against centered regressors). Component 0
+    # regresses u_0 f on (a, b); component 1 regresses k u_0 f + u_1 f on
+    # (k a + b, k b + c), whose sums expand in powers of k.
+    q = coef.q
+    u0, u1 = _centered(coef.eps), _centered(coef.u1)
     f = _centered(coef.f)
-    h00, h01, h11 = _centered(s0 * s0), _centered(s0 * s1), _centered(s1 * s1)
-    a00, a01, fb0 = _solve2c(*_normal_equations(h00, h01, _centered(s0 * f)), jitter)
-    a10, a11, fb1 = _solve2c(*_normal_equations(h01, h11, _centered(s1 * f)), jitter)
-    est = _cv_estimate(ev.q, ev.score_moments, (a00, a01), (a10, a11))
-    alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
+    a, b, c = _center(u0 * u0), _center(u0 * u1), _center(u1 * u1)
+    f0, f1 = u0 * f, u1 * f
+    aa, ab, ac, bb, bc, cc = _dot(a, a), _dot(a, b), _dot(a, c), _dot(b, b), _dot(b, c), _dot(c, c)
+    af0, bf0, cf0, af1, bf1, cf1 = _dot(a, f0), _dot(b, f0), _dot(c, f0), _dot(a, f1), _dot(b, f1), _dot(c, f1)
+    g00, g01, fb0 = _solve2c(aa, ab, ab, bb, af0, bf0, jitter)
+    k = 2.0 * q.mu / q.sigma
+    k2 = k * k
+    m01 = k2 * ab + k * (ac + bb) + bc
+    g10, g11, fb1 = _solve2c(
+        k2 * aa + 2.0 * k * ab + bb, m01, m01, k2 * bb + 2.0 * k * bc + cc,
+        k2 * af0 + k * (af1 + bf0) + bf1, k2 * bf0 + k * (bf1 + cf0) + cf1, jitter,
+    )
+    r0, _ = _cv_residual(ev, g00, g01)
+    r10, r11 = _cv_residual(ev, g10, g11)
+    sigma = q.sigma
+    est = _pair(sigma * r0, (2.0 * q.mu * sigma) * r10 + q.sigma2 * r11)
+    alpha = np.stack([_solve_lt(q, g00, g01), _solve_lt(q, g10, g11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
@@ -467,9 +650,10 @@ def _kernel_cv_regression(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, d
     with a Gaussian-form target it equals eta - eta_tilde identically and
     the estimate collapses to the exact gradient with zero variance.
     """
-    a0, a1, fallback = _solve2c(*coef.score_moments, jitter)
-    est = _cv_estimate(ev.q, ev.score_moments, (a0, a1), (a0, a1))
-    return est, {"alpha": _pair(a0, a1), "singular_fallback": fallback}
+    # the regression of f on u, gamma, is L^T alpha
+    g0, g1, fallback = _regression(coef, jitter)
+    est = _times_l(ev.q, *_cv_residual(ev, g0, g1))
+    return est, {"alpha": _solve_lt(ev.q, g0, g1), "singular_fallback": fallback}
 
 
 def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
@@ -496,16 +680,19 @@ def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarra
 
 def _kernel_ranganath_cv(coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
-    # per-component control variate h_i = s_i for the per-draw integrand s_i f
-    f_c, f_e = coef.f, ev.f
+    # per-component control variate h_i = s_i for the per-draw integrand
+    # s_i f; s_i up to its constant factor gives the same coefficient, and
+    # the factor scales the mean
+    q, f_c, f_e = ev.q, coef.f, ev.f
     n = ev.x.shape[-1]
     est, coefs, zero_var = [], [], []
-    for s_c, s_e in zip(coef.scores, ev.scores):
-        h = _centered(s_c)
-        var_h, cov_fh = _dot(h, h), _dot(_centered(s_c * f_c), h)
+    directions = zip(_score_directions(coef.eps, coef.u1, q), _score_directions(ev.eps, ev.u1, q))
+    for (w_c, w_e), factor in zip(directions, (q.sigma, q.sigma2)):
+        h = _centered(w_c)
+        var_h, cov_fh = _dot(h, h), _dot(_center(w_c * f_c), h)
         zero = var_h <= 0.0
         c = np.where(zero, 0.0, cov_fh / np.where(zero, 1.0, var_h))
-        est.append(_dot(s_e, f_e - c[..., None]) / n)
+        est.append(_dot(w_e, f_e - c[..., None]) * (factor / n))
         coefs.append(c)
         zero_var.append(zero)
     return _pair(*est), {"coef": _pair(*coefs), "zero_variance": _pair(*zero_var)}
@@ -517,16 +704,23 @@ def _kernel_delta_method(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
     g0 = float(np.asarray(t.grad_x(np.array(mu)), dtype=float))
     h0 = float(np.asarray(t.hess_x(np.array(mu)), dtype=float))
-    s0, s1 = d.scores
-    taylor = lp0 + g0 * s0 + 0.5 * h0 * s0 * s0
-    remainder = d.log_p - taylor
+    dx = d.x - mu
+    # the remainder log p - (lp0 + g0 dx + h0 dx^2 / 2), formed in place
+    remainder = dx * (0.5 * h0)
+    remainder += g0
+    remainder *= dx
+    remainder += lp0
+    np.subtract(d.log_p, remainder, out=remainder)
     n = d.x.shape[-1]
-    # d/deta E_q[log q] is the negative-entropy gradient (0, -sigma2);
-    # d/deta E_q[Taylor] with frozen coefficients uses E[x - mu] = 0 and
-    # E[(x - mu)^2] = sigma2 through d mu/d eta and d sigma2/d eta.
-    est0 = -_dot(s0, remainder) / n - g0 * s2
-    est1 = -s2 - _dot(s1, remainder) / n - (2.0 * g0 * mu * s2 + h0 * s2 * s2)
-    return _pair(est0, est1), {}
+    # the score-function estimate of the remainder's term is -L mean(u
+    # remainder); d/deta E_q[log q] is the negative-entropy gradient
+    # (0, -sigma2); d/deta E_q[Taylor] with frozen coefficients uses
+    # E[x - mu] = 0 and E[(x - mu)^2] = sigma2 through d mu/d eta and
+    # d sigma2/d eta.
+    est = _times_l(d.q, _dot(d.eps, remainder) / -n, _dot(d.u1, remainder) / -n)
+    est[..., 0] -= g0 * s2
+    est[..., 1] -= s2 + 2.0 * g0 * mu * s2 + h0 * s2 * s2
+    return est, {}
 
 
 def _kernel_kingma_reparam(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
@@ -541,8 +735,9 @@ def _kernel_kingma_reparam(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
 
 def _kernel_greg_samplecov(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
-    g0, g1, fallback = _solve2c(*d.score_moments, jitter)
-    return _times_exact(d.q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
+    # Cov_exact L^-T gamma = L diag(1, 2) gamma for the regression gamma of f on u
+    g0, g1, fallback = _regression(d, jitter)
+    return _times_l(d.q, g0, 2.0 * g1), {"g_nat": _solve_lt(d.q, g0, g1), "singular_fallback": fallback}
 
 
 def _kernel_greg_pathgrad(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
@@ -616,18 +811,21 @@ def run_kernel(
 ):
     """Vectorized entry point: one gradient estimate per row of x.
 
-    x and eps have shape (R, S); split-budget estimators use the first
-    n_coef columns as the coefficient batch and the rest for evaluation.
-    x may instead be a Draws of q and the target t, and eps is then not
-    read: every kernel run on one Draws shares its ingredients, as the
-    benchmark's estimators share each tile. Returns the (R, 2) estimates,
+    x and eps have shape (R, S), the draws x = mu + sigma * eps and their
+    noise, which the score-function kernels read; split-budget estimators
+    use the first n_coef columns as the coefficient batch and the rest for
+    evaluation. x may instead be a Draws of q and the target t, and eps is
+    then not read: every kernel run on one Draws shares its ingredients, as
+    the benchmark's estimators share each tile. Returns the (R, 2) estimates,
     or with with_aux=True the pair (estimates, aux), aux holding the
     kernel's per-row diagnostics under the keys of GradEstimate.aux.
 
     This is the one caller of a kernel. It checks the target's
     capabilities, splits the columns and runs the kernel with overflow not
     warned about: a non-finite estimate in any row is an EstimationError
-    naming the estimator and q.
+    naming the estimator and q. So is a q whose E_q[x^2] = mu^2 + sigma2
+    overflows: the kernels never square x, but the eta score x^2 - E_q[x^2]
+    is not finite there, and x = mu + sigma * eps has lost eps to rounding.
     """
     if isinstance(x, Draws):
         if x.t is not t:
@@ -639,6 +837,8 @@ def run_kernel(
         d = Draws(q, t, x, eps)
     info = ESTIMATORS[estimator_id]
     info.check(t)
+    if not math.isfinite(q.mu * q.mu + q.sigma2):
+        raise EstimationError(f"non-finite gradient estimate of {estimator_id!r} at {q}: E_q[x^2] overflows")
     coef, ev = (d.columns(0, n_coef), d.columns(n_coef)) if info.split_budget else (None, d)
     with np.errstate(over="ignore", invalid="ignore"):
         value, aux = info.kernel(coef, ev, jitter)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import ESTIMATORS, EstimatorConfig, run_kernel
+from .estimators import ESTIMATORS, Draws, EstimatorConfig, Noise, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
@@ -116,21 +116,26 @@ def _block_steps(samples: int) -> int:
 
 
 def _noise_rows(seed: int, steps: int, samples: int):
-    """Step t's (1, samples) noise row, for t < steps, from the fit's one stream.
+    """Step t's noise, for t < steps: row t of the fit's one stream, as a Noise view of its block.
 
-    The rows are drawn in blocks; the generator continues its stream from
-    block to block, so each row equals row t of the whole stream drawn at
-    once, whatever the number of steps.
+    The rows are drawn in blocks of _block_steps(samples) rows, each a
+    Noise; the generator continues its stream from block to block, so each
+    row equals row t of the whole stream drawn at once, whatever the number
+    of steps. The rows of a block share the moments of u its Noise computes
+    once for all of them.
     """
     rng = rng_from_seed((seed, FIT_STREAM_LABEL))
     block = _block_steps(samples)
     for start in range(0, steps, block):
-        yield from rng.standard_normal((min(block, steps - start), 1, samples))
+        noise = Noise(rng.standard_normal((min(block, steps - start), samples)))
+        for t in range(len(noise)):
+            yield noise.rows(t, t + 1)
 
 
 def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, steps: int):
     """The stochastic gradient of each fit step: q -> its estimate on the step's noise row.
 
+    Step t's Draws is row t of its noise block with the step's q.
     Split-budget estimators fit their coefficients on the row's first
     batch_sizes()[0] columns, as estimate() lays out its batches.
     """
@@ -138,8 +143,9 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     rows = _noise_rows(seed, steps, config.total_samples)
 
     def gradient(q: GaussianQ) -> np.ndarray:
-        eps = next(rows)
-        return run_kernel(config.estimator_id, q, target, q.reparameterize(eps), eps, n_coef, config.jitter)[0]
+        noise = next(rows)
+        d = Draws(q, target, q.reparameterize(noise.eps), noise)
+        return run_kernel(config.estimator_id, q, target, d, None, n_coef, config.jitter)[0]
 
     return gradient
 

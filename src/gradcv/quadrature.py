@@ -10,6 +10,7 @@ sum to one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -121,18 +122,29 @@ def kl_divergence(q: GaussianQ, target: Target, rule: GhRule | None = None) -> f
 def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = None) -> np.ndarray:
     """Exact eta-gradient of the KL divergence: Cov_q[T(x), log q(x) - log p(x)].
 
-    A q at a scale where the gradient is not representable (say mu = 1e200,
-    where x^2 overflows) raises EvaluationError instead of returning inf or nan.
+    Computed centered, as E_w[(T - E T)(d - E_w d)] for d = log q - log p
+    at the nodes x = mu + sigma z. There T - E T = L u with u = (z, z^2 - 1)
+    and L = [[sigma, 0], [2 mu sigma, sigma2]], and log q(x) =
+    -log(2 pi sigma2)/2 - z^2/2, so neither x - mu nor x^2 is formed, and
+    the gradient is L E_w[u (d - E_w d)]: E[T d] - E[T] E[d] cancels when
+    mu^2 >> sigma2. A q at a scale where the gradient is not representable
+    raises EvaluationError instead of returning inf or nan: one whose
+    E_q[x^2] = mu^2 + sigma2 overflows (say mu = 1e200, where the nodes
+    mu + sigma z have also lost z to rounding), or one where the gradient
+    itself overflows.
     """
+    if not math.isfinite(q.mu * q.mu + q.sigma2):
+        raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: "
+                              "E_q[x^2] overflows")
     rule = rule or gauss_hermite_rule()
+    z, w = rule.nodes, rule.weights
     with np.errstate(over="ignore", invalid="ignore"):
-        x, d = _eval_at_nodes(q, lambda x: q.log_density(x) - target.log_p(x), rule)
-        t = q.suff_stats(x)
-        w = rule.weights
-        et = w @ t
-        ed = w @ d
-        etd = (t * (w * d)[:, None]).sum(axis=0)
-        grad = etd - et * ed
+        _, lp = _eval_at_nodes(q, target.log_p, rule)
+        d = -0.5 * (math.log(2.0 * math.pi * q.sigma2) + z * z) - lp
+        d -= w @ d
+        b0, b1 = w @ (z * d), w @ ((z * z - 1.0) * d)
+        sigma = q.sigma
+        grad = np.array([sigma * b0, 2.0 * q.mu * sigma * b0 + q.sigma2 * b1])
     if not np.isfinite(grad).all():
         raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: {grad}")
     return grad

@@ -245,7 +245,7 @@ class TestParseArgs:
             parse_args([command, "--config", str(cfg)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"gradcv {command}: error: --config: unknown key {next(iter(values))!r}" in err
+        assert f"gradcv {command}: error: --config {str(cfg)!r}: unknown key {next(iter(values))!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ["ground-truth", "--seed", "1"],
@@ -271,6 +271,34 @@ class TestParseArgs:
         assert exc.value.code == 2
         assert capsys.readouterr().err.splitlines()[-1] == \
             f"gradcv benchmark: error: --config {str(cfg)!r}: argument --reps: invalid int value: 'abc'"
+
+    def test_false_on_a_valued_flag_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"reps": False}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["benchmark", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"gradcv benchmark: error: --config {str(cfg)!r}: 'reps': false is a value of an on/off flag only"
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["benchmark", "--settings", "-50:2"], "--settings", "-50:2"),
+        (["benchmark", "--reps", "10", "--settings", "-50:2,0:1"], "--settings", "-50:2,0:1"),
+        (["estimate", "--mu", "-1e3"], "--mu", "-1e3"),
+    ])
+    def test_value_starting_with_a_dash_names_the_equals_form(self, argv, flag, value, capsys):
+        # argparse reads the token after the flag as another flag
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"gradcv {argv[0]}: error: argument {flag}: expected one argument; "
+            f"a value that starts with '-' is given as {flag}={value}"
+        )
+        assert parse_args([*argv[:-2], f"{flag}={value}"]).command == argv[0]
+
+    def test_negative_number_after_a_flag_still_parses(self):
+        assert parse_args(["estimate", "--mu", "-3"]).q == GaussianQ(-3.0, 2.0)
 
     def test_bad_typed_value_keeps_the_flag_message(self, tmp_path, capsys):
         cfg = tmp_path / "good.json"

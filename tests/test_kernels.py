@@ -229,7 +229,7 @@ def test_draws_are_freed_without_the_cycle_collector():
         if fill:
             for est_id in ESTIMATOR_IDS:
                 run_kernel(est_id, q, t, d, None, 2)
-            arrays = (d.f, *d.scores, d.columns(2).score_moments[0], d.path_moments[1], d.score_moments[0])
+            arrays = (d.f, d.u1, d.columns(2).cov_uf[0], d.columns(2).u_moments[2], d.path_moments[1], d.cov_uf[0])
             cached += [weakref.ref(a) for a in arrays]
             del arrays
         gc.disable()
@@ -267,3 +267,53 @@ def test_gaussian_target_zero_variance_property(shared, mu, sigma2, target_mu, t
     for est_id in ZERO_VARIANCE_IDS:
         est = run_kernel(est_id, q, t, d if shared else Draws(q, t, x, eps), None, n_coef)
         assert np.abs(est - exact).max() / scale < 1e-10, est_id
+
+
+def moment_form_gradient(mu, sigma2, target_mu, target_sigma2):
+    """The exact KL gradient for a Gaussian target, in moment form.
+
+    With g = (mu - m) / s it is (sigma2 g, 2 mu sigma2 g + sigma2 (sigma2 / s - 1));
+    C (eta - eta_tilde) is the same value, but cancels at small sigma2.
+    """
+    g = (mu - target_mu) / target_sigma2
+    return np.array([sigma2 * g, 2.0 * mu * sigma2 * g + sigma2 * (sigma2 / target_sigma2 - 1.0)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    mu=st.floats(-1e3, 1e3),
+    log10_sigma2=st.floats(-8.0, 2.0),
+    target_mu=st.floats(-4.0, 4.0),
+    target_sigma2=st.floats(0.25, 4.0),
+    samples=st.integers(6, 64),
+    split=st.floats(0.1, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gaussian_target_exactness_far_from_the_origin(mu, log10_sigma2, target_mu, target_sigma2, samples, split,
+                                                       seed):
+    # the regression estimators stay exact where mu^2 >> sigma2, to 1e-7 of
+    # max(|exact|, 1): their 2x2 systems are posed on the standardized score,
+    # whose covariance is diag(1, 2) wherever q is
+    sigma2 = 10.0 ** log10_sigma2
+    n_coef = int(round(samples * split))
+    assume(3 <= n_coef <= samples - 3)
+    q, t = GaussianQ(mu, sigma2), gaussian_target(target_mu, target_sigma2)
+    exact = moment_form_gradient(mu, sigma2, target_mu, target_sigma2)
+    scale = max(np.abs(exact).max(), 1.0)
+    eps = rng_from_seed(("far-exactness-property", seed)).standard_normal((4, samples))
+    d = Draws(q, t, q.reparameterize(eps), eps)
+    for est_id in ("cv-regression", "greg-samplecov"):
+        est = run_kernel(est_id, q, t, d, None, n_coef)
+        assert np.abs(est - exact).max() / scale < 1e-7, est_id
+
+
+@pytest.mark.parametrize("mu, sigma2", [(20.0, 1e-6), (50.0, 1e-8), (-50.0, 1e-8), (1000.0, 1.0)])
+@pytest.mark.parametrize("est_id", ["cv-regression", "greg-samplecov", "cv-ideal"])
+def test_no_solver_fallback_far_from_the_origin(est_id, mu, sigma2):
+    # where mu^2 >> sigma2 the eta-basis score covariance is numerically
+    # singular; its systems on the standardized score are not, so no row of
+    # 4096 logistic rows of 50 draws falls back to the pseudo-inverse
+    q = GaussianQ(mu, sigma2)
+    x, eps = draws(q, 4096, ("far", mu, sigma2))
+    _, aux = run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id), with_aux=True)
+    assert not aux["singular_fallback"].any()

@@ -143,7 +143,7 @@ class TestNoiseStream:
     def test_blocks_are_rows_of_the_whole_stream(self):
         for samples in (50, 400, 20_000):
             steps = 2 * _block_steps(samples) + 3
-            rows = np.array(list(_noise_rows(7, steps, samples)))
+            rows = np.array([noise.eps for noise in _noise_rows(7, steps, samples)])
             whole = rng_from_seed((7, FIT_STREAM_LABEL)).standard_normal((steps, 1, samples))
             np.testing.assert_array_equal(rows, whole)
 
@@ -153,7 +153,7 @@ class TestNoiseStream:
         # fits used to call it at step t, from (s, t, i), i = 0, 1; t also runs
         # over the label's own low words, where a short label would collide
         label = int.from_bytes(FIT_STREAM_LABEL.encode(), "little")
-        fit_row = next(_noise_rows(seed, 1, 8))[0]
+        fit_row = next(_noise_rows(seed, 1, 8)).eps[0]
         keys = [(seed, i) for i in (0, 1)]
         keys += [(seed, t, i) for t in (*range(100), label & 0xFFFFFFFF, label & 0xFFFFFFFFFFFFFFFF) for i in (0, 1)]
         for key in keys:
@@ -167,8 +167,8 @@ class TestNoiseStream:
         # estimate(seed=key) draws its one batch from (*key, 0)
         q, t = GaussianQ(0.4, 1.3), logistic_target()
         got = estimate(q, t, EstimatorConfig(total_samples=20, estimator_id="cov"), seed=(4, 2))
-        x = q.reparameterize(rng_from_seed((4, 2, 0)).standard_normal(20))
-        np.testing.assert_array_equal(got.value, run_kernel("cov", q, t, x[None], None, 0)[0])
+        eps = rng_from_seed((4, 2, 0)).standard_normal(20)
+        np.testing.assert_array_equal(got.value, run_kernel("cov", q, t, q.reparameterize(eps)[None], eps[None], 0)[0])
 
 
 class TestFitLoop:
@@ -197,18 +197,42 @@ class TestFitLoop:
         result = fit(q0, target, estimator, sched, seed=4, cv_split=cv_split, record_every=1)
         config = EstimatorConfig(total_samples=self.SAMPLES, cv_split=cv_split, estimator_id=estimator)
         eta, q = q0.eta, q0
-        for t, eps in enumerate(_noise_rows(4, 3, self.SAMPLES)):
+        for t, noise in enumerate(_noise_rows(4, 3, self.SAMPLES)):
+            eps = noise.eps
             x = q.reparameterize(eps)
             eta = eta - sched.step(t) * run_kernel(estimator, q, target, x, eps, config.batch_sizes()[0])[0]
             q = from_natural(eta)  # the projection is inactive at these steps
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
+
+    @pytest.mark.parametrize("estimator", ["cv-regression", "cv-ideal"])
+    @pytest.mark.parametrize("last_block", [1, 38])
+    def test_block_step_equals_its_row_alone(self, estimator, last_block):
+        # at 50 draws a block holds 327 steps, and a step reads the moments of
+        # u its block computed for all its rows; the fit must be, bit for bit,
+        # the kernel run on the step's row alone, on both sides of a block
+        # boundary and in a last block of 1 or 38 rows (a 2000-step fit ends
+        # in one of 38), or a shorter fit would not be a prefix of a longer one
+        samples, block = 50, _block_steps(50)
+        assert block == 327
+        steps = 2 * block + last_block
+        q0, target = GaussianQ(0.0, 1.0), gaussian_target(1.0, 3.0)
+        sched = SgdSchedule(step0=0.05, decay=0.51, iterations=steps, samples_per_step=samples)
+        result = fit(q0, target, estimator, sched, seed=1, record_every=1)
+        eta, q = q0.eta, q0
+        for t, noise in enumerate(_noise_rows(1, steps, samples)):
+            eps = noise.eps
+            eta = eta - sched.step(t) * run_kernel(estimator, q, target, q.reparameterize(eps), eps, samples // 2)[0]
+            eta[1] = min(eta[1], optimize.ETA2_MAX)
+            q = from_natural(eta)
+            assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2), t
 
     def test_one_draw_simple_fit_runs_the_kernel_on_its_row(self):
         q0, target = GaussianQ(0.2, 1.5), logistic_target()
         sched = SgdSchedule(step0=0.02, decay=0.6, iterations=3, samples_per_step=1)
         result = fit(q0, target, "simple", sched, seed=4, record_every=1)
         eta, q = q0.eta, q0
-        for t, eps in enumerate(_noise_rows(4, 3, 1)):
+        for t, noise in enumerate(_noise_rows(4, 3, 1)):
+            eps = noise.eps
             eta = eta - sched.step(t) * run_kernel("simple", q, target, q.reparameterize(eps), eps, 0)[0]
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)

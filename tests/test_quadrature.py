@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcv.gaussian import GaussianQ, from_natural
 from gradcv.quadrature import (
@@ -110,6 +112,23 @@ class TestGroundTruth:
             expected = q.exact_suffstat_cov() @ (q.eta - t.eta_tilde)
             got = ground_truth_gradient(q, t)
             np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-10)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=200)
+    @given(
+        mu=st.floats(-1e3, 1e3),
+        log10_sigma2=st.floats(-8.0, 2.0),
+        target_mu=st.floats(-4.0, 4.0),
+        target_sigma2=st.floats(0.25, 4.0),
+    )
+    def test_moment_form_closed_form_far_from_the_origin(self, mu, log10_sigma2, target_mu, target_sigma2):
+        # (sigma2 g, 2 mu sigma2 g + sigma2 (sigma2 / s - 1)) with g = (mu - m) / s,
+        # to 1e-8 of the gradient's magnitude; C (eta - eta_tilde) is no
+        # reference here, as it cancels at small sigma2
+        sigma2 = 10.0 ** log10_sigma2
+        g = (mu - target_mu) / target_sigma2
+        exact = np.array([sigma2 * g, 2.0 * mu * sigma2 * g + sigma2 * (sigma2 / target_sigma2 - 1.0)])
+        got = ground_truth_gradient(GaussianQ(mu, sigma2), gaussian_target(target_mu, target_sigma2))
+        assert np.abs(got - exact).max() <= 1e-8 * np.abs(exact).max()
 
     def test_matches_finite_difference_of_kl(self):
         # independent oracle: central differences of the quadrature KL in eta
