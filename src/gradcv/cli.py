@@ -117,7 +117,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--estimator", default=EstimatorConfig.estimator_id, help="estimator id")
     p.add_argument("--samples", type=int, default=EstimatorConfig.total_samples, help="draws")
     p.add_argument("--split", type=float, default=EstimatorConfig.cv_split, help="coefficient fraction for cv methods")
-    p.add_argument("--jitter", type=float, default=EstimatorConfig.jitter, help="ridge for singular 2x2 solves")
 
     p = command("ground-truth", "exact gradient via quadrature", "--format", "--target")
     p.add_argument("--mu", type=float, default=0.0, help="mean of q")
@@ -239,8 +238,8 @@ def parse_args(argv=None) -> argparse.Namespace:
         ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.mu, ns.sigma2)
     if ns.command == "estimate":
         ns.estimator_config = _build(
-            cmd, "--estimator/--samples/--split/--jitter", EstimatorConfig,
-            total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator, jitter=ns.jitter,
+            cmd, "--estimator/--samples/--split", EstimatorConfig,
+            total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator,
         )
     elif ns.command == "benchmark":
         ns.spec = _build(
@@ -255,7 +254,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         )
         ns.estimator_config = _build(
             cmd, "--estimator/--samples/--split/--record-every", _fit_config,
-            ns.record_every, ns.estimator, ns.samples, ns.split, _default(fit, "jitter"),
+            ns.record_every, ns.estimator, ns.samples, ns.split,
         )
     return ns
 

@@ -33,64 +33,65 @@ EstimatorInfo holds the method's vectorized kernel, whether the budget is
 split, the fewest draws per batch, the target derivatives it needs and
 whether it is unbiased. Every kernel has the signature
 
-    kernel(coef, ev, jitter) -> ((R, 2), aux)
+    kernel(coef, ev) -> ((R, 2), aux)
 
 where coef and ev are the coefficient and evaluation halves of one Draws:
 draws x of q and their standard-normal noise eps of shape (R, S), one row
 per independent replication, with q and the target. Split-budget methods
 fit coefficients on coef and evaluate on ev; the rest get coef None and the
-whole Draws as ev, and methods without a 2x2 solve ignore jitter. aux maps
-diagnostic names to per-row arrays. run_kernel is the one dispatch: it
-checks the target's capabilities, splits the columns, calls the kernel
-with overflow not warned about, and raises EstimationError on a
-non-finite estimate. The benchmark runs every estimator of a tile of rows
-on one Draws through it, the fit runs one row per step, and estimate()
-and the est_* functions run one row. The est_* functions are generated
-from the registry and carry their kernel's docstring. Every kernel treats
-each row on its own, so an estimate does not depend on which rows share
-its call.
+whole Draws as ev. aux maps diagnostic names to per-row arrays. run_kernel
+is the one dispatch: it checks q and the target's capabilities, splits the
+columns, calls the kernel with overflow not warned about, and raises
+EstimationError on a non-finite estimate. The benchmark runs every
+estimator of a tile of rows on one Draws through it, the fit runs one row
+per step, and estimate() and the est_* functions run one row. The est_*
+functions are generated from the registry and carry their kernel's
+docstring. Every kernel treats each row on its own, so an estimate does
+not depend on which rows share its call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
-estimator is a function of a few per-draw quantities:
+estimator is a function of a few per-draw quantities. All ten work in the
+standardized score u = (eps, u1), with u1 = eps^2 - 1. The eta score is
+s = (x - mu, x^2 - E_q[x^2]) = L u with L = [[sigma, 0], [2 mu sigma,
+sigma2]], and Cov_q[u] = diag(1, 2) exactly. Each 2x2 system is posed on
+u, where it is well conditioned however far mu is from the origin: a
+gradient estimate maps back to eta by L, and coefficients on s (the alpha
+and g_nat of aux) by L^-T. No kernel forms x - mu or x^2:
 
-* score-function methods use the standardized score u = (eps, u1), with
-  u1 = eps^2 - 1, and the integrand f = log q - log p. The eta score is
-  s = (x - mu, x^2 - E_q[x^2]) = L u with L = [[sigma, 0], [2 mu sigma,
-  sigma2]], and Cov_q[u] = diag(1, 2) exactly. Each regression of f on
-  the score is posed on u, where its 2x2 system is well conditioned
-  however far mu is from the origin: a gradient estimate maps back to eta
-  by L, and coefficients on s (the alpha and g_nat of aux) by L^-T. The
-  integrand reads log q from the noise, log q(x) = -log(2 pi sigma2)/2 -
-  eps^2/2, so neither x - mu nor x^2 is formed;
-* path methods use the path Jacobian dx/deta, whose first column is the
-  constant sigma2 and whose second is j1 = 2 mu sigma2 + sigma^3 eps, and
-  the residual resid = d/dx [log q - log p] = score_x - grad_x.
+* score-function methods regress the integrand f = log q - log p on u;
+  f reads log q from the noise, log q(x) = -log(2 pi sigma2)/2 - eps^2/2;
+* path methods read the residual r = d/dx [log q - log p] = score_x -
+  grad_x, with score_x = -eps / sigma. In u the path Jacobian is
+  L^-1 dx/deta = sigma (1, eps) and dT/dx is (dT/dx) L^-T = (1, 2 eps) /
+  sigma, so the path estimate of Cov_q[u, f] is F = sigma (mean r,
+  mean eps r) and that of Cov_q[u, u] is M' = mean (1, eps)^T (1, 2 eps)
+  = [[1, 2 m0], [m0, 2 mean eps^2]], which reads the noise alone.
 
 The values are cached by what they read. A Noise is a block of noise
-rows: per column range it keeps the moments of u (its sample mean, its
-Gram Cov-hat[u, u] and the Gram's inverse), which read the noise alone. A
-Draws is the cache of one tile's draws of q and the target, over a Noise
-of the same rows. It computes each elementwise ingredient (u1, the
-target's log_p, f, and j1 with resid, which reads grad_x) at most once, on
-every column, when a kernel first reads it; the halves are column views
-that slice it. It also keeps the (R,) moment tuples of a column range:
-Cov-hat[u, f] and the path moments. So every kernel run on one Draws reads
+rows: per column range it keeps the moments of u (its sample mean, from
+which M' is formed, its Gram Cov-hat[u, u] and the Gram's inverse), which
+read the noise alone. A Draws is the cache of one tile's draws of q and
+the target, over a Noise of the same rows. It computes each elementwise
+ingredient (u1, the target's log_p, f, and r, which reads grad_x) at most
+once, on every column, when a kernel first reads it; the halves are
+column views that slice it. It also keeps the (R,) moment tuples of a
+column range: Cov-hat[u, f] and F. So every kernel run on one Draws reads
 what another has computed: cv-ideal and cv-regression share the
 evaluation half's moments, cov and greg-samplecov the whole range's,
-kingma-reparam and greg-pathgrad the whole range's path moments, and all
-path methods j1 and resid. A benchmark tile is its own Noise. A fit draws
-its noise in blocks, and step t's Draws is row t of its block with that
-step's q, so the moments of u are computed once per block for all its
-steps. A cached value is computed by the same expression, on the same
-values, as a kernel alone would compute it, and every reduction is over
-one row, so neither the sharing nor the block changes any estimate. A
-kernel alone on a Draws computes nothing it does not read, except that a
-moment tuple is computed whole. Centered (R, S) arrays are not kept: each
-kernel centers what it needs and lets it go, so a tile's memory is its
-elementwise ingredients. Every 2x2 coefficient or natural-gradient system
-is solved on (R,) component arrays a00, a01, a10, a11, b0, b1. No stacked
-(R, S, 2) score or (R, S, 2, 2) outer-product arrays are built.
+kingma-reparam and greg-pathgrad the whole range's F, and all path methods
+r. A benchmark tile is its own Noise. A fit draws its noise in blocks, and
+step t's Draws is row t of its block with that step's q, so the moments of
+u are computed once per block for all its steps. A cached value is
+computed by the same expression, on the same values, as a kernel alone
+would compute it, and every reduction is over one row, so neither the
+sharing nor the block changes any estimate. A kernel alone on a Draws
+computes nothing it does not read, except that a moment tuple is computed
+whole. Centered (R, S) arrays are not kept: each kernel centers what it
+needs and lets it go, so a tile's memory is its elementwise ingredients.
+Every 2x2 coefficient or natural-gradient system is solved on (R,)
+component arrays a00, a01, a10, a11, b0, b1. No stacked (R, S, 2) score or
+(R, S, 2, 2) outer-product arrays are built.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, rng_from_seed
+from .gaussian import DrawBatch, GaussianQ, _noise_lost, rng_from_seed
 from .targets import Target
 
 __all__ = [
@@ -146,18 +147,15 @@ class EstimationError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Sampling budget and solver options shared by all estimators."""
+    """Sampling budget shared by all estimators."""
 
     total_samples: int = 50
     cv_split: float = 0.5
     estimator_id: str = "simple"
-    jitter: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.cv_split < 1.0:
             raise ValueError(f"cv_split must be in (0, 1), got {self.cv_split}")
-        if not (np.isfinite(self.jitter) and self.jitter >= 0.0):
-            raise ValueError(f"jitter must be finite and >= 0, got {self.jitter}")
         if self.estimator_id not in ESTIMATORS:
             raise ValueError(
                 f"unknown estimator_id {self.estimator_id!r}; valid ids: {', '.join(ESTIMATOR_IDS)}"
@@ -205,9 +203,9 @@ class Noise:
 
     Per column range (lo, hi) it keeps the moments of the standardized
     score u = (eps, eps^2 - 1) (_u_moments: the sample mean of u and its
-    Gram Cov-hat[u, u] with 1/(n-1)) and, per jitter, the matrix that solves
-    the Gram (_gram_inverse), each as (R,) components computed on first
-    use, once for all rows. rows(lo, hi) is the view of a row range: its eps
+    Gram Cov-hat[u, u] with 1/(n-1)) and the matrix that solves the Gram
+    (_gram_inverse), each as (R,) components computed on first use, once
+    for all rows. rows(lo, hi) is the view of a row range: its eps
     is a view, and its moments are row slices of those of the Noise it came
     from, which keeps them.
     """
@@ -242,8 +240,8 @@ class Noise:
     def moments(self, lo: int | None, hi: int | None) -> tuple:
         return self._kept(_u_moments, lo, hi)
 
-    def gram_inverse(self, lo: int | None, hi: int | None, jitter: float) -> tuple:
-        return self._kept(_gram_inverse, lo, hi, jitter)
+    def gram_inverse(self, lo: int | None, hi: int | None) -> tuple:
+        return self._kept(_gram_inverse, lo, hi)
 
 
 class Draws:
@@ -257,9 +255,9 @@ class Draws:
     * the elementwise ingredients, keyed by the function that computes them:
       u1 = eps^2 - 1 (_u1), the target's log_p (_log_p; a non-finite log p
       is an estimation error naming its draw), the integrand f (_fval) and
-      the path pieces (j1, resid) (_path_parts), which read the target's
-      grad_x. Each is computed on first use, once for all columns;
-    * the (R,) moment tuples of _cov_uf and _path_moments, keyed by the
+      the path residual r (_resid), which reads the target's grad_x. Each
+      is computed on first use, once for all columns;
+    * the (R,) moment tuples of _cov_uf and _path_uf, keyed by the
       reduction and the column range (lo, hi) as columns() was given it.
 
     columns(lo, hi) is the view of a column range of a whole Draws: its x
@@ -296,8 +294,7 @@ class Draws:
             if value is None:
                 value = self._cache[compute] = compute(self)
             return value
-        value, cols = self._root._elementwise(compute), self._cols
-        return (value[0][:, cols], value[1][:, cols]) if type(value) is tuple else value[:, cols]
+        return self._root._elementwise(compute)[:, self._cols]
 
     def _reduced(self, reduce) -> tuple:
         """reduce(self), kept by the whole Draws under this one's column range."""
@@ -316,8 +313,9 @@ class Draws:
     def u_moments(self) -> tuple:
         return self.noise.moments(self._cols.start, self._cols.stop)
 
-    def gram_inverse(self, jitter: float) -> tuple:
-        return self.noise.gram_inverse(self._cols.start, self._cols.stop, jitter)
+    @property
+    def gram_inverse(self) -> tuple:
+        return self.noise.gram_inverse(self._cols.start, self._cols.stop)
 
     @property
     def log_p(self) -> np.ndarray:
@@ -328,16 +326,16 @@ class Draws:
         return self._elementwise(_fval)
 
     @property
-    def path(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._elementwise(_path_parts)
+    def resid(self) -> np.ndarray:
+        return self._elementwise(_resid)
 
     @property
     def cov_uf(self) -> tuple:
         return self._reduced(_cov_uf)
 
     @property
-    def path_moments(self) -> tuple:
-        return self._reduced(_path_moments)
+    def path_uf(self) -> tuple:
+        return self._reduced(_path_uf)
 
 
 # ---------------------------------------------------------------------------
@@ -365,16 +363,16 @@ def _u_moments(n: Noise, lo: int | None, hi: int | None) -> tuple:
     return m0, v + m0 * m0 - 1.0, cc / k1, g01 / k1, (dd + m2 * (cd + g01)) / k1
 
 
-def _gram_inverse(n: Noise, lo: int | None, hi: int | None, jitter: float) -> tuple:
+def _gram_inverse(n: Noise, lo: int | None, hi: int | None) -> tuple:
     """The matrix m that solves Cov-hat[u, u] of the columns lo:hi, as (m00, m01, m10, m11, fallback).
 
     Its columns are the _solve2c solutions for the unit vectors, so m @ b
-    is the solve of any right-hand side b, with the jitter and pseudo-inverse
-    fallback of a singular Gram, which the fallback mask flags.
+    is the solve of any right-hand side b, with the pseudo-inverse fallback
+    of a singular Gram, which the fallback mask flags.
     """
     g00, g01, g11 = (g[..., None] for g in n.moments(lo, hi)[2:])
     # both unit right-hand sides in one solve, along a trailing axis
-    x0, x1, fallback = _solve2c(g00, g01, g01, g11, _UNIT0, _UNIT1, jitter)
+    x0, x1, fallback = _solve2c(g00, g01, g01, g11, _UNIT0, _UNIT1)
     return x0[..., 0], x0[..., 1], x1[..., 0], x1[..., 1], fallback[..., 0]
 
 
@@ -401,34 +399,38 @@ def _fval(d: Draws) -> np.ndarray:
     return f
 
 
-def _cov_uf(d: Draws) -> tuple:
-    """Cov-hat[u, f] with 1/(S-1), as (b0, b1); L @ (b0, b1) is the cov estimate of the gradient.
+def _cov_u(d: Draws, y: np.ndarray) -> tuple:
+    """Cov-hat[u, y] with 1/(S-1) of a per-draw statistic y of d, as (b0, b1).
 
-    It is sum (u - mean u)(f - f_0), formed as sum u (f - f_0) minus mean u
-    times the sum of f - f_0, for f_0 the first draw's f: shifting by a
-    value of f takes its offset out of the sums, which then cancel to the
+    It is sum (u - mean u)(y - y_0), formed as sum u (y - y_0) minus mean u
+    times the sum of y - y_0, for y_0 the first draw's y: shifting by a
+    value of y takes its offset out of the sums, which then cancel to the
     rounding of its spread, and the kept mean of u stands in for centered
-    u arrays. Read it as d.cov_uf.
+    u arrays.
     """
-    f = d.f
-    f = f - f[:, :1]
+    y = y - y[:, :1]
     m0, m1 = d.u_moments[:2]
-    sf = f.sum(-1)
-    n1 = f.shape[-1] - 1
-    return (_dot(d.eps, f) - m0 * sf) / n1, (_dot(d.u1, f) - m1 * sf) / n1
+    sy = y.sum(-1)
+    n1 = y.shape[-1] - 1
+    return (_dot(d.eps, y) - m0 * sy) / n1, (_dot(d.u1, y) - m1 * sy) / n1
 
 
-def _path_parts(d: Draws) -> tuple[np.ndarray, np.ndarray]:
-    """Sampler-path ingredients of the draws x = mu + sigma * eps.
+def _cov_uf(d: Draws) -> tuple:
+    """Cov-hat[u, f]; L @ Cov-hat[u, f] is the cov estimate of the gradient. Read it as d.cov_uf."""
+    return _cov_u(d, d.f)
 
-    The path Jacobian dx/deta has the constant first column sigma2 and the
-    second column j1 = 2 mu sigma2 + sigma^3 eps (see path_jacobian);
-    resid = score_x - grad_x is d/dx [log q - log p]. The target's grad_x is
-    read through resid alone, so it is not kept.
-    """
-    q = d.q
-    j1 = 2.0 * q.mu * q.sigma2 + q.sigma ** 3 * d.eps
-    return j1, q.score_x(d.x) - np.asarray(d.t.grad_x(d.x), dtype=float)
+
+def _resid(d: Draws) -> np.ndarray:
+    """The path residual r = d/dx [log q - log p] = score_x - grad_x, with score_x = -eps / sigma read from the noise."""
+    r = d.eps / -d.q.sigma
+    r -= np.asarray(d.t.grad_x(d.x), dtype=float)
+    return r
+
+
+def _path_uf(d: Draws) -> tuple:
+    """F = sigma (mean r, mean eps r), the path estimate of Cov_q[u, f]; L F is kingma-reparam. Read it as d.path_uf."""
+    r, sigma = d.resid, d.q.sigma
+    return sigma * _mean(r), sigma * (_dot(d.eps, r) / r.shape[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -460,49 +462,6 @@ def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
 
 
-def _normal_equations(h0: np.ndarray, h1: np.ndarray, f: np.ndarray) -> tuple:
-    """Regression of f on (h0, h1), all centered, as a 2x2 system in component form.
-
-    Returns (a00, a01, a10, a11, b0, b1) for a = sum h h^T and b = sum h f;
-    a covariance system without its 1/(S-1).
-    """
-    v01 = _dot(h0, h1)
-    return _dot(h0, h0), v01, v01, _dot(h1, h1), _dot(h0, f), _dot(h1, f)
-
-
-def _path_moments(d: Draws) -> tuple:
-    """Batch means of the per-draw path statistics, as a 2x2 system in component form.
-
-    m_j = (dx/deta) outer (dT/dx), with dT/dx = (1, 2x), estimates the score
-    covariance; f_j = (dx/deta) * resid estimates the KL gradient. Returns
-    (m00, m01, m10, m11, f0, f1); m00 is the scalar sigma2. m is not symmetric.
-    Read it as d.path_moments.
-    """
-    s2, x = d.q.sigma2, d.x
-    j1, resid = d.path
-    n = x.shape[-1]
-    return s2, 2.0 * s2 * _mean(x), _mean(j1), 2.0 * _dot(j1, x) / n, s2 * _mean(resid), _dot(j1, resid) / n
-
-
-def _cv_estimate(q: GaussianQ, moments: tuple, alpha0: tuple, alpha1: tuple) -> np.ndarray:
-    """Gradient estimate minus the fitted score-covariance control variates.
-
-    moments are (m00, m01, m10, m11, f0, f1), batch estimates of the score
-    covariance and of the gradient; alpha_i is the coefficient pair of
-    gradient component i: est_i = f_i - sum_l (m_il - Cov_exact_il) alpha_il.
-    """
-    m00, m01, m10, m11, f0, f1 = moments
-    (c00, c01), (c10, c11) = q.exact_suffstat_cov().tolist()
-    h00, h01, h10, h11 = m00 - c00, m01 - c01, m10 - c10, m11 - c11
-    return _pair(f0 - (h00 * alpha0[0] + h01 * alpha0[1]), f1 - (h10 * alpha1[0] + h11 * alpha1[1]))
-
-
-def _times_exact(q: GaussianQ, g0: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Cov_exact @ (g0, g1): a natural gradient mapped to eta coordinates."""
-    (c00, c01), (c10, c11) = q.exact_suffstat_cov().tolist()
-    return _pair(c00 * g0 + c01 * g1, c10 * g0 + c11 * g1)
-
-
 def _times_l(q: GaussianQ, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """L @ (v0, v1), L = [[sigma, 0], [2 mu sigma, sigma2]]: a u-basis vector mapped to eta coordinates."""
     sigma = q.sigma
@@ -525,10 +484,9 @@ def _score_directions(u0: np.ndarray, u1: np.ndarray, q: GaussianQ) -> tuple[np.
     return u0, w1
 
 
-def _regression(d: Draws, jitter: float):
-    """Cov-hat[u, u]^-1 Cov-hat[u, f]: the regression of f on u, as (v0, v1, fallback mask)."""
-    m00, m01, m10, m11, fallback = d.gram_inverse(jitter)
-    b0, b1 = d.cov_uf
+def _regression(d: Draws, b0: np.ndarray, b1: np.ndarray):
+    """Cov-hat[u, u]^-1 (b0, b1): the regression on u of y with Cov-hat[u, y] = (b0, b1), as (v0, v1, fallback mask)."""
+    m00, m01, m10, m11, fallback = d.gram_inverse
     return m00 * b0 + m01 * b1, m10 * b0 + m11 * b1, fallback
 
 
@@ -539,45 +497,40 @@ def _cv_residual(ev: Draws, v0: np.ndarray, v1: np.ndarray) -> tuple:
     return b0 - ((g00 - 1.0) * v0 + g01 * v1), b1 - (g01 * v0 + (g11 - 2.0) * v1)
 
 
-def _det_scale(a00, a01, a10, a11):
-    det = a00 * a11 - a01 * a10
-    scale = np.maximum(np.maximum(np.abs(a00), np.abs(a01)), np.maximum(np.abs(a10), np.abs(a11)))
-    return det, scale
+def _path_residual(ev: Draws, v0, v1: np.ndarray) -> tuple:
+    """F minus the path control variates (M' - diag(1, 2)) @ (v0, v1) of ev, M' - diag(1, 2) = [[0, 2 m0], [m0, 2 m1]]."""
+    m0, m1 = ev.u_moments[:2]
+    f0, f1 = ev.path_uf
+    return f0 - 2.0 * m0 * v1, f1 - (m0 * v0 + 2.0 * m1 * v1)
 
 
-def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
+def _solve2c(a00, a01, a10, a11, b0, b1):
     """Batched 2x2 solve a @ x = b on component arrays, with a singular fallback.
 
     Well-conditioned systems use the closed-form inverse. When |det| falls
-    below _SINGULAR_RTOL times the squared matrix magnitude the solve is
-    retried with jitter added to the diagonal (if configured) and finally
-    falls back to a minimum-norm least-squares solution, which leaves
-    directions of zero variance with a zero coefficient. Components
-    broadcast against each other. Returns (x0, x1, fallback mask).
+    below _SINGULAR_RTOL times the squared matrix magnitude the solve falls
+    back to a minimum-norm least-squares solution, which leaves directions
+    of zero variance with a zero coefficient. Components broadcast against
+    each other. Returns (x0, x1, fallback mask).
     """
-    det, scale = _det_scale(a00, a01, a10, a11)
-    bad = degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
+    det = a00 * a11 - a01 * a10
+    scale = np.maximum(np.maximum(np.abs(a00), np.abs(a01)), np.maximum(np.abs(a10), np.abs(a11)))
+    bad = np.abs(det) <= _SINGULAR_RTOL * scale * scale
     if not bad.any():
         return (a11 * b0 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det, bad
-    if jitter > 0.0:
-        bump = np.where(bad, jitter, 0.0)
-        a00, a11 = a00 + bump, a11 + bump
-        det, scale = _det_scale(a00, a01, a10, a11)
-        degenerate = np.abs(det) <= _SINGULAR_RTOL * scale * scale
-    safe_det = np.where(degenerate, 1.0, det)
+    safe_det = np.where(bad, 1.0, det)
     x0 = np.asarray((a11 * b0 - a01 * b1) / safe_det)
     x1 = np.asarray((a00 * b1 - a10 * b0) / safe_det)
-    if degenerate.any():
-        degenerate = np.broadcast_to(degenerate, x0.shape)
-        rows = [np.broadcast_to(c, x0.shape)[degenerate] for c in (a00, a01, a10, a11, b0, b1)]
-        m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
-        sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
-        x0[degenerate], x1[degenerate] = sol[:, 0, 0], sol[:, 1, 0]
+    mask = np.broadcast_to(bad, x0.shape)
+    rows = [np.broadcast_to(c, x0.shape)[mask] for c in (a00, a01, a10, a11, b0, b1)]
+    m = np.stack(rows[:4], axis=-1).reshape(-1, 2, 2)
+    sol = np.linalg.pinv(m, _LSTSQ_RCOND) @ np.stack(rows[4:], axis=-1)[..., None]
+    x0[mask], x1[mask] = sol[:, 0, 0], sol[:, 1, 0]
     return x0, x1, bad
 
 
 # ---------------------------------------------------------------------------
-# kernels: (coef, ev, jitter) -> ((R, 2), aux)
+# kernels: (coef, ev) -> ((R, 2), aux)
 #
 # Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
@@ -586,20 +539,20 @@ def _solve2c(a00, a01, a10, a11, b0, b1, jitter: float = 0.0):
 # kernels run on one Draws share them; what a kernel centers is its own.
 
 
-def _kernel_simple(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_simple(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
     # the mean of s f = L (u f)
     f, n = d.f, d.x.shape[-1]
     return _times_l(d.q, _dot(d.eps, f) / n, _dot(d.u1, f) / n), {}
 
 
-def _kernel_cov(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cov(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
     # Cov-hat[s, f] = L Cov-hat[u, f]
     return _times_l(d.q, *d.cov_uf), {}
 
 
-def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     """Covariance estimator minus fitted score-covariance control variates.
 
     Coefficients are fitted on batch_coef only, so independence of the two
@@ -624,16 +577,21 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     u0, u1 = _centered(coef.eps), _centered(coef.u1)
     f = _centered(coef.f)
     a, b, c = _center(u0 * u0), _center(u0 * u1), _center(u1 * u1)
+    if coef.x.shape[-1] == 2:
+        # two centered draws are +-delta, so a, b and c are zero but for
+        # their rounding, which would pose two systems of noise: zeroed, both
+        # flag the fallback and fit zero coefficients (the estimate is cov on ev)
+        a[...] = b[...] = c[...] = 0.0
     f0, f1 = u0 * f, u1 * f
     aa, ab, ac, bb, bc, cc = _dot(a, a), _dot(a, b), _dot(a, c), _dot(b, b), _dot(b, c), _dot(c, c)
     af0, bf0, cf0, af1, bf1, cf1 = _dot(a, f0), _dot(b, f0), _dot(c, f0), _dot(a, f1), _dot(b, f1), _dot(c, f1)
-    g00, g01, fb0 = _solve2c(aa, ab, ab, bb, af0, bf0, jitter)
+    g00, g01, fb0 = _solve2c(aa, ab, ab, bb, af0, bf0)
     k = 2.0 * q.mu / q.sigma
     k2 = k * k
     m01 = k2 * ab + k * (ac + bb) + bc
     g10, g11, fb1 = _solve2c(
         k2 * aa + 2.0 * k * ab + bb, m01, m01, k2 * bb + 2.0 * k * bc + cc,
-        k2 * af0 + k * (af1 + bf0) + bf1, k2 * bf0 + k * (bf1 + cf0) + cf1, jitter,
+        k2 * af0 + k * (af1 + bf0) + bf1, k2 * bf0 + k * (bf1 + cf0) + cf1,
     )
     r0, _ = _cv_residual(ev, g00, g01)
     r10, r11 = _cv_residual(ev, g10, g11)
@@ -643,7 +601,7 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_cv_regression(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_regression(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     """Control variates with the shared regression coefficient vector.
 
     The coefficient is the natural-gradient solve on the coefficient batch;
@@ -651,34 +609,45 @@ def _kernel_cv_regression(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, d
     the estimate collapses to the exact gradient with zero variance.
     """
     # the regression of f on u, gamma, is L^T alpha
-    g0, g1, fallback = _regression(coef, jitter)
+    g0, g1, fallback = _regression(coef, *coef.cov_uf)
     est = _times_l(ev.q, *_cv_residual(ev, g0, g1))
     return est, {"alpha": _solve_lt(ev.q, g0, g1), "singular_fallback": fallback}
 
 
-def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     """cv-ideal with every covariance term estimated through the sampler path."""
-    # cv-ideal with the path statistics f^i_j = (dx/deta)_i resid_j and
-    # h^il_j = (dx/deta)_i (dT/dx)_l. The first Jacobian column is the
-    # constant sigma2, so h^00 is zero once centered and component 0 is the
-    # scalar regression of f^0 on h^01, with a zero coefficient on h^00;
-    # only draws without spread (var h^01 = 0) flag a fallback.
-    s2 = coef.q.sigma2
-    j1, resid = coef.path
-    tx = 2.0 * coef.x
-    h01, h10, h11 = _centered(s2 * tx), _centered(j1), _centered(j1 * tx)
-    f0, f1 = _centered(s2 * resid), _centered(j1 * resid)
-    var01 = _dot(h01, h01)
-    fb0 = var01 <= 0.0
-    a01 = np.where(fb0, 0.0, _dot(h01, f0) * (1.0 / np.where(fb0, 1.0, var01)))
-    a00 = np.zeros_like(a01)
-    a10, a11, fb1 = _solve2c(*_normal_equations(h10, h11, f1), jitter)
-    est = _cv_estimate(ev.q, ev.path_moments, (a00, a01), (a10, a11))
-    alpha = np.stack([_pair(a00, a01), _pair(a10, a11)], axis=-2)
+    # cv-ideal on the path estimates F and M' (see the module docstring):
+    # est_i = (L (F - (M' - diag(1, 2)) gamma_i))_i on the evaluation batch,
+    # whose M' - diag(1, 2) is [[0, 2 m0], [m0, 2 m1]] for the mean (m0, m1)
+    # of u. Per draw, component i of L F is (L (1, eps))_i sigma r and its
+    # control variates are (L (1, eps))_i (1, 2 eps) gamma_i, so the fit
+    # regresses the one on the other on the coefficient batch.
+    # Component 0: (L (1, eps))_0 = sigma is constant, so it is the scalar
+    # regression of sigma r on 2 eps; the constant control variate is zero
+    # exactly, and its coefficient is the one that makes alpha_00 zero. Only
+    # draws without spread flag a fallback.
+    # Component 1: (L (1, eps))_1 = sigma2 (k + eps), k = 2 mu / sigma, so
+    # it regresses (k + eps) sigma r on (k + eps) (1, 2 eps). Centered, those
+    # span what (eps, u1) spans, where the system is the Gram of u: its
+    # coefficients beta map back as gamma_1 = (beta0 - k beta1, beta1 / 2).
+    q = coef.q
+    sigma, k = q.sigma, 2.0 * q.mu / q.sigma
+    r = coef.resid
+    p0, p1 = _cov_u(coef, r)
+    e0, e1 = _cov_u(coef, coef.eps * r)
+    g00 = coef.u_moments[2]
+    fb0 = g00 <= 0.0
+    c01 = np.where(fb0, 0.0, (0.5 * sigma) * p0 / np.where(fb0, 1.0, g00))
+    b0, b1, fb1 = _regression(coef, sigma * (k * p0 + e0), sigma * (k * p1 + e1))
+    c10, c11 = b0 - k * b1, 0.5 * b1
+    r0, _ = _path_residual(ev, 0.0, c01)
+    r10, r11 = _path_residual(ev, c10, c11)
+    est = _pair(sigma * r0, (2.0 * q.mu * sigma) * r10 + q.sigma2 * r11)
+    alpha = np.stack([_pair(np.zeros_like(c01), c01 / q.sigma2), _solve_lt(q, c10, c11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
 
-def _kernel_ranganath_cv(coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_ranganath_cv(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand
     # s_i f; s_i up to its constant factor gives the same coefficient, and
@@ -698,7 +667,7 @@ def _kernel_ranganath_cv(coef: Draws, ev: Draws, _jitter) -> tuple[np.ndarray, d
     return _pair(*est), {"coef": _pair(*coefs), "zero_variance": _pair(*zero_var)}
 
 
-def _kernel_delta_method(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_delta_method(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Second-order Taylor control variate for log p, analytic remainder."""
     mu, s2, t = d.q.mu, d.q.sigma2, d.t
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
@@ -723,28 +692,30 @@ def _kernel_delta_method(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
     return est, {}
 
 
-def _kernel_kingma_reparam(_coef, d: Draws, _jitter) -> tuple[np.ndarray, dict]:
+def _kernel_kingma_reparam(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Sampler-path derivative of the Monte Carlo sum of log q - log p.
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
     differentiated, which is the unbiased covariance estimate obtained by
-    differentiating the sampler. It is the (f0, f1) of the path moments.
+    differentiating the sampler. It is L F, for F the path estimate of Cov_q[u, f].
     """
-    return _pair(*d.path_moments[4:]), {}
+    return _times_l(d.q, *d.path_uf), {}
 
 
-def _kernel_greg_samplecov(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_samplecov(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
     # Cov_exact L^-T gamma = L diag(1, 2) gamma for the regression gamma of f on u
-    g0, g1, fallback = _regression(d, jitter)
+    g0, g1, fallback = _regression(d, *d.cov_uf)
     return _times_l(d.q, g0, 2.0 * g1), {"g_nat": _solve_lt(d.q, g0, g1), "singular_fallback": fallback}
 
 
-def _kernel_greg_pathgrad(_coef, d: Draws, jitter) -> tuple[np.ndarray, dict]:
+def _kernel_greg_pathgrad(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
-    # the path estimate of the score covariance is not symmetric
-    g0, g1, fallback = _solve2c(*d.path_moments, jitter)
-    return _times_exact(d.q, g0, g1), {"g_nat": _pair(g0, g1), "singular_fallback": fallback}
+    # greg-samplecov with gamma = M'^-1 F, M' = [[1, 2 m0], [m0, 2 mean eps^2]]
+    # for the mean (m0, m1) of u; M' is not symmetric
+    m0, m1 = d.u_moments[:2]
+    g0, g1, fallback = _solve2c(1.0, 2.0 * m0, m0, 2.0 * (m1 + 1.0), *d.path_uf)
+    return _times_l(d.q, g0, 2.0 * g1), {"g_nat": _solve_lt(d.q, g0, g1), "singular_fallback": fallback}
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +776,6 @@ def run_kernel(
     x: np.ndarray,
     eps: np.ndarray,
     n_coef: int,
-    jitter: float = 0.0,
     *,
     with_aux: bool = False,
 ):
@@ -824,8 +794,9 @@ def run_kernel(
     capabilities, splits the columns and runs the kernel with overflow not
     warned about: a non-finite estimate in any row is an EstimationError
     naming the estimator and q. So is a q whose E_q[x^2] = mu^2 + sigma2
-    overflows: the kernels never square x, but the eta score x^2 - E_q[x^2]
-    is not finite there, and x = mu + sigma * eps has lost eps to rounding.
+    overflows (the kernels never square x, but the eta score x^2 - E_q[x^2]
+    is not finite there), and one past MAX_MU_OVER_SIGMA, where x = mu +
+    sigma * eps has lost eps to rounding.
     """
     if isinstance(x, Draws):
         if x.t is not t:
@@ -839,27 +810,28 @@ def run_kernel(
     info.check(t)
     if not math.isfinite(q.mu * q.mu + q.sigma2):
         raise EstimationError(f"non-finite gradient estimate of {estimator_id!r} at {q}: E_q[x^2] overflows")
+    lost = _noise_lost(q)
+    if lost:
+        raise EstimationError(f"no gradient estimate of {estimator_id!r} at {q}: {lost}")
     coef, ev = (d.columns(0, n_coef), d.columns(n_coef)) if info.split_budget else (None, d)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, aux = info.kernel(coef, ev, jitter)
+        value, aux = info.kernel(coef, ev)
     if not np.isfinite(value).all():
         bad = value[~np.isfinite(value).all(axis=-1)][0]
         raise EstimationError(f"non-finite gradient estimate {bad} of {estimator_id!r} at {q}")
     return (value, aux) if with_aux else value
 
 
-def _row(
-    info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int, jitter: float
-) -> GradEstimate:
+def _row(info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int) -> GradEstimate:
     """The GradEstimate of the one (1, S) row of draws x."""
-    value, aux = run_kernel(info.id, q, t, x, eps, n_coef, jitter, with_aux=True)
+    value, aux = run_kernel(info.id, q, t, x, eps, n_coef, with_aux=True)
     return GradEstimate(value[0], info.id, samples_used=x.shape[1], aux={k: v[0] for k, v in aux.items()} or None)
 
 
 def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
     """The public est_* function of an estimator: its kernel on one row of draws."""
 
-    def row(q: GaussianQ, t: Target, batches, config: EstimatorConfig | None) -> GradEstimate:
+    def row(q: GaussianQ, t: Target, batches) -> GradEstimate:
         sizes = [b.size for b in batches]
         if min(sizes) < info.min_draws:
             raise ValueError(
@@ -867,17 +839,17 @@ def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
             )
         x = np.concatenate([b.draws for b in batches])[None]
         eps = np.concatenate([b.noise for b in batches])[None]
-        return _row(info, q, t, x, eps, sizes[0], config.jitter if config else 0.0)
+        return _row(info, q, t, x, eps, sizes[0])
 
     if info.split_budget:
         def est(
             q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
             config: EstimatorConfig | None = None,
         ) -> GradEstimate:
-            return row(q, t, (batch_coef, batch_eval), config)
+            return row(q, t, (batch_coef, batch_eval))
     else:
         def est(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
-            return row(q, t, (batch,), config)
+            return row(q, t, (batch,))
     est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
     est.__doc__ = info.kernel.__doc__
     return est
@@ -900,4 +872,4 @@ def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEsti
     base = seed if isinstance(seed, tuple) else (seed,)
     sizes = config.batch_sizes()
     eps = np.concatenate([rng_from_seed(base + (i,)).standard_normal(n) for i, n in enumerate(sizes)])[None]
-    return _row(ESTIMATORS[config.estimator_id], q, t, q.reparameterize(eps), eps, sizes[0], config.jitter)
+    return _row(ESTIMATORS[config.estimator_id], q, t, q.reparameterize(eps), eps, sizes[0])

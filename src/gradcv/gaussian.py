@@ -23,6 +23,17 @@ __all__ = [
 
 _SEED_MASK = (1 << 64) - 1
 
+# The largest |mu| / sigma at which a gradient is computed. A draw
+# x = mu + sigma * eps is rounded to a multiple of ulp(mu), about
+# 2.2e-16 |mu|, so it holds eps to a relative 2.2e-16 |mu| / sigma, and the
+# gradient's second component, which L = [[sigma, 0], [2 mu sigma, sigma2]]
+# forms as 2 mu sigma b0 + sigma2 b1, carries b0's rounding times 2 mu /
+# sigma. Its relative error grows in proportion: about 3e-17 |mu| / sigma
+# in the oracle and 1e-16 |mu| / sigma in a cv-regression estimate
+# (logistic target), so 3e-7 and 1e-6 at this bound, and -1.96 for the
+# exact -2 at mu = 1e15, sigma2 = 2.
+MAX_MU_OVER_SIGMA = 1e10
+
 
 def _seed_key(seed) -> tuple[int, ...]:
     """Normalize a seed (int, str label, or tuple of those) into a SeedSequence key.
@@ -37,6 +48,14 @@ def _seed_key(seed) -> tuple[int, ...]:
         int.from_bytes(s.encode(), "little") if isinstance(s, str) else int(s) & _SEED_MASK
         for s in seed
     )
+
+
+def _noise_lost(q: "GaussianQ") -> str:
+    """Why draws x = mu + sigma * eps of q have lost eps to rounding, or "": |mu| / sigma past MAX_MU_OVER_SIGMA."""
+    if abs(q.mu) > MAX_MU_OVER_SIGMA * q.sigma:
+        return (f"|mu| / sigma = {abs(q.mu) / q.sigma:.3g} exceeds {MAX_MU_OVER_SIGMA:g}, "
+                "where x = mu + sigma * eps loses eps to rounding")
+    return ""
 
 
 def rng_from_seed(seed) -> np.random.Generator:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import ESTIMATORS, Draws, EstimatorConfig, Noise, run_kernel
+from .estimators import ESTIMATORS, Draws, EstimatorConfig, Noise, _solve_lt, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
@@ -92,15 +92,13 @@ class FitResult:
     trajectory: tuple[TrajectoryPoint, ...]
 
 
-def _fit_config(
-    record_every: int, estimator_id: str | None, samples: int, cv_split: float, jitter: float
-) -> EstimatorConfig | None:
+def _fit_config(record_every: int, estimator_id: str | None, samples: int, cv_split: float) -> EstimatorConfig | None:
     """fit's argument checks; the config of the stochastic estimator, None without one."""
     if record_every < 1:
         raise ValueError(f"record_every must be >= 1, got {record_every}")
     if estimator_id is None:
         return None
-    config = EstimatorConfig(total_samples=samples, cv_split=cv_split, estimator_id=estimator_id, jitter=jitter)
+    config = EstimatorConfig(total_samples=samples, cv_split=cv_split, estimator_id=estimator_id)
     if not ESTIMATORS[estimator_id].unbiased:
         raise ValueError(
             f"estimator {estimator_id!r} is biased; plain stochastic gradient descent "
@@ -145,7 +143,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     def gradient(q: GaussianQ) -> np.ndarray:
         noise = next(rows)
         d = Draws(q, target, q.reparameterize(noise.eps), noise)
-        return run_kernel(config.estimator_id, q, target, d, None, n_coef, config.jitter)[0]
+        return run_kernel(config.estimator_id, q, target, d, None, n_coef)[0]
 
     return gradient
 
@@ -157,7 +155,6 @@ def fit(
     schedule: SgdSchedule | None = None,
     seed: int = 0,
     cv_split: float = 0.5,
-    jitter: float = 0.0,
     natural_gradient: bool = False,
     record_every: int = 10,
     gradient_fn=None,
@@ -174,7 +171,7 @@ def fit(
     """
     schedule = schedule or SgdSchedule()
     stochastic_id = estimator_id if gradient_fn is None else None
-    config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split, jitter)
+    config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split)
     if config is not None:
         gradient_fn = _estimator_gradient(target, config, seed, schedule.iterations)
     rule = gauss_hermite_rule()
@@ -185,7 +182,9 @@ def fit(
         for t in range(schedule.iterations):
             grad = np.asarray(gradient_fn(q), dtype=float)
             if natural_gradient:
-                grad = np.linalg.solve(q.exact_suffstat_cov(), grad)
+                # Cov_q[T]^-1 grad for Cov_q[T] = L diag(1, 2) L^T: L^-T diag(1, 1/2) L^-1 grad
+                v0 = grad[0] / q.sigma
+                grad = _solve_lt(q, v0, 0.5 * (grad[1] - (2.0 * q.mu * q.sigma) * v0) / q.sigma2)
             eta = eta - schedule.step(t) * grad
             eta[1] = min(eta[1], ETA2_MAX)
             q = from_natural(eta)
@@ -220,7 +219,6 @@ class VariationalSGD:
     iterations: int = SgdSchedule.iterations
     samples_per_step: int = SgdSchedule.samples_per_step
     cv_split: float = _default(fit, "cv_split")
-    jitter: float = _default(fit, "jitter")
     natural_gradient: bool = _default(fit, "natural_gradient")
     mu0: float = 0.0
     sigma20: float = 1.0
@@ -252,7 +250,6 @@ class VariationalSGD:
             schedule=schedule,
             seed=self.seed,
             cv_split=self.cv_split,
-            jitter=self.jitter,
             natural_gradient=self.natural_gradient,
             record_every=self.record_every,
         )

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import GaussianQ
+from .gaussian import GaussianQ, _noise_lost
 from .targets import Target
 
 __all__ = [
@@ -129,13 +129,16 @@ def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = No
     the gradient is L E_w[u (d - E_w d)]: E[T d] - E[T] E[d] cancels when
     mu^2 >> sigma2. A q at a scale where the gradient is not representable
     raises EvaluationError instead of returning inf or nan: one whose
-    E_q[x^2] = mu^2 + sigma2 overflows (say mu = 1e200, where the nodes
-    mu + sigma z have also lost z to rounding), or one where the gradient
-    itself overflows.
+    E_q[x^2] = mu^2 + sigma2 overflows (say mu = 1e200), or one where the
+    gradient itself overflows. So does a q past MAX_MU_OVER_SIGMA, where
+    the nodes mu + sigma z have lost z to rounding.
     """
     if not math.isfinite(q.mu * q.mu + q.sigma2):
         raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: "
                               "E_q[x^2] overflows")
+    lost = _noise_lost(q)
+    if lost:
+        raise EvaluationError(f"no ground-truth gradient at mu={q.mu!r}, sigma2={q.sigma2!r}: {lost}")
     rule = rule or gauss_hermite_rule()
     z, w = rule.nodes, rule.weights
     with np.errstate(over="ignore", invalid="ignore"):

@@ -36,11 +36,17 @@ _RUNTIME_ERRORS = [
     pytest.param(["fit", "--target", "gaussian:1e200:1"], "integrand is not finite", id="fit-target-1e200"),
     pytest.param(["ground-truth", "--mu", "1e200"], "ground-truth gradient is not finite", id="ground-truth-mu-1e200"),
     pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10"],
-                 "non-finite gradient estimate", id="benchmark-sigma2-1e150"),
+                 "non-finite cell statistics", id="benchmark-sigma2-1e150"),
     pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"],
-                 "non-finite gradient estimate", id="benchmark-paired-sigma2-1e150"),
+                 "non-finite cell statistics", id="benchmark-paired-sigma2-1e150"),
     pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10", "--estimators", "simple"],
                  "non-finite cell statistics", id="benchmark-simple-sigma2-1e150"),
+    pytest.param(["ground-truth", "--mu", "1e15", "--sigma2", "2"], "no ground-truth gradient", id="ground-truth-mu-1e15"),
+    pytest.param(["ground-truth", "--mu", "1e20", "--sigma2", "2"], "no ground-truth gradient", id="ground-truth-mu-1e20"),
+    pytest.param(["estimate", "--estimator", "cv-regression", "--mu", "1e15", "--sigma2", "2", "--seed", "1"],
+                 "no gradient estimate", id="estimate-mu-1e15"),
+    pytest.param(["estimate", "--estimator", "cv-regression", "--mu", "1e20", "--sigma2", "2", "--seed", "1"],
+                 "no gradient estimate", id="estimate-mu-1e20"),
 ]
 
 
@@ -173,6 +179,11 @@ class TestParseArgs:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    def test_retired_jitter_flag_is_unknown(self):
+        proc = run_cli(["estimate", "--estimator", "cv-regression", "--jitter", "0.1"])
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --jitter 0.1" in proc.stderr
+
     @pytest.mark.parametrize("argv,message", _RUNTIME_ERRORS)
     def test_runtime_error_is_reported_without_traceback(self, argv, message):
         proc = run_cli(argv)
@@ -186,8 +197,8 @@ class TestParseArgs:
         (["estimate", "--sigma2", "1e300"], "non-finite gradient estimate"),
         (["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"], "non-finite gradient estimate"),
         (["fit", "--mu", "1e200", "--iterations", "5"], "non-finite gradient estimate"),
-        (["benchmark", "--settings", "0:1e150", "--reps", "10"], "non-finite gradient estimate"),
-        (["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"], "non-finite gradient estimate"),
+        (["benchmark", "--settings", "0:1e150", "--reps", "10"], "non-finite cell statistics"),
+        (["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"], "non-finite cell statistics"),
         (["benchmark", "--settings", "0:1e150", "--reps", "10", "--estimators", "simple"],
          "non-finite cell statistics"),
     ], ids=[f"argv{i}" for i in range(7)])
@@ -199,9 +210,9 @@ class TestParseArgs:
         assert len(lines) == 1 and lines[0].startswith(f"gradcv: error: {message}"), proc.stderr
 
     def test_parse_args_builds_the_command_objects(self):
-        ns = parse_args(["estimate", "--mu", "1", "--sigma2", "0.5", "--estimator", "cov", "--jitter", "0.1"])
+        ns = parse_args(["estimate", "--mu", "1", "--sigma2", "0.5", "--estimator", "cov", "--split", "0.3"])
         assert (ns.q.mu, ns.q.sigma2) == (1.0, 0.5)
-        assert (ns.estimator_config.estimator_id, ns.estimator_config.jitter) == ("cov", 0.1)
+        assert (ns.estimator_config.estimator_id, ns.estimator_config.cv_split) == ("cov", 0.3)
         assert ns.resolved_target.name == "logistic"
         ns = parse_args(["benchmark", "--settings", "0:2", "--reps", "7", "--paired"])
         assert (ns.spec.settings, ns.spec.replications, ns.spec.paired) == (((0.0, 2.0),), 7, True)

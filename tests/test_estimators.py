@@ -62,13 +62,6 @@ class TestSolver:
         np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[0.0, 0.5]], atol=1e-14)
         assert fallback.all()
 
-    def test_jitter_applied_before_pinv(self):
-        a = np.array([[[0.0, 0.0], [0.0, 0.0]]])
-        b = np.array([[1.0, 1.0]])
-        x0, x1, fallback = _solve2c(*components(a, b), jitter=0.5)
-        np.testing.assert_allclose(np.stack([x0, x1], axis=-1), [[2.0, 2.0]], rtol=1e-12)
-        assert fallback.all()
-
     def test_nonsymmetric_fallback_matches_lstsq(self):
         # rank 0, rank 1 and near-singular (rank 1 plus a perturbation of
         # relative size 1e-14 to 1e-17) systems take the minimum-norm fallback
@@ -384,11 +377,6 @@ class TestConfigAndErrors:
         match = "non-finite gradient estimate" if path else "log_p is not finite at draw x="
         with pytest.raises(EstimationError, match=match):
             estimate(q, bad, EstimatorConfig(estimator_id=est_id), seed=1)
-
-    @pytest.mark.parametrize("jitter", [-1.0, np.nan, np.inf])
-    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
-        with pytest.raises(ValueError, match="jitter"):
-            EstimatorConfig(estimator_id="cv-regression", total_samples=4, jitter=jitter)
 
     def test_degenerate_draws_flag_fallback(self):
         # identical draws give a singular sample covariance; the solve falls

@@ -22,6 +22,7 @@ import gradcv
 from gradcv.benchmark import BenchmarkSpec, run_benchmark
 from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, estimate, run_kernel
 from gradcv.gaussian import DrawBatch, GaussianQ, rng_from_seed
+from gradcv.quadrature import ground_truth_gradient
 from gradcv.targets import gaussian_target, logistic_target
 
 TARGETS = {"logistic": logistic_target(), "gaussian:1:3": gaussian_target(1.0, 3.0)}
@@ -224,12 +225,12 @@ def test_draws_are_freed_without_the_cycle_collector():
     x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     for fill in (False, True):
         d = Draws(q, t, x, x.copy())
-        d.columns(0, 2).log_p, d.columns(2).path
-        cached = [weakref.ref(d.columns(2).log_p.base), weakref.ref(d.columns(2).path[1].base)]
+        d.columns(0, 2).log_p, d.columns(2).resid
+        cached = [weakref.ref(d.columns(2).log_p.base), weakref.ref(d.columns(2).resid.base)]
         if fill:
             for est_id in ESTIMATOR_IDS:
                 run_kernel(est_id, q, t, d, None, 2)
-            arrays = (d.f, d.u1, d.columns(2).cov_uf[0], d.columns(2).u_moments[2], d.path_moments[1], d.cov_uf[0])
+            arrays = (d.f, d.u1, d.columns(2).cov_uf[0], d.columns(2).u_moments[2], d.path_uf[1], d.cov_uf[0])
             cached += [weakref.ref(a) for a in arrays]
             del arrays
         gc.disable()
@@ -291,7 +292,7 @@ def moment_form_gradient(mu, sigma2, target_mu, target_sigma2):
 )
 def test_gaussian_target_exactness_far_from_the_origin(mu, log10_sigma2, target_mu, target_sigma2, samples, split,
                                                        seed):
-    # the regression estimators stay exact where mu^2 >> sigma2, to 1e-7 of
+    # the zero-variance estimators stay exact where mu^2 >> sigma2, to 1e-7 of
     # max(|exact|, 1): their 2x2 systems are posed on the standardized score,
     # whose covariance is diag(1, 2) wherever q is
     sigma2 = 10.0 ** log10_sigma2
@@ -302,18 +303,75 @@ def test_gaussian_target_exactness_far_from_the_origin(mu, log10_sigma2, target_
     scale = max(np.abs(exact).max(), 1.0)
     eps = rng_from_seed(("far-exactness-property", seed)).standard_normal((4, samples))
     d = Draws(q, t, q.reparameterize(eps), eps)
-    for est_id in ("cv-regression", "greg-samplecov"):
+    for est_id in ZERO_VARIANCE_IDS:
         est = run_kernel(est_id, q, t, d, None, n_coef)
         assert np.abs(est - exact).max() / scale < 1e-7, est_id
 
 
 @pytest.mark.parametrize("mu, sigma2", [(20.0, 1e-6), (50.0, 1e-8), (-50.0, 1e-8), (1000.0, 1.0)])
-@pytest.mark.parametrize("est_id", ["cv-regression", "greg-samplecov", "cv-ideal"])
+@pytest.mark.parametrize("est_id", ["cv-regression", "greg-samplecov", "cv-ideal", "cv-ideal-grad", "greg-pathgrad"])
 def test_no_solver_fallback_far_from_the_origin(est_id, mu, sigma2):
-    # where mu^2 >> sigma2 the eta-basis score covariance is numerically
-    # singular; its systems on the standardized score are not, so no row of
-    # 4096 logistic rows of 50 draws falls back to the pseudo-inverse
+    # where mu^2 >> sigma2 the eta-basis score covariance and its path
+    # estimate are numerically singular; the systems on the standardized
+    # score are not, so no row of 4096 logistic rows of 50 draws falls back
+    # to the pseudo-inverse
     q = GaussianQ(mu, sigma2)
     x, eps = draws(q, 4096, ("far", mu, sigma2))
     _, aux = run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id), with_aux=True)
     assert not aux["singular_fallback"].any()
+
+
+def test_cv_ideal_on_two_draw_halves_is_cov_on_the_evaluation_half():
+    # two centered draws are +-delta, so cv-ideal's coefficient systems are
+    # zero in exact arithmetic: both components flag the fallback and fit
+    # zero coefficients, and the estimate is cov on the evaluation half
+    q, t = GaussianQ(0.3, 1.0), logistic_target()
+    eps = rng_from_seed("two-draw-halves").standard_normal((2000, 4))
+    x = q.reparameterize(eps)
+    est, aux = run_kernel("cv-ideal", q, t, x, eps, 2, with_aux=True)
+    assert aux["singular_fallback"].all()
+    np.testing.assert_array_equal(aux["alpha"], 0.0)
+    np.testing.assert_array_equal(est, run_kernel("cov", q, t, x[:, 2:], eps[:, 2:], 0))
+    one = estimate(q, t, EstimatorConfig(total_samples=4, estimator_id="cv-ideal"), seed=2995)
+    assert np.abs(one.value).max() < 10.0 and one.aux["singular_fallback"].all()
+
+
+# the perfbench gate's bound on an unbiased cell's mean bias, in standard errors
+BIAS_Z = 5.0
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(mu=st.floats(-50.0, 50.0), log10_sigma2=st.floats(-2.0, np.log10(4.0)), seed=st.integers(0, 2**32 - 1))
+def test_logistic_tails_finite_and_unbiased(mu, log10_sigma2, seed):
+    # in the logistic tails every estimator is finite on 4096 rows of 50
+    # draws, and each unbiased one's mean is within BIAS_Z standard errors
+    # of the oracle (plus 1e-12 of the gradient's scale for rounding)
+    q, t = GaussianQ(mu, 10.0 ** log10_sigma2), logistic_target()
+    gt = ground_truth_gradient(q, t)
+    scale = max(np.abs(gt).max(), 1.0)
+    eps = rng_from_seed(("logistic-tails", seed)).standard_normal((4096, SAMPLES))
+    d = Draws(q, t, q.reparameterize(eps), eps)
+    for est_id in ESTIMATOR_IDS:
+        est = run_kernel(est_id, q, t, d, None, SAMPLES // 2)
+        assert np.isfinite(est).all(), est_id
+        if ESTIMATORS[est_id].unbiased:
+            se = est.std(axis=0, ddof=1) / np.sqrt(len(est))
+            assert (np.abs(est.mean(axis=0) - gt) <= BIAS_Z * se + 1e-12 * scale).all(), (est_id, est.mean(axis=0), gt, se)
+
+
+@pytest.mark.parametrize("mu", [1e15, 1e20, -1e15])
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_draws_that_lost_their_noise_are_an_error(est_id, mu):
+    # past MAX_MU_OVER_SIGMA, x = mu + sigma * eps has lost eps to rounding:
+    # the estimate is an error, not a finite number with wrong digits
+    q = GaussianQ(mu, 2.0)
+    x, eps = draws(q, 2, "noise-lost")
+    with pytest.raises(EstimationError, match=r"^no gradient estimate .* exceeds 1e\+10, where x = mu \+ sigma"):
+        run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id))
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_mu_over_sigma_of_1e8_is_computed(est_id):
+    q = GaussianQ(1e8, 1.0)
+    x, eps = draws(q, 2, "noise-kept")
+    assert np.isfinite(run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id))).all()

@@ -111,6 +111,15 @@ class TestFit:
         assert nat.final.sigma2 > 5.0 * q0.sigma2
         assert abs(nat.final.sigma2 - 1.0) < abs(plain.final.sigma2 - 1.0)
 
+    def test_natural_gradient_step_solves_the_exact_score_covariance(self):
+        # one step moves eta by step0 Cov_q[T]^-1 g, here in closed form (the
+        # projection is inactive at this step)
+        q0, g = GaussianQ(3.0, 0.2), np.array([0.7, -0.4])
+        sched = SgdSchedule(step0=0.01, iterations=1)
+        result = fit(q0, gaussian_target(0.0, 1.0), schedule=sched, natural_gradient=True, gradient_fn=lambda q: g)
+        expected = q0.eta - 0.01 * np.linalg.solve(q0.exact_suffstat_cov(), g)
+        np.testing.assert_allclose(result.final.eta, expected, rtol=1e-12)
+
     def test_trajectory_recording(self):
         sched = SgdSchedule(step0=0.01, decay=0.75, iterations=40, samples_per_step=10)
         result = fit(GaussianQ(0.0, 1.0), logistic_target(), "cov", sched, seed=0, record_every=10)
@@ -298,7 +307,6 @@ class TestVariationalSGD:
             "iterations": schedule.iterations,
             "samples_per_step": schedule.samples_per_step,
             "cv_split": fit_defaults["cv_split"],
-            "jitter": fit_defaults["jitter"],
             "natural_gradient": fit_defaults["natural_gradient"],
             "mu0": 0.0,
             "sigma20": 1.0,

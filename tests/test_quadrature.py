@@ -70,6 +70,19 @@ class TestExpect:
             with pytest.raises(EvaluationError, match="ground-truth gradient is not finite"):
                 ground_truth_gradient(GaussianQ(1e200, 2.0), logistic_target())
 
+    @pytest.mark.parametrize("mu", [1e15, 1e20])
+    def test_nodes_that_lost_their_noise_are_evaluation_error(self, mu):
+        # past MAX_MU_OVER_SIGMA the nodes mu + sigma z have lost z to
+        # rounding: -1.96 at mu = 1e15 and +3923 at 1e20, for the exact -2,
+        # would come out as an answer
+        with pytest.raises(EvaluationError, match=r"^no ground-truth gradient at mu=.*exceeds 1e\+10"):
+            ground_truth_gradient(GaussianQ(mu, 2.0), logistic_target())
+
+    def test_mu_over_sigma_of_1e8_is_computed(self):
+        # the second component of the logistic gradient tends to -sigma2 as mu -> inf
+        grad = ground_truth_gradient(GaussianQ(1e8, 1.0), logistic_target())
+        assert grad[1] == pytest.approx(-1.0, rel=1e-6)
+
 
 class TestCov:
     def test_suffstats_match_closed_form(self):
