@@ -21,12 +21,13 @@ is one task, run on the thread pool: a stream is a noise stream and the
 estimators that read it. Unpaired, each estimator has its own stream;
 paired (--paired), the stream key has no estimator index, so one stream
 per chunk serves every estimator. A task walks its chunk in row tiles: it
-draws the tile's noise, maps it to draws, and runs each of its estimators
-on one shared Draws, the tile's ingredient cache. The Draws evaluates the
-target's log_p and grad_x once for the tile, and the q-side ingredients
-too: the scores, the integrand log q - log p, the path pieces, and the
-score and path moments of each column range. Paired tables thus draw,
-evaluate the target and compute each ingredient once per tile for all
+draws the tile's noise and runs each of its estimators on one shared Draws
+of q, the target and that noise, the tile's ingredient cache. The Draws
+forms the draws x and evaluates the target's log_p and grad_x once for the
+tile, and the q-side ingredients too: eps^2 - 1, the integrand
+log q - log p, the path residual, and on each column range the moments of
+u, of u and the integrand, and of the path residual. Paired tables thus
+draw, evaluate the target and compute each ingredient once per tile for all
 estimators. Unpaired tiles have 512 rows, which keeps one kernel's
 (rows, S) arrays in cache; paired tiles have 1024, over which the ten
 kernels' per-call cost is spread. Drawing a chunk's noise tile by tile
@@ -99,8 +100,12 @@ class BenchmarkSpec:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if not self.settings:
-            raise ValueError("settings must be non-empty")
+        for name, items in (("settings", self.settings), ("estimators", self.estimators)):
+            if not items:
+                raise ValueError(f"{name} must be non-empty")
+            repeated = [item for i, item in enumerate(items) if item in items[:i]]
+            if repeated:
+                raise ValueError(f"{name} must not repeat, got {repeated[0]!r} twice")
         # validates the estimator ids, budget, split feasibility, and target name up front
         for est in self.estimators:
             EstimatorConfig(total_samples=self.samples, cv_split=self.cv_split, estimator_id=est)
@@ -165,10 +170,9 @@ def _setting_estimates(
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
         stop = min((chunk_idx + 1) * _CHUNK, spec.replications)
         for lo in range(chunk_idx * _CHUNK, stop, tile):
-            eps = rng.standard_normal((min(tile, stop - lo), spec.samples))
-            draws = Draws(q, target, q.reparameterize(eps), eps)
+            draws = Draws(q, target, rng.standard_normal((min(tile, stop - lo), spec.samples)))
             for i in members:
-                est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, eps, n_coef)
+                est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, n_coef)
 
     if threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

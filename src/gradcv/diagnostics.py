@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import run_kernel
+from .estimators import Draws, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import cov, expect, gauss_hermite_rule
 from .targets import gaussian_target, logistic_target
@@ -107,13 +107,13 @@ def check_path_gradient_finite_difference(step: float = 1e-6, tol: float = 1e-6)
     worst = 0.0
     for case_idx, (mu, s2) in enumerate(_CHECK_QS):
         q = GaussianQ(mu, s2)
-        eps = rng_from_seed(("path-fd", case_idx)).standard_normal((1, samples))
-        x = q.reparameterize(eps)
+        d = Draws(q, target, rng_from_seed(("path-fd", case_idx)).standard_normal((1, samples)))
+        eps, x = d.eps, d.x
 
         def frozen_d(y):
             return q.log_density(y) - target.log_p(y)
 
-        kingma = run_kernel("kingma-reparam", q, target, x, eps, 0)[0]
+        kingma = run_kernel("kingma-reparam", q, target, d, 0)[0]
         jac = q.path_jacobian(eps[0])
         t_prime = np.stack([np.ones_like(x[0]), 2.0 * x[0]], axis=-1)
         path_cov = np.einsum("si,sl->il", jac, t_prime) / samples
@@ -156,10 +156,9 @@ def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult
         delta = q.eta - target.eta_tilde
         exact = q.exact_suffstat_cov() @ delta
         scale = max(float(np.abs(exact).max()), 1.0)
-        eps = rng_from_seed(("exactness", pair_idx)).standard_normal((replications, samples))
-        x = q.reparameterize(eps)
-        est_reg, aux = run_kernel("cv-regression", q, target, x, eps, samples // 2, with_aux=True)
-        est_greg = run_kernel("greg-samplecov", q, target, x, eps, 0)
+        d = Draws(q, target, rng_from_seed(("exactness", pair_idx)).standard_normal((replications, samples)))
+        est_reg, aux = run_kernel("cv-regression", q, target, d, samples // 2, with_aux=True)
+        est_greg = run_kernel("greg-samplecov", q, target, d, 0)
         worst = max(worst, float(np.abs(est_reg - exact).max()) / scale)
         worst = max(worst, float(np.abs(est_greg - exact).max()) / scale)
         alpha = aux["alpha"]

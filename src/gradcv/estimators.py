@@ -35,19 +35,20 @@ whether it is unbiased. Every kernel has the signature
 
     kernel(coef, ev) -> ((R, 2), aux)
 
-where coef and ev are the coefficient and evaluation halves of one Draws:
-draws x of q and their standard-normal noise eps of shape (R, S), one row
-per independent replication, with q and the target. Split-budget methods
-fit coefficients on coef and evaluate on ev; the rest get coef None and the
-whole Draws as ev. aux maps diagnostic names to per-row arrays. run_kernel
-is the one dispatch: it checks q and the target's capabilities, splits the
-columns, calls the kernel with overflow not warned about, and raises
-EstimationError on a non-finite estimate. The benchmark runs every
-estimator of a tile of rows on one Draws through it, the fit runs one row
-per step, and estimate() and the est_* functions run one row. The est_*
-functions are generated from the registry and carry their kernel's
-docstring. Every kernel treats each row on its own, so an estimate does
-not depend on which rows share its call.
+where coef and ev are the coefficient and evaluation halves of one Draws,
+built from q, the target and standard-normal noise eps of shape (R, S), one
+row per independent replication. Split-budget methods fit coefficients on
+coef and evaluate on ev; the rest get coef None and the whole Draws as ev.
+aux maps diagnostic names to per-row arrays. run_kernel is the one
+dispatch, and a Draws its one input: it checks q and the target's
+capabilities, splits the columns, calls the kernel with overflow not
+warned about, and raises EstimationError on a non-finite estimate. The
+benchmark runs every estimator of a tile of rows on one Draws through it,
+the fit runs one row per step, and estimate() and the est_* functions run
+one row. The est_* functions are generated from the registry and carry
+their kernel's docstring; they take DrawBatches of q and reject one whose
+draws are not q.reparameterize of its noise. Every kernel treats each row
+on its own, so an estimate does not depend on which rows share its call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -73,8 +74,9 @@ rows: per column range it keeps the moments of u (its sample mean, from
 which M' is formed, its Gram Cov-hat[u, u] and the Gram's inverse), which
 read the noise alone. A Draws is the cache of one tile's draws of q and
 the target, over a Noise of the same rows. It computes each elementwise
-ingredient (u1, the target's log_p, f, and r, which reads grad_x) at most
-once, on every column, when a kernel first reads it; the halves are
+ingredient (the draws x = mu + sigma eps, which the target and
+delta-method read, u1, the target's log_p, f, and r, which reads grad_x)
+at most once, on every column, when a kernel first reads it; the halves are
 column views that slice it. It also keeps the (R,) moment tuples of a
 column range: Cov-hat[u, f] and F. So every kernel run on one Draws reads
 what another has computed: cv-ideal and cv-regression share the
@@ -245,32 +247,34 @@ class Noise:
 
 
 class Draws:
-    """Draws x = mu + sigma * eps of q, shape (R, S): the ingredient cache of one tile.
+    """The draws of q on noise eps of shape (R, S), with the target t: the ingredient cache of one tile.
 
-    Kernels read the per-draw ingredients from their Draws, so kernels run
-    on one Draws compute each once. noise is the Noise of the same rows (an
-    array of eps is made one); eps is its noise on the Draws' columns, and
-    u_moments and gram_inverse its moments of u there. The Draws keeps:
+    A kernel's one input. Kernels read the per-draw ingredients from their
+    Draws, so kernels run on one Draws compute each once. noise is the
+    Noise of the rows (an array of eps is made one); eps is its noise on the
+    Draws' columns, len() its number of rows, and u_moments and gram_inverse
+    its moments of u there. The Draws keeps:
 
     * the elementwise ingredients, keyed by the function that computes them:
-      u1 = eps^2 - 1 (_u1), the target's log_p (_log_p; a non-finite log p
-      is an estimation error naming its draw), the integrand f (_fval) and
-      the path residual r (_resid), which reads the target's grad_x. Each
-      is computed on first use, once for all columns;
+      the draws x = q.reparameterize(eps) (_x), which the target and
+      delta-method read, u1 = eps^2 - 1 (_u1), the target's log_p (_log_p;
+      a non-finite log p is an estimation error naming its draw), the
+      integrand f (_fval) and the path residual r (_resid), which reads the
+      target's grad_x. Each is computed on first use, once for all columns;
     * the (R,) moment tuples of _cov_uf and _path_uf, keyed by the
       reduction and the column range (lo, hi) as columns() was given it.
 
-    columns(lo, hi) is the view of a column range of a whole Draws: its x
-    and eps are views, its elementwise ingredients are column slices of
-    those of the Draws it came from, and its moments are kept there.
+    columns(lo, hi) is the view of a column range of a whole Draws: its
+    eps is a view, its elementwise ingredients are column slices of those
+    of the Draws it came from, and its moments are kept there.
     Centered (R, S) arrays are not kept; each kernel makes its own and lets
     them go.
     """
 
-    __slots__ = ("q", "t", "x", "eps", "noise", "_root", "_cols", "_cache")
+    __slots__ = ("q", "t", "eps", "noise", "_root", "_cols", "_cache")
 
-    def __init__(self, q: GaussianQ, t: Target, x: np.ndarray, noise):
-        self.q, self.t, self.x = q, t, x
+    def __init__(self, q: GaussianQ, t: Target, noise):
+        self.q, self.t = q, t
         self.noise = noise if isinstance(noise, Noise) else Noise(noise)
         self.eps = self.noise.eps
         # a root Draws is its own root; None, not self, since a reference
@@ -279,10 +283,10 @@ class Draws:
         self._cache: dict = {}
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.eps)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
-        view = Draws(self.q, self.t, self.x[:, lo:hi], self.noise)
+        view = Draws(self.q, self.t, self.noise)
         view.eps = self.eps[:, lo:hi]
         view._root, view._cols = self, slice(lo, hi)
         return view
@@ -304,6 +308,10 @@ class Draws:
         if value is None:
             value = cache[key] = reduce(self)
         return value
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._elementwise(_x)
 
     @property
     def u1(self) -> np.ndarray:
@@ -374,6 +382,11 @@ def _gram_inverse(n: Noise, lo: int | None, hi: int | None) -> tuple:
     # both unit right-hand sides in one solve, along a trailing axis
     x0, x1, fallback = _solve2c(g00, g01, g01, g11, _UNIT0, _UNIT1)
     return x0[..., 0], x0[..., 1], x1[..., 0], x1[..., 1], fallback[..., 0]
+
+
+def _x(d: Draws) -> np.ndarray:
+    """The draws x = mu + sigma * eps of q."""
+    return d.q.reparameterize(d.eps)
 
 
 def _u1(d: Draws) -> np.ndarray:
@@ -542,7 +555,7 @@ def _solve2c(a00, a01, a10, a11, b0, b1):
 def _kernel_simple(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
     # the mean of s f = L (u f)
-    f, n = d.f, d.x.shape[-1]
+    f, n = d.f, d.eps.shape[-1]
     return _times_l(d.q, _dot(d.eps, f) / n, _dot(d.u1, f) / n), {}
 
 
@@ -577,7 +590,7 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     u0, u1 = _centered(coef.eps), _centered(coef.u1)
     f = _centered(coef.f)
     a, b, c = _center(u0 * u0), _center(u0 * u1), _center(u1 * u1)
-    if coef.x.shape[-1] == 2:
+    if coef.eps.shape[-1] == 2:
         # two centered draws are +-delta, so a, b and c are zero but for
         # their rounding, which would pose two systems of noise: zeroed, both
         # flag the fallback and fit zero coefficients (the estimate is cov on ev)
@@ -653,7 +666,7 @@ def _kernel_ranganath_cv(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     # s_i f; s_i up to its constant factor gives the same coefficient, and
     # the factor scales the mean
     q, f_c, f_e = ev.q, coef.f, ev.f
-    n = ev.x.shape[-1]
+    n = ev.eps.shape[-1]
     est, coefs, zero_var = [], [], []
     directions = zip(_score_directions(coef.eps, coef.u1, q), _score_directions(ev.eps, ev.u1, q))
     for (w_c, w_e), factor in zip(directions, (q.sigma, q.sigma2)):
@@ -680,7 +693,7 @@ def _kernel_delta_method(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     remainder *= dx
     remainder += lp0
     np.subtract(d.log_p, remainder, out=remainder)
-    n = d.x.shape[-1]
+    n = d.eps.shape[-1]
     # the score-function estimate of the remainder's term is -L mean(u
     # remainder); d/deta E_q[log q] is the negative-entropy gradient
     # (0, -sigma2); d/deta E_q[Taylor] with frozen coefficients uses
@@ -773,22 +786,19 @@ def run_kernel(
     estimator_id: str,
     q: GaussianQ,
     t: Target,
-    x: np.ndarray,
-    eps: np.ndarray,
+    draws: Draws,
     n_coef: int,
     *,
     with_aux: bool = False,
 ):
-    """Vectorized entry point: one gradient estimate per row of x.
+    """Vectorized entry point: one gradient estimate per row of draws, a Draws of q and the target t.
 
-    x and eps have shape (R, S), the draws x = mu + sigma * eps and their
-    noise, which the score-function kernels read; split-budget estimators
-    use the first n_coef columns as the coefficient batch and the rest for
-    evaluation. x may instead be a Draws of q and the target t, and eps is
-    then not read: every kernel run on one Draws shares its ingredients, as
-    the benchmark's estimators share each tile. Returns the (R, 2) estimates,
-    or with with_aux=True the pair (estimates, aux), aux holding the
-    kernel's per-row diagnostics under the keys of GradEstimate.aux.
+    Split-budget estimators use the first n_coef columns as the coefficient
+    batch and the rest for evaluation. Every kernel run on one Draws shares
+    its ingredients, as the benchmark's estimators share each tile. Returns
+    the (R, 2) estimates, or with with_aux=True the pair (estimates, aux),
+    aux holding the kernel's per-row diagnostics under the keys of
+    GradEstimate.aux.
 
     This is the one caller of a kernel. It checks the target's
     capabilities, splits the columns and runs the kernel with overflow not
@@ -798,14 +808,10 @@ def run_kernel(
     is not finite there), and one past MAX_MU_OVER_SIGMA, where x = mu +
     sigma * eps has lost eps to rounding.
     """
-    if isinstance(x, Draws):
-        if x.t is not t:
-            raise ValueError(f"x holds draws of target {x.t.name!r}, not of {t.name!r}")
-        if x.q is not q:
-            raise ValueError(f"x holds draws of {x.q}, not of {q}")
-        d = x
-    else:
-        d = Draws(q, t, x, eps)
+    if draws.t is not t:
+        raise ValueError(f"draws of target {draws.t.name!r}, not of {t.name!r}")
+    if draws.q is not q:
+        raise ValueError(f"draws of {draws.q}, not of {q}")
     info = ESTIMATORS[estimator_id]
     info.check(t)
     if not math.isfinite(q.mu * q.mu + q.sigma2):
@@ -813,7 +819,7 @@ def run_kernel(
     lost = _noise_lost(q)
     if lost:
         raise EstimationError(f"no gradient estimate of {estimator_id!r} at {q}: {lost}")
-    coef, ev = (d.columns(0, n_coef), d.columns(n_coef)) if info.split_budget else (None, d)
+    coef, ev = (draws.columns(0, n_coef), draws.columns(n_coef)) if info.split_budget else (None, draws)
     with np.errstate(over="ignore", invalid="ignore"):
         value, aux = info.kernel(coef, ev)
     if not np.isfinite(value).all():
@@ -822,10 +828,10 @@ def run_kernel(
     return (value, aux) if with_aux else value
 
 
-def _row(info: EstimatorInfo, q: GaussianQ, t: Target, x: np.ndarray, eps: np.ndarray, n_coef: int) -> GradEstimate:
-    """The GradEstimate of the one (1, S) row of draws x."""
-    value, aux = run_kernel(info.id, q, t, x, eps, n_coef, with_aux=True)
-    return GradEstimate(value[0], info.id, samples_used=x.shape[1], aux={k: v[0] for k, v in aux.items()} or None)
+def _row(info: EstimatorInfo, q: GaussianQ, t: Target, d: Draws, n_coef: int) -> GradEstimate:
+    """The GradEstimate of the one (1, S) row of d."""
+    value, aux = run_kernel(info.id, q, t, d, n_coef, with_aux=True)
+    return GradEstimate(value[0], info.id, samples_used=d.eps.shape[1], aux={k: v[0] for k, v in aux.items()} or None)
 
 
 def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
@@ -837,18 +843,17 @@ def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
             raise ValueError(
                 f"estimator {info.id!r} needs >= {info.min_draws} draws in each batch, got {'+'.join(map(str, sizes))}"
             )
-        x = np.concatenate([b.draws for b in batches])[None]
-        eps = np.concatenate([b.noise for b in batches])[None]
-        return _row(info, q, t, x, eps, sizes[0])
+        d = Draws(q, t, np.concatenate([b.noise for b in batches])[None])
+        # the kernels read the noise, so draws of another q would be ignored
+        if not np.array_equal(np.concatenate([b.draws for b in batches]), d.x[0]):
+            raise ValueError(f"estimator {info.id!r} got draws that are not q.reparameterize(noise) of {q}")
+        return _row(info, q, t, d, sizes[0])
 
     if info.split_budget:
-        def est(
-            q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch,
-            config: EstimatorConfig | None = None,
-        ) -> GradEstimate:
+        def est(q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch) -> GradEstimate:
             return row(q, t, (batch_coef, batch_eval))
     else:
-        def est(q: GaussianQ, t: Target, batch: DrawBatch, config: EstimatorConfig | None = None) -> GradEstimate:
+        def est(q: GaussianQ, t: Target, batch: DrawBatch) -> GradEstimate:
             return row(q, t, (batch,))
     est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
     est.__doc__ = info.kernel.__doc__
@@ -872,4 +877,4 @@ def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEsti
     base = seed if isinstance(seed, tuple) else (seed,)
     sizes = config.batch_sizes()
     eps = np.concatenate([rng_from_seed(base + (i,)).standard_normal(n) for i, n in enumerate(sizes)])[None]
-    return _row(ESTIMATORS[config.estimator_id], q, t, q.reparameterize(eps), eps, sizes[0])
+    return _row(ESTIMATORS[config.estimator_id], q, t, Draws(q, t, eps), sizes[0])

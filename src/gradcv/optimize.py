@@ -141,9 +141,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     rows = _noise_rows(seed, steps, config.total_samples)
 
     def gradient(q: GaussianQ) -> np.ndarray:
-        noise = next(rows)
-        d = Draws(q, target, q.reparameterize(noise.eps), noise)
-        return run_kernel(config.estimator_id, q, target, d, None, n_coef)[0]
+        return run_kernel(config.estimator_id, q, target, Draws(q, target, next(rows)), n_coef)[0]
 
     return gradient
 

@@ -20,7 +20,7 @@ from gradcv.benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, EstimationError, EstimatorConfig, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, run_kernel
 from gradcv.gaussian import GaussianQ, rng_from_seed
 from gradcv.targets import Target, resolve_target
 
@@ -75,6 +75,19 @@ class TestSpecValidation:
             BenchmarkSpec(samples=3, estimators=("cv-ideal",))
         with pytest.raises(ValueError):
             BenchmarkSpec(target="weird")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("estimators", (), "estimators must be non-empty"),
+        ("estimators", ("simple", "cov", "simple"), "estimators must not repeat, got 'simple' twice"),
+        ("settings", ((0.0, 2.0), (1.0, 2.0), (0, 2)), r"settings must not repeat, got \(0.0, 2.0\) twice"),
+        ("settings", ((-0.0, 2.0), (0.0, 2.0)), "settings must not repeat"),
+    ])
+    def test_rejects_empty_or_repeated_lists(self, field, value, message):
+        # a table has one row per estimator and setting: an empty estimator
+        # list would be a table without rows, and a repeated entry two cells
+        # under one (estimator, setting) name that the text table shows as one
+        with pytest.raises(ValueError, match=f"^{message}"):
+            BenchmarkSpec(**{field: value})
 
     @pytest.mark.parametrize("bad", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
     def test_rejects_bad_setting_at_construction(self, bad):
@@ -134,7 +147,7 @@ class TestRows:
 
     def test_single_replication_has_zero_stderr(self):
         # with one replication the mse is that single weighted squared error
-        from gradcv.estimators import run_kernel
+        from gradcv.estimators import Draws, run_kernel
         from gradcv.gaussian import GaussianQ, rng_from_seed
         from gradcv.quadrature import ground_truth_gradient
         from gradcv.targets import logistic_target
@@ -145,7 +158,8 @@ class TestRows:
         assert row.mse_stderr == 0.0
         q = GaussianQ(row.mu, row.sigma2)
         eps = rng_from_seed(chunk_stream_key(spec.base_seed, 0, 0, 0, False)).standard_normal((1, spec.samples))
-        est = run_kernel("simple", q, logistic_target(), q.reparameterize(eps), eps, 0)[0]
+        t = logistic_target()
+        est = run_kernel("simple", q, t, Draws(q, t, eps), 0)[0]
         err = est - ground_truth_gradient(q, logistic_target())
         assert row.mse == float((MSE_WEIGHTS * err * err).sum())
 
@@ -189,7 +203,7 @@ def reference_estimates(spec, setting_idx, estimator_idx):
     for chunk_idx, lo in enumerate(range(0, spec.replications, 4096)):
         key = chunk_stream_key(spec.base_seed, setting_idx, estimator_idx, chunk_idx, spec.paired)
         eps = rng_from_seed(key).standard_normal((min(4096, spec.replications - lo), spec.samples))
-        parts.append(run_kernel(spec.estimators[estimator_idx], q, target, q.reparameterize(eps), eps, n_coef))
+        parts.append(run_kernel(spec.estimators[estimator_idx], q, target, Draws(q, target, eps), n_coef))
     return np.concatenate(parts)
 
 
@@ -345,11 +359,6 @@ class TestOutputFormats:
         assert float(fields[1]) == 0.0 and float(fields[2]) == 2.0
         assert int(fields[9]) == 400
         assert len(fields) == 10
-
-    def test_empty_estimator_list_gives_header_only_csv(self):
-        table = run_benchmark(small_spec(estimators=()))
-        text = mse_table_to_csv(table)
-        assert text == "estimator,mu,sigma2,mse,mse_stderr,bias1,bias2,gt1,gt2,replications\n"
 
     def test_csv_per_component_columns(self):
         table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))

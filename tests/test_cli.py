@@ -27,6 +27,10 @@ _OUT_OF_DOMAIN = [
     pytest.param(["benchmark", "--threads", "0", "--reps", "10"], "--threads", id="benchmark-threads-zero"),
     pytest.param(["benchmark", "--threads", "-3", "--reps", "10"], "--threads", id="benchmark-threads-negative"),
     pytest.param(["estimate", "--config", {"sigma2": 0}], "--sigma2", id="estimate-config-sigma2-zero"),
+    pytest.param(["benchmark", "--estimators", "", "--reps", "10"], "--estimators", id="benchmark-estimators-empty"),
+    pytest.param(["benchmark", "--estimators", "simple,simple", "--settings", "0:2", "--reps", "50"], "--estimators",
+                 id="benchmark-estimators-repeated"),
+    pytest.param(["benchmark", "--settings", "0:2,0:2", "--reps", "50"], "--settings", id="benchmark-settings-repeated"),
 ]
 
 # in-domain argv the library cannot compute at, and the start of its error message

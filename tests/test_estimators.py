@@ -27,15 +27,14 @@ from gradcv.quadrature import expect, gauss_hermite_rule, ground_truth_gradient
 from gradcv.targets import Target, gaussian_target, logistic_target
 
 
-def draws_for(q, reps, samples, label):
-    eps = rng_from_seed(label).standard_normal((reps, samples))
-    return q.reparameterize(eps), eps
+def draws_for(q, target, reps, samples, label):
+    """A Draws of q and target on (reps, samples) noise of the stream keyed label."""
+    return Draws(q, target, rng_from_seed(label).standard_normal((reps, samples)))
 
 
 def run_many(est_id, q, target, reps=20_000, samples=50, label=0):
-    x, eps = draws_for(q, reps, samples, (est_id, label))
     n_coef = samples // 2 if ESTIMATORS[est_id].split_budget else 0
-    return run_kernel(est_id, q, target, x, eps, n_coef)
+    return run_kernel(est_id, q, target, draws_for(q, target, reps, samples, (est_id, label)), n_coef)
 
 
 def components(a, b):
@@ -162,8 +161,7 @@ class TestControlVariates:
         # score u, whose covariance is diag(1, 2)) averages to zero over
         # 100000 independent batches, within 4 standard errors
         q = GaussianQ(0.0, 2.0)
-        x, eps = draws_for(q, 100_000, 25, "h-zero-mean")
-        g00, g01, g11 = Draws(q, logistic_target(), x, eps).u_moments[2:]
+        g00, g01, g11 = draws_for(q, logistic_target(), 100_000, 25, "h-zero-mean").u_moments[2:]
         h = np.stack([g00, g01, g11], axis=-1) - [1.0, 0.0, 2.0]
         se = h.std(axis=0, ddof=1) / np.sqrt(h.shape[0])
         np.testing.assert_array_less(np.abs(h.mean(axis=0)), 4.0 * se)
@@ -221,12 +219,11 @@ class TestControlVariates:
         # component 0 is a scalar regression on h^01; it falls back only
         # when the coefficient draws have no spread
         q = GaussianQ(0.5, 1.5)
-        x, eps = draws_for(q, 4096, 50, "cvig-flag")
-        _, aux = run_kernel("cv-ideal-grad", q, logistic_target(), x, eps, 25, with_aux=True)
+        t = logistic_target()
+        _, aux = run_kernel("cv-ideal-grad", q, t, draws_for(q, t, 4096, 50, "cvig-flag"), 25, with_aux=True)
         assert not aux["singular_fallback"][:, 0].any()
         np.testing.assert_array_equal(aux["alpha"][:, 0, 0], 0.0)
-        eps = np.zeros((3, 50))
-        _, aux = run_kernel("cv-ideal-grad", q, logistic_target(), q.reparameterize(eps), eps, 25, with_aux=True)
+        _, aux = run_kernel("cv-ideal-grad", q, t, Draws(q, t, np.zeros((3, 50))), 25, with_aux=True)
         assert aux["singular_fallback"][:, 0].all()
 
     def test_greg_aux_contains_natural_gradient(self):

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 
 import gradcv
 from gradcv.benchmark import BenchmarkSpec, run_benchmark
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, estimate, run_kernel
+from gradcv.estimators import (
+    ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, estimate, run_kernel,
+)
 from gradcv.gaussian import DrawBatch, GaussianQ, rng_from_seed
 from gradcv.quadrature import ground_truth_gradient
 from gradcv.targets import gaussian_target, logistic_target
@@ -43,9 +45,9 @@ SAMPLES = 50
 ZERO_VARIANCE_IDS = ("cv-regression", "greg-samplecov", "cv-ideal-grad", "greg-pathgrad")
 
 
-def draws(q, reps, label):
-    eps = rng_from_seed(label).standard_normal((reps, SAMPLES))
-    return q.reparameterize(eps), eps
+def noise(reps, label):
+    """(reps, SAMPLES) standard-normal noise of the stream keyed label."""
+    return rng_from_seed(label).standard_normal((reps, SAMPLES))
 
 
 def n_coef_of(est_id):
@@ -62,18 +64,18 @@ def assert_rel_close(got, ref, rtol):
 class TestKernelEquivalence:
     def test_batch_equals_one_row_calls(self, est_id, target_name):
         q, t = GaussianQ(0.5, 1.5), TARGETS[target_name]
-        x, eps = draws(q, 5, ("rows", target_name))
+        eps = noise(5, ("rows", target_name))
         n_coef = n_coef_of(est_id)
-        batch = run_kernel(est_id, q, t, x, eps, n_coef)
-        rows = np.concatenate([run_kernel(est_id, q, t, x[i:i + 1], eps[i:i + 1], n_coef) for i in range(5)])
+        batch = run_kernel(est_id, q, t, Draws(q, t, eps), n_coef)
+        rows = np.concatenate([run_kernel(est_id, q, t, Draws(q, t, eps[i:i + 1]), n_coef) for i in range(5)])
         assert batch.shape == (5, 2)
         assert_rel_close(batch, rows, 1e-12)
 
     def test_batch_equals_wrapper(self, est_id, target_name):
         q, t = GaussianQ(-1.0, 2.5), TARGETS[target_name]
-        x, eps = draws(q, 5, ("wrapper", target_name))
-        n_coef = n_coef_of(est_id)
-        batch, aux = run_kernel(est_id, q, t, x, eps, n_coef, with_aux=True)
+        d = Draws(q, t, noise(5, ("wrapper", target_name)))
+        x, eps, n_coef = d.x, d.eps, n_coef_of(est_id)
+        batch, aux = run_kernel(est_id, q, t, d, n_coef, with_aux=True)
         for i in range(5):
             if ESTIMATORS[est_id].split_budget:
                 coef = DrawBatch(draws=x[i, :n_coef], noise=eps[i, :n_coef], seed=i, size=n_coef)
@@ -94,9 +96,24 @@ class TestKernelEquivalence:
 def test_alias_is_generated_from_the_registry(est_id):
     alias = ALIASES[est_id]
     params = ["q", "t", "batch_coef", "batch_eval"] if ESTIMATORS[est_id].split_budget else ["q", "t", "batch"]
-    assert list(inspect.signature(alias).parameters) == params + ["config"]
+    assert list(inspect.signature(alias).parameters) == params
     assert alias is getattr(gradcv.estimators, alias.__name__)
     assert alias.__doc__ and alias.__doc__ == ESTIMATORS[est_id].kernel.__doc__
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_alias_rejects_draws_of_another_q(est_id):
+    # the kernels read the noise, so a batch whose draws are not
+    # q.reparameterize(noise) is an error rather than silently ignored
+    q, t = GaussianQ(0.0, 1.0), logistic_target()
+    n = SAMPLES // 2 if ESTIMATORS[est_id].split_budget else SAMPLES
+    own = [q.sample((7, i), n) for i in range(2 if ESTIMATORS[est_id].split_budget else 1)]
+    assert np.isfinite(ALIASES[est_id](q, t, *own).value).all()
+    for other_q in (GaussianQ(5.0, 1.0), GaussianQ(0.0, 1.0 + 1e-15)):
+        batches = list(own)
+        batches[-1] = other_q.sample((7, len(own) - 1), n)
+        with pytest.raises(ValueError, match=rf"^estimator {re.escape(repr(est_id))} got draws that are not"):
+            ALIASES[est_id](q, t, *batches)
 
 
 @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
@@ -118,12 +135,11 @@ def test_estimate_equals_alias_and_run_kernel(est_id, mu, sigma2, samples, split
     q, t = GaussianQ(mu, sigma2), logistic_target()
     sizes = config.split_sizes() if ESTIMATORS[est_id].split_budget else (samples,)
     batches = [q.sample((seed, i), n) for i, n in enumerate(sizes)]
-    x = np.concatenate([b.draws for b in batches])[None]
     eps = np.concatenate([b.noise for b in batches])[None]
-    rows, aux = run_kernel(est_id, q, t, x, eps, config.split_sizes()[0], with_aux=True)
+    rows, aux = run_kernel(est_id, q, t, Draws(q, t, eps), config.split_sizes()[0], with_aux=True)
     got = estimate(q, t, config, seed=seed)
     assert got.samples_used == samples
-    for result in (got, ALIASES[est_id](q, t, *batches, config)):
+    for result in (got, ALIASES[est_id](q, t, *batches)):
         np.testing.assert_array_equal(result.value, rows[0])
         assert set(result.aux or {}) == set(aux)
         for key, values in aux.items():
@@ -137,8 +153,8 @@ class TestZeroVarianceOffChunk:
     def test_every_row_is_exact(self, est_id):
         q, t = GaussianQ(-0.5, 1.5), gaussian_target(1.0, 3.0)
         exact = q.exact_suffstat_cov() @ (q.eta - t.eta_tilde)
-        x, eps = draws(q, self.REPS, ("zero-variance", est_id))
-        est = run_kernel(est_id, q, t, x, eps, n_coef_of(est_id))
+        d = Draws(q, t, noise(self.REPS, ("zero-variance", est_id)))
+        est = run_kernel(est_id, q, t, d, n_coef_of(est_id))
         scale = max(np.abs(exact).max(), 1.0)
         assert est.shape == (self.REPS, 2)
         assert np.abs(est - exact).max() / scale < 1e-10
@@ -178,26 +194,43 @@ class TestSharedDraws:
     @pytest.mark.parametrize("target_name", list(TARGETS))
     def test_shared_equals_fresh_in_any_order(self, target_name):
         q, t = GaussianQ(0.5, 1.5), TARGETS[target_name]
-        x, eps = draws(q, 7, ("cache", target_name))
+        eps = noise(7, ("cache", target_name))
         runs = [(est_id, n_coef) for n_coef in N_COEF_EDGES for est_id in ESTIMATOR_IDS]
         fresh = {
-            (est_id, n_coef): run_kernel(est_id, q, t, Draws(q, t, x, eps), None, n_coef, with_aux=True)
+            (est_id, n_coef): run_kernel(est_id, q, t, Draws(q, t, eps), n_coef, with_aux=True)
             for est_id, n_coef in runs
         }
         for order in (runs, runs[::-1]):
-            shared = Draws(q, t, x, eps)
+            shared = Draws(q, t, eps)
             for est_id, n_coef in order:
-                got = run_kernel(est_id, q, t, shared, None, n_coef, with_aux=True)
+                got = run_kernel(est_id, q, t, shared, n_coef, with_aux=True)
                 assert_same_run(got, fresh[est_id, n_coef])
+
+    def test_x_is_q_reparameterize_of_the_noise(self):
+        # x is formed once per Draws, from its q and noise, on first read;
+        # it is what q.reparameterize gives, bit for bit, on a root (read
+        # before or after its column views), on its column views and on a
+        # Draws over a row view of a Noise
+        q, t = GaussianQ(0.5, 1.5), logistic_target()
+        eps = noise(4, "x")
+        root = Draws(q, t, eps)
+        np.testing.assert_array_equal(root.x, q.reparameterize(eps))
+        views_first = Draws(q, t, eps)
+        for lo, hi in ((0, 20), (20, None), (0, None)):
+            np.testing.assert_array_equal(views_first.columns(lo, hi).x, q.reparameterize(eps[:, lo:hi]))
+            np.testing.assert_array_equal(root.columns(lo, hi).x, q.reparameterize(eps[:, lo:hi]))
+        np.testing.assert_array_equal(views_first.x, q.reparameterize(eps))
+        row = Draws(q, t, Noise(eps).rows(1, 3))
+        np.testing.assert_array_equal(row.columns(5).x, q.reparameterize(eps[1:3, 5:]))
+        assert len(row) == 2
 
     def test_draws_of_another_q_or_target_rejected(self):
         q, t = GaussianQ(0.5, 1.5), logistic_target()
-        x, eps = draws(q, 3, "another")
-        d = Draws(q, t, x, eps)
+        d = Draws(q, t, noise(3, "another"))
         with pytest.raises(ValueError, match="draws of GaussianQ"):
-            run_kernel("simple", GaussianQ(0.5, 1.6), t, d, None, 0)
+            run_kernel("simple", GaussianQ(0.5, 1.6), t, d, 0)
         with pytest.raises(ValueError, match="draws of target 'logistic'"):
-            run_kernel("simple", q, gaussian_target(1.0, 3.0), d, None, 0)
+            run_kernel("simple", q, gaussian_target(1.0, 3.0), d, 0)
 
 
 @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
@@ -205,15 +238,14 @@ def test_nonfinite_row_is_estimation_error_without_warnings(est_id):
     # one overflowing row of three fails the whole call, and the message
     # names that row's estimate, the estimator and q
     q, t = GaussianQ(0.0, 1.0), TARGETS["logistic"]
-    _, eps = draws(q, 3, "overflow")
+    eps = noise(3, "overflow")
     eps[1] *= 1e200
-    x = q.reparameterize(eps)
     message = rf"^non-finite gradient estimate \[.*\] of {re.escape(repr(est_id))} at {re.escape(str(q))}$"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(run_kernel(est_id, q, t, x[::2], eps[::2], n_coef_of(est_id))).all()
+        assert np.isfinite(run_kernel(est_id, q, t, Draws(q, t, eps[::2]), n_coef_of(est_id))).all()
         with pytest.raises(EstimationError, match=message):
-            run_kernel(est_id, q, t, x, eps, n_coef_of(est_id))
+            run_kernel(est_id, q, t, Draws(q, t, eps), n_coef_of(est_id))
 
 
 def test_draws_are_freed_without_the_cycle_collector():
@@ -222,15 +254,15 @@ def test_draws_are_freed_without_the_cycle_collector():
     # the cycle collector ran, and raise its peak memory. Checked for a Draws
     # its column views have read from, and for one every kernel has filled.
     q, t = GaussianQ(0.0, 1.0), logistic_target()
-    x = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
+    eps = np.linspace(-1.0, 1.0, 8).reshape(2, 4)
     for fill in (False, True):
-        d = Draws(q, t, x, x.copy())
+        d = Draws(q, t, eps.copy())
         d.columns(0, 2).log_p, d.columns(2).resid
         cached = [weakref.ref(d.columns(2).log_p.base), weakref.ref(d.columns(2).resid.base)]
         if fill:
             for est_id in ESTIMATOR_IDS:
-                run_kernel(est_id, q, t, d, None, 2)
-            arrays = (d.f, d.u1, d.columns(2).cov_uf[0], d.columns(2).u_moments[2], d.path_uf[1], d.cov_uf[0])
+                run_kernel(est_id, q, t, d, 2)
+            arrays = (d.x, d.f, d.u1, d.columns(2).cov_uf[0], d.columns(2).u_moments[2], d.path_uf[1], d.cov_uf[0])
             cached += [weakref.ref(a) for a in arrays]
             del arrays
         gc.disable()
@@ -263,10 +295,9 @@ def test_gaussian_target_zero_variance_property(shared, mu, sigma2, target_mu, t
     exact = q.exact_suffstat_cov() @ (q.eta - t.eta_tilde)
     scale = max(np.abs(exact).max(), 1.0)
     eps = rng_from_seed(("zero-variance-property", seed)).standard_normal((4, samples))
-    x = q.reparameterize(eps)
-    d = Draws(q, t, x, eps)
+    d = Draws(q, t, eps)
     for est_id in ZERO_VARIANCE_IDS:
-        est = run_kernel(est_id, q, t, d if shared else Draws(q, t, x, eps), None, n_coef)
+        est = run_kernel(est_id, q, t, d if shared else Draws(q, t, eps), n_coef)
         assert np.abs(est - exact).max() / scale < 1e-10, est_id
 
 
@@ -302,9 +333,9 @@ def test_gaussian_target_exactness_far_from_the_origin(mu, log10_sigma2, target_
     exact = moment_form_gradient(mu, sigma2, target_mu, target_sigma2)
     scale = max(np.abs(exact).max(), 1.0)
     eps = rng_from_seed(("far-exactness-property", seed)).standard_normal((4, samples))
-    d = Draws(q, t, q.reparameterize(eps), eps)
+    d = Draws(q, t, eps)
     for est_id in ZERO_VARIANCE_IDS:
-        est = run_kernel(est_id, q, t, d, None, n_coef)
+        est = run_kernel(est_id, q, t, d, n_coef)
         assert np.abs(est - exact).max() / scale < 1e-7, est_id
 
 
@@ -316,8 +347,8 @@ def test_no_solver_fallback_far_from_the_origin(est_id, mu, sigma2):
     # score are not, so no row of 4096 logistic rows of 50 draws falls back
     # to the pseudo-inverse
     q = GaussianQ(mu, sigma2)
-    x, eps = draws(q, 4096, ("far", mu, sigma2))
-    _, aux = run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id), with_aux=True)
+    t = logistic_target()
+    _, aux = run_kernel(est_id, q, t, Draws(q, t, noise(4096, ("far", mu, sigma2))), n_coef_of(est_id), with_aux=True)
     assert not aux["singular_fallback"].any()
 
 
@@ -327,11 +358,10 @@ def test_cv_ideal_on_two_draw_halves_is_cov_on_the_evaluation_half():
     # zero coefficients, and the estimate is cov on the evaluation half
     q, t = GaussianQ(0.3, 1.0), logistic_target()
     eps = rng_from_seed("two-draw-halves").standard_normal((2000, 4))
-    x = q.reparameterize(eps)
-    est, aux = run_kernel("cv-ideal", q, t, x, eps, 2, with_aux=True)
+    est, aux = run_kernel("cv-ideal", q, t, Draws(q, t, eps), 2, with_aux=True)
     assert aux["singular_fallback"].all()
     np.testing.assert_array_equal(aux["alpha"], 0.0)
-    np.testing.assert_array_equal(est, run_kernel("cov", q, t, x[:, 2:], eps[:, 2:], 0))
+    np.testing.assert_array_equal(est, run_kernel("cov", q, t, Draws(q, t, eps[:, 2:]), 0))
     one = estimate(q, t, EstimatorConfig(total_samples=4, estimator_id="cv-ideal"), seed=2995)
     assert np.abs(one.value).max() < 10.0 and one.aux["singular_fallback"].all()
 
@@ -350,9 +380,9 @@ def test_logistic_tails_finite_and_unbiased(mu, log10_sigma2, seed):
     gt = ground_truth_gradient(q, t)
     scale = max(np.abs(gt).max(), 1.0)
     eps = rng_from_seed(("logistic-tails", seed)).standard_normal((4096, SAMPLES))
-    d = Draws(q, t, q.reparameterize(eps), eps)
+    d = Draws(q, t, eps)
     for est_id in ESTIMATOR_IDS:
-        est = run_kernel(est_id, q, t, d, None, SAMPLES // 2)
+        est = run_kernel(est_id, q, t, d, SAMPLES // 2)
         assert np.isfinite(est).all(), est_id
         if ESTIMATORS[est_id].unbiased:
             se = est.std(axis=0, ddof=1) / np.sqrt(len(est))
@@ -365,13 +395,12 @@ def test_draws_that_lost_their_noise_are_an_error(est_id, mu):
     # past MAX_MU_OVER_SIGMA, x = mu + sigma * eps has lost eps to rounding:
     # the estimate is an error, not a finite number with wrong digits
     q = GaussianQ(mu, 2.0)
-    x, eps = draws(q, 2, "noise-lost")
+    t = logistic_target()
     with pytest.raises(EstimationError, match=r"^no gradient estimate .* exceeds 1e\+10, where x = mu \+ sigma"):
-        run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id))
+        run_kernel(est_id, q, t, Draws(q, t, noise(2, "noise-lost")), n_coef_of(est_id))
 
 
 @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
 def test_mu_over_sigma_of_1e8_is_computed(est_id):
-    q = GaussianQ(1e8, 1.0)
-    x, eps = draws(q, 2, "noise-kept")
-    assert np.isfinite(run_kernel(est_id, q, logistic_target(), x, eps, n_coef_of(est_id))).all()
+    q, t = GaussianQ(1e8, 1.0), logistic_target()
+    assert np.isfinite(run_kernel(est_id, q, t, Draws(q, t, noise(2, "noise-kept")), n_coef_of(est_id))).all()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradcv import optimize
-from gradcv.estimators import EstimationError, EstimatorConfig, estimate, run_kernel
+from gradcv.estimators import Draws, EstimationError, EstimatorConfig, estimate, run_kernel
 from gradcv.gaussian import GaussianQ, from_natural, rng_from_seed
 from gradcv.optimize import (
     FIT_STREAM_LABEL, FitResult, SgdSchedule, VariationalSGD, _block_steps, _noise_rows, fit, trajectory_to_csv,
@@ -177,7 +177,7 @@ class TestNoiseStream:
         q, t = GaussianQ(0.4, 1.3), logistic_target()
         got = estimate(q, t, EstimatorConfig(total_samples=20, estimator_id="cov"), seed=(4, 2))
         eps = rng_from_seed((4, 2, 0)).standard_normal(20)
-        np.testing.assert_array_equal(got.value, run_kernel("cov", q, t, q.reparameterize(eps)[None], eps[None], 0)[0])
+        np.testing.assert_array_equal(got.value, run_kernel("cov", q, t, Draws(q, t, eps[None]), 0)[0])
 
 
 class TestFitLoop:
@@ -207,9 +207,8 @@ class TestFitLoop:
         config = EstimatorConfig(total_samples=self.SAMPLES, cv_split=cv_split, estimator_id=estimator)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(4, 3, self.SAMPLES)):
-            eps = noise.eps
-            x = q.reparameterize(eps)
-            eta = eta - sched.step(t) * run_kernel(estimator, q, target, x, eps, config.batch_sizes()[0])[0]
+            d = Draws(q, target, noise.eps)
+            eta = eta - sched.step(t) * run_kernel(estimator, q, target, d, config.batch_sizes()[0])[0]
             q = from_natural(eta)  # the projection is inactive at these steps
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
 
@@ -229,8 +228,8 @@ class TestFitLoop:
         result = fit(q0, target, estimator, sched, seed=1, record_every=1)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(1, steps, samples)):
-            eps = noise.eps
-            eta = eta - sched.step(t) * run_kernel(estimator, q, target, q.reparameterize(eps), eps, samples // 2)[0]
+            # a Draws over the row's noise array alone, not over the block's Noise
+            eta = eta - sched.step(t) * run_kernel(estimator, q, target, Draws(q, target, noise.eps), samples // 2)[0]
             eta[1] = min(eta[1], optimize.ETA2_MAX)
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2), t
@@ -241,8 +240,7 @@ class TestFitLoop:
         result = fit(q0, target, "simple", sched, seed=4, record_every=1)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(4, 3, 1)):
-            eps = noise.eps
-            eta = eta - sched.step(t) * run_kernel("simple", q, target, q.reparameterize(eps), eps, 0)[0]
+            eta = eta - sched.step(t) * run_kernel("simple", q, target, Draws(q, target, noise.eps), 0)[0]
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
 
