@@ -28,9 +28,8 @@ tile, and the q-side ingredients too: eps^2 - 1, the integrand
 log q - log p, the path residual, and on each column range the moments of
 u, of u and the integrand, and of the path residual. Paired tables thus
 draw, evaluate the target and compute each ingredient once per tile for all
-estimators. Unpaired tiles have 512 rows, which keeps one kernel's
-(rows, S) arrays in cache; paired tiles have 1024, over which the ten
-kernels' per-call cost is spread. Drawing a chunk's noise tile by tile
+estimators. Tiles have 512 rows in both modes, which keeps a tile's
+(rows, S) arrays in cache. Drawing a chunk's noise tile by tile
 gives the same numbers as drawing it at once, every kernel treats each
 row on its own, and a cached ingredient is the value the kernel would
 compute alone, so neither the tiles nor the sharing change any estimate.
@@ -71,13 +70,11 @@ MSE_WEIGHTS.setflags(write=False)
 DEFAULT_SETTINGS: tuple[tuple[float, float], ...] = ((0.0, 2.0), (-2.0, 2.0), (2.0, 2.0), (0.0, 4.0))
 
 _CHUNK = 4096
-# Rows per kernel call within a chunk; divisors of _CHUNK. An unpaired tile
-# serves one estimator: 512 rows keep its (rows, S) ingredients and
-# temporaries small enough to stay in cache. A paired tile serves every
-# estimator from one set of cached ingredients: 1024 rows spread each
-# kernel's per-call cost over twice the rows.
+# Rows per kernel call within a chunk, a divisor of _CHUNK, paired or not:
+# 512 rows keep a tile's (rows, S) ingredients and temporaries small enough
+# to stay in cache. Paired tiles of 1024 rows, which spread each kernel's
+# per-call cost over twice the rows, measured no faster.
 _TILE = 512
-_PAIRED_TILE = 1024
 
 _CSV_HEADER = "estimator,mu,sigma2,mse,mse_stderr,bias1,bias2,gt1,gt2,replications"
 
@@ -87,8 +84,8 @@ class BenchmarkSpec:
     settings: tuple[tuple[float, float], ...] = DEFAULT_SETTINGS
     estimators: tuple[str, ...] = ESTIMATOR_IDS
     replications: int = 100_000
-    samples: int = 50
-    cv_split: float = 0.5
+    samples: int = EstimatorConfig.total_samples
+    cv_split: float = EstimatorConfig.cv_split
     base_seed: int = 0
     target: str = "logistic"
     paired: bool = False
@@ -162,15 +159,14 @@ def _setting_estimates(
     # (stream index, the estimators that read the stream)
     streams = [(0, runnable)] if spec.paired else [(i, [i]) for i in runnable]
     n_chunks = -(-spec.replications // _CHUNK)
-    tile = _PAIRED_TILE if spec.paired else _TILE
     tasks = [(stream, chunk_idx) for stream in streams if stream[1] for chunk_idx in range(n_chunks)]
 
     def run(task) -> None:
         (stream_idx, members), chunk_idx = task
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
         stop = min((chunk_idx + 1) * _CHUNK, spec.replications)
-        for lo in range(chunk_idx * _CHUNK, stop, tile):
-            draws = Draws(q, target, rng.standard_normal((min(tile, stop - lo), spec.samples)))
+        for lo in range(chunk_idx * _CHUNK, stop, _TILE):
+            draws = Draws(q, target, rng.standard_normal((min(_TILE, stop - lo), spec.samples)))
             for i in members:
                 est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, n_coef)
 
@@ -183,8 +179,15 @@ def _setting_estimates(
     return est
 
 
+def _check_threads(threads) -> int:
+    """threads as a worker count: an int >= 1, else ValueError. The CLI's --threads is checked here too."""
+    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
+    return int(threads)
+
+
 def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
-    """Fill the estimator-by-setting MSE table.
+    """Fill the estimator-by-setting MSE table on threads workers (_check_threads).
 
     Estimators that need target derivatives the target does not provide
     produce an "n/a" row instead of failing the whole run. A non-finite
@@ -192,6 +195,7 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
     NaN. Output is deterministic given the spec, independent of the thread
     count.
     """
+    threads = _check_threads(threads)
     target = resolve_target(spec.target)
     rule = gauss_hermite_rule()
     notes = {}
@@ -288,23 +292,9 @@ def mse_table_to_csv(table: MseTable, per_component: bool = False) -> str:
 
 
 def mse_table_to_json(table: MseTable) -> str:
-    rows = []
-    for r in table.rows:
-        rows.append({
-            "estimator": r.estimator,
-            "mu": r.mu,
-            "sigma2": r.sigma2,
-            "mse": r.mse,
-            "mse_stderr": r.mse_stderr,
-            "mean_bias": list(map(float, r.mean_bias)),
-            "ground_truth": list(map(float, r.ground_truth)),
-            "replications": r.replications,
-            "mean_se": list(map(float, r.mean_se)),
-            "mse_components": list(map(float, r.mse_components)),
-            "note": r.note,
-        })
-    payload = {"spec": asdict(table.spec), "rows": rows}
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    """The spec and every row, keyed by their field names in field order; arrays as lists of floats."""
+    payload = {"spec": asdict(table.spec), "rows": [asdict(r) for r in table.rows]}
+    return json.dumps(payload, indent=2, allow_nan=True, default=np.ndarray.tolist) + "\n"
 
 
 def format_mse_table(table: MseTable, per_component: bool = False) -> str:

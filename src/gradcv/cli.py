@@ -26,6 +26,7 @@ import sys
 
 from .benchmark import (
     BenchmarkSpec,
+    _check_threads,
     format_mse_table,
     mse_table_to_csv,
     mse_table_to_json,
@@ -58,17 +59,6 @@ def _ids(text: str) -> tuple[str, ...]:
     return tuple(e.strip() for e in text.split(",") if e.strip())
 
 
-def _threads(text: str) -> int:
-    """--threads: a worker count >= 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name.
 
@@ -87,6 +77,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--seed": dict(type=int, default=BenchmarkSpec.base_seed, help="base seed for all randomness"),
         "--format": dict(choices=("csv", "json", "table"), default="table", help="output format"),
         "--target": dict(default=BenchmarkSpec.target, help="target id: logistic or gaussian:MU:SIGMA2"),
+        "--mu": dict(type=float, default=0.0, help="mean of q"),
+        "--sigma2": dict(type=float, default=2.0, help="variance of q"),
     }
 
     def command(name: str, help: str, *flags: str) -> argparse.ArgumentParser:
@@ -105,22 +97,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--samples", type=int, default=BenchmarkSpec.samples, help="draws per replication")
     p.add_argument("--split", type=float, default=BenchmarkSpec.cv_split, help="coefficient fraction for cv methods")
     p.add_argument("--reps", type=int, default=BenchmarkSpec.replications, help="replications per cell")
-    p.add_argument("--threads", type=_threads, default=_default(run_benchmark, "threads"),
+    p.add_argument("--threads", type=int, default=_default(run_benchmark, "threads"),
                    help="worker threads; output is invariant to this")
     p.add_argument("--paired", action="store_true", help="run every estimator on the same draws and target evaluations")
     p.add_argument("--per-component", dest="per_component", action="store_true",
                    help="also report unweighted per-component MSEs")
 
-    p = command("estimate", "single gradient estimate", "--seed", "--format", "--target")
-    p.add_argument("--mu", type=float, default=0.0, help="mean of q")
-    p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
+    p = command("estimate", "single gradient estimate", "--seed", "--format", "--target", "--mu", "--sigma2")
     p.add_argument("--estimator", default=EstimatorConfig.estimator_id, help="estimator id")
     p.add_argument("--samples", type=int, default=EstimatorConfig.total_samples, help="draws")
     p.add_argument("--split", type=float, default=EstimatorConfig.cv_split, help="coefficient fraction for cv methods")
 
-    p = command("ground-truth", "exact gradient via quadrature", "--format", "--target")
-    p.add_argument("--mu", type=float, default=0.0, help="mean of q")
-    p.add_argument("--sigma2", type=float, default=2.0, help="variance of q")
+    command("ground-truth", "exact gradient via quadrature", "--format", "--target", "--mu", "--sigma2")
 
     p = command("fit", "stochastic gradient descent fit, trajectory as CSV", "--seed", "--target")
     p.add_argument("--mu", type=float, default=_default(VariationalSGD, "mu0"), help="initial mu")
@@ -209,7 +197,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     resolved_target for every command with --target; q (GaussianQ) for
     estimate, ground-truth and fit; estimator_config (EstimatorConfig) for
     estimate and fit; spec (BenchmarkSpec) for benchmark; schedule
-    (SgdSchedule) for fit.
+    (SgdSchedule) for fit. benchmark's threads is checked as run_benchmark
+    checks it.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, command_parsers = _build_parser()
@@ -242,6 +231,7 @@ def parse_args(argv=None) -> argparse.Namespace:
             total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator,
         )
     elif ns.command == "benchmark":
+        ns.threads = _build(cmd, "--threads", _check_threads, ns.threads)
         ns.spec = _build(
             cmd, "--settings/--estimators/--samples/--split/--reps", BenchmarkSpec,
             settings=ns.settings, estimators=ns.estimators, replications=ns.reps, samples=ns.samples,

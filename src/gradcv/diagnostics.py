@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import Draws, run_kernel
+from .estimators import Draws, EstimatorConfig, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import cov, expect, gauss_hermite_rule
 from .targets import gaussian_target, logistic_target
@@ -148,7 +148,7 @@ def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult
         ((2.0, 4.0), (2.0, 2.0)),
         ((0.5, 1.0), (0.5, 1.0)),
     )
-    samples = 50
+    samples = EstimatorConfig.total_samples
     worst = 0.0
     for pair_idx, ((qm, qs), (tm, ts)) in enumerate(pairs):
         q = GaussianQ(qm, qs)

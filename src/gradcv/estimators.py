@@ -104,7 +104,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, _noise_lost, rng_from_seed
+from .gaussian import DrawBatch, GaussianQ, _why_no_gradient, rng_from_seed
 from .targets import Target
 
 __all__ = [
@@ -162,13 +162,7 @@ class EstimatorConfig:
             raise ValueError(
                 f"unknown estimator_id {self.estimator_id!r}; valid ids: {', '.join(ESTIMATOR_IDS)}"
             )
-        sizes, min_draws = self.batch_sizes(), ESTIMATORS[self.estimator_id].min_draws
-        if min(sizes) < min_draws:
-            raise ValueError(
-                f"estimator {self.estimator_id!r} needs >= {min_draws} samples in each batch; "
-                f"got {'+'.join(map(str, sizes))} from total_samples={self.total_samples}, "
-                f"cv_split={self.cv_split}"
-            )
+        ESTIMATORS[self.estimator_id].check_draws(self.batch_sizes())
 
     def split_sizes(self) -> tuple[int, int]:
         n_coef = int(round(self.total_samples * self.cv_split))
@@ -752,6 +746,13 @@ class EstimatorInfo:
     needs_hess: bool = False
     unbiased: bool = True
 
+    def check_draws(self, sizes) -> None:
+        """Raise ValueError if a batch size in sizes is below min_draws: the one draw-floor check."""
+        if min(sizes) < self.min_draws:
+            raise ValueError(
+                f"estimator {self.id!r} needs >= {self.min_draws} samples in each batch; got {'+'.join(map(str, sizes))}"
+            )
+
     def check(self, t: Target) -> None:
         """Raise CapabilityError if t lacks a derivative the kernel needs."""
         for field, needed in (("grad_x", self.needs_grad), ("hess_x", self.needs_hess)):
@@ -803,10 +804,11 @@ def run_kernel(
     This is the one caller of a kernel. It checks the target's
     capabilities, splits the columns and runs the kernel with overflow not
     warned about: a non-finite estimate in any row is an EstimationError
-    naming the estimator and q. So is a q whose E_q[x^2] = mu^2 + sigma2
-    overflows (the kernels never square x, but the eta score x^2 - E_q[x^2]
-    is not finite there), and one past MAX_MU_OVER_SIGMA, where x = mu +
-    sigma * eps has lost eps to rounding.
+    naming the estimator and q. So is a q outside the gradient's domain
+    (gaussian._why_no_gradient: E_q[x^2] = mu^2 + sigma2 overflows, where the
+    eta score x^2 - E_q[x^2] is not finite though the kernels never square
+    x, or |mu| / sigma is past MAX_MU_OVER_SIGMA, where x = mu + sigma * eps
+    has lost eps to rounding).
     """
     if draws.t is not t:
         raise ValueError(f"draws of target {draws.t.name!r}, not of {t.name!r}")
@@ -814,11 +816,9 @@ def run_kernel(
         raise ValueError(f"draws of {draws.q}, not of {q}")
     info = ESTIMATORS[estimator_id]
     info.check(t)
-    if not math.isfinite(q.mu * q.mu + q.sigma2):
-        raise EstimationError(f"non-finite gradient estimate of {estimator_id!r} at {q}: E_q[x^2] overflows")
-    lost = _noise_lost(q)
-    if lost:
-        raise EstimationError(f"no gradient estimate of {estimator_id!r} at {q}: {lost}")
+    reason = _why_no_gradient(q)
+    if reason:
+        raise EstimationError(f"no gradient estimate of {estimator_id!r} at {q}: {reason}")
     coef, ev = (draws.columns(0, n_coef), draws.columns(n_coef)) if info.split_budget else (None, draws)
     with np.errstate(over="ignore", invalid="ignore"):
         value, aux = info.kernel(coef, ev)
@@ -839,10 +839,7 @@ def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
 
     def row(q: GaussianQ, t: Target, batches) -> GradEstimate:
         sizes = [b.size for b in batches]
-        if min(sizes) < info.min_draws:
-            raise ValueError(
-                f"estimator {info.id!r} needs >= {info.min_draws} draws in each batch, got {'+'.join(map(str, sizes))}"
-            )
+        info.check_draws(sizes)
         d = Draws(q, t, np.concatenate([b.noise for b in batches])[None])
         # the kernels read the noise, so draws of another q would be ignored
         if not np.array_equal(np.concatenate([b.draws for b in batches]), d.x[0]):

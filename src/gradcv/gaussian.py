@@ -50,8 +50,15 @@ def _seed_key(seed) -> tuple[int, ...]:
     )
 
 
-def _noise_lost(q: "GaussianQ") -> str:
-    """Why draws x = mu + sigma * eps of q have lost eps to rounding, or "": |mu| / sigma past MAX_MU_OVER_SIGMA."""
+def _why_no_gradient(q: "GaussianQ") -> str:
+    """Why no gradient is computed at q, or "": the domain check of the estimators and the oracle.
+
+    Either E_q[x^2] = mu^2 + sigma2 overflows, so the eta score x^2 - E_q[x^2]
+    is not finite, or |mu| / sigma is past MAX_MU_OVER_SIGMA, where draws
+    x = mu + sigma * eps have lost eps to rounding.
+    """
+    if not math.isfinite(q.mu * q.mu + q.sigma2):
+        return "E_q[x^2] = mu^2 + sigma2 overflows"
     if abs(q.mu) > MAX_MU_OVER_SIGMA * q.sigma:
         return (f"|mu| / sigma = {abs(q.mu) / q.sigma:.3g} exceeds {MAX_MU_OVER_SIGMA:g}, "
                 "where x = mu + sigma * eps loses eps to rounding")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import ESTIMATORS, Draws, EstimatorConfig, Noise, _solve_lt, run_kernel
+from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, _solve_lt, run_kernel
 from .gaussian import GaussianQ, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
@@ -61,7 +61,7 @@ class SgdSchedule:
     step0: float = 0.01
     decay: float = 0.75
     iterations: int = 1000
-    samples_per_step: int = 50
+    samples_per_step: int = EstimatorConfig.total_samples
 
     def __post_init__(self):
         if not (np.isfinite(self.step0) and self.step0 >= 0.0):
@@ -152,7 +152,7 @@ def fit(
     estimator_id: str = "cv-regression",
     schedule: SgdSchedule | None = None,
     seed: int = 0,
-    cv_split: float = 0.5,
+    cv_split: float = EstimatorConfig.cv_split,
     natural_gradient: bool = False,
     record_every: int = 10,
     gradient_fn=None,
@@ -164,8 +164,10 @@ def fit(
     schedule and projection are applied identically either way. Without
     it, step t runs the estimator on row t of the fit's noise stream
     (_noise_rows). Overflow inside a step is not warned about: a
-    non-finite estimate is an EstimationError, and a non-finite iterate a
-    ValueError of from_natural.
+    non-finite estimate is an EstimationError, and so is an iterate that
+    leaves the Gaussian family (from_natural rejects its eta, say a mean
+    that overflows or a variance whose eta[1] is -inf); its message names
+    the step, counted from 1 as the trajectory's iterations are.
     """
     schedule = schedule or SgdSchedule()
     stochastic_id = estimator_id if gradient_fn is None else None
@@ -185,8 +187,11 @@ def fit(
                 grad = _solve_lt(q, v0, 0.5 * (grad[1] - (2.0 * q.mu * q.sigma) * v0) / q.sigma2)
             eta = eta - schedule.step(t) * grad
             eta[1] = min(eta[1], ETA2_MAX)
-            q = from_natural(eta)
             it = t + 1
+            try:
+                q = from_natural(eta)
+            except ValueError as err:
+                raise EstimationError(f"fit step {it} leaves the Gaussian family: {err}") from None
             if it % record_every == 0 or it == schedule.iterations:
                 history.append(TrajectoryPoint(it, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(t)))
     return FitResult(final=q, trajectory=tuple(history))

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import GaussianQ, _noise_lost
+from .gaussian import GaussianQ, _why_no_gradient
 from .targets import Target
 
 __all__ = [
@@ -69,9 +69,14 @@ def gauss_hermite_rule(order: int = DEFAULT_ORDER) -> GhRule:
 
 
 def _eval_at_nodes(q: GaussianQ, f, rule: GhRule) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate f at the transformed nodes; returns (x, values)."""
-    x = q.mu + q.sigma * rule.nodes
-    vals = np.asarray(f(x), dtype=float)
+    """Evaluate f at the transformed nodes; returns (x, values).
+
+    Overflow in f is not warned about: a non-finite value is an
+    EvaluationError naming its node.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = q.mu + q.sigma * rule.nodes
+        vals = np.asarray(f(x), dtype=float)
     bad = ~np.isfinite(vals)
     if bad.any():
         idx = int(np.argwhere(bad)[0][0])
@@ -127,18 +132,15 @@ def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = No
     and L = [[sigma, 0], [2 mu sigma, sigma2]], and log q(x) =
     -log(2 pi sigma2)/2 - z^2/2, so neither x - mu nor x^2 is formed, and
     the gradient is L E_w[u (d - E_w d)]: E[T d] - E[T] E[d] cancels when
-    mu^2 >> sigma2. A q at a scale where the gradient is not representable
-    raises EvaluationError instead of returning inf or nan: one whose
-    E_q[x^2] = mu^2 + sigma2 overflows (say mu = 1e200), or one where the
-    gradient itself overflows. So does a q past MAX_MU_OVER_SIGMA, where
-    the nodes mu + sigma z have lost z to rounding.
+    mu^2 >> sigma2. A q outside the gradient's domain (gaussian._why_no_gradient:
+    E_q[x^2] = mu^2 + sigma2 overflows, say at mu = 1e200, or |mu| / sigma is
+    past MAX_MU_OVER_SIGMA, where the nodes mu + sigma z have lost z to
+    rounding) raises EvaluationError instead of returning inf or nan, and so
+    does a q where the gradient itself overflows.
     """
-    if not math.isfinite(q.mu * q.mu + q.sigma2):
-        raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: "
-                              "E_q[x^2] overflows")
-    lost = _noise_lost(q)
-    if lost:
-        raise EvaluationError(f"no ground-truth gradient at mu={q.mu!r}, sigma2={q.sigma2!r}: {lost}")
+    reason = _why_no_gradient(q)
+    if reason:
+        raise EvaluationError(f"no ground-truth gradient at mu={q.mu!r}, sigma2={q.sigma2!r}: {reason}")
     rule = rule or gauss_hermite_rule()
     z, w = rule.nodes, rule.weights
     with np.errstate(over="ignore", invalid="ignore"):

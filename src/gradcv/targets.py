@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .gaussian import GaussianQ
+
 __all__ = [
     "Target",
     "ExpFamTarget",
@@ -106,12 +108,11 @@ def gaussian_target(mu: float, sigma2: float) -> ExpFamTarget:
     normalized N(mu, sigma2) log-density. log_p and grad_x are evaluated
     in moment form, -(x - mu)^2 / (2 sigma2) - log(2 pi sigma2)/2 and
     -(x - mu) / sigma2: the natural form cancels far from the origin
-    (its terms are near 1250 at x = 50 for N(50, 1)).
+    (its terms are near 1250 at x = 50 for N(50, 1)). mu and sigma2 are
+    checked as GaussianQ checks them.
     """
-    mu = float(mu)
-    sigma2 = float(sigma2)
-    if not (np.isfinite(sigma2) and sigma2 > 0.0):
-        raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+    q = GaussianQ(mu, sigma2)
+    mu, sigma2 = q.mu, q.sigma2
     e1 = mu / sigma2
     e2 = -0.5 / sigma2
     log_norm = 0.5 * np.log(2.0 * np.pi * sigma2)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gradcv.benchmark import (
     MSE_WEIGHTS,
     BenchmarkSpec,
+    MseRow,
     MseTable,
     _reduce_cell,
     _setting_estimates,
@@ -63,6 +64,15 @@ class TestSpecValidation:
         assert spec.samples == 50
         assert spec.cv_split == 0.5
         assert spec.target == "logistic"
+
+    @pytest.mark.parametrize("threads", [0, -3, 2.5, True, "2"])
+    def test_threads_must_be_an_int_of_at_least_one(self, threads):
+        with pytest.raises(ValueError, match="threads must be an int >= 1"):
+            run_benchmark(small_spec(), threads=threads)
+
+    def test_threads_may_be_a_numpy_int(self):
+        spec = small_spec(estimators=("simple",), settings=((0.0, 2.0),))
+        assert tables_equal(run_benchmark(spec, threads=np.int64(2)), run_benchmark(spec))
 
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
@@ -377,6 +387,14 @@ class TestOutputFormats:
             assert key in row
         assert payload["spec"]["samples"] == 20
         assert list(payload["spec"]) == [f.name for f in dataclasses.fields(BenchmarkSpec)]
+
+    def test_json_row_keys_are_the_row_fields_in_order(self):
+        import json
+
+        table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))
+        row, = json.loads(mse_table_to_json(table))["rows"]
+        assert list(row) == [f.name for f in dataclasses.fields(MseRow)]
+        assert row["mean_bias"] == table.rows[0].mean_bias.tolist()
 
     def test_pretty_table_layout(self):
         table = run_benchmark(small_spec())

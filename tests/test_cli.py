@@ -35,10 +35,10 @@ _OUT_OF_DOMAIN = [
 
 # in-domain argv the library cannot compute at, and the start of its error message
 _RUNTIME_ERRORS = [
-    pytest.param(["estimate", "--mu", "1e200"], "non-finite gradient estimate", id="estimate-mu-1e200"),
+    pytest.param(["estimate", "--mu", "1e200"], "no gradient estimate", id="estimate-mu-1e200"),
     pytest.param(["estimate", "--sigma2", "1e300"], "non-finite gradient estimate", id="estimate-sigma2-1e300"),
     pytest.param(["fit", "--target", "gaussian:1e200:1"], "integrand is not finite", id="fit-target-1e200"),
-    pytest.param(["ground-truth", "--mu", "1e200"], "ground-truth gradient is not finite", id="ground-truth-mu-1e200"),
+    pytest.param(["ground-truth", "--mu", "1e200"], "no ground-truth gradient", id="ground-truth-mu-1e200"),
     pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10"],
                  "non-finite cell statistics", id="benchmark-sigma2-1e150"),
     pytest.param(["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"],
@@ -51,6 +51,10 @@ _RUNTIME_ERRORS = [
                  "no gradient estimate", id="estimate-mu-1e15"),
     pytest.param(["estimate", "--estimator", "cv-regression", "--mu", "1e20", "--sigma2", "2", "--seed", "1"],
                  "no gradient estimate", id="estimate-mu-1e20"),
+    pytest.param(["fit", "--step0", "1e307", "--iterations", "4"], "fit step 1 leaves the Gaussian family",
+                 id="fit-step0-1e307"),
+    pytest.param(["fit", "--sigma2", "1e-320", "--iterations", "2"], "fit step 1 leaves the Gaussian family",
+                 id="fit-sigma2-1e-320"),
 ]
 
 
@@ -197,15 +201,18 @@ class TestParseArgs:
         assert proc.stdout == ""
 
     @pytest.mark.parametrize("argv,message", [
-        (["estimate", "--mu", "1e200"], "non-finite gradient estimate"),
+        (["estimate", "--mu", "1e200"], "no gradient estimate"),
         (["estimate", "--sigma2", "1e300"], "non-finite gradient estimate"),
-        (["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"], "non-finite gradient estimate"),
-        (["fit", "--mu", "1e200", "--iterations", "5"], "non-finite gradient estimate"),
+        (["estimate", "--mu", "1e200", "--estimator", "cv-ideal-grad"], "no gradient estimate"),
+        (["fit", "--mu", "1e200", "--iterations", "5"], "no gradient estimate"),
         (["benchmark", "--settings", "0:1e150", "--reps", "10"], "non-finite cell statistics"),
         (["benchmark", "--settings", "0:1e150", "--reps", "10", "--paired"], "non-finite cell statistics"),
         (["benchmark", "--settings", "0:1e150", "--reps", "10", "--estimators", "simple"],
          "non-finite cell statistics"),
-    ], ids=[f"argv{i}" for i in range(7)])
+        (["fit", "--step0", "1e307", "--iterations", "4"], "fit step 1 leaves the Gaussian family"),
+        (["fit", "--sigma2", "1e-320", "--iterations", "2"], "fit step 1 leaves the Gaussian family"),
+        (["fit", "--target", "gaussian:1e200:1", "--iterations", "3"], "integrand is not finite"),
+    ], ids=[f"argv{i}" for i in range(7)] + ["fit-step0-1e307", "fit-sigma2-1e-320", "fit-target-1e200"])
     def test_overflow_gives_the_error_line_alone(self, argv, message):
         # numpy's overflow RuntimeWarnings no longer precede the error line
         proc = run_cli(argv)

@@ -23,7 +23,7 @@ from gradcv.estimators import (
     _solve2c,
 )
 from gradcv.gaussian import GaussianQ, DrawBatch, rng_from_seed
-from gradcv.quadrature import expect, gauss_hermite_rule, ground_truth_gradient
+from gradcv.quadrature import EvaluationError, expect, gauss_hermite_rule, ground_truth_gradient
 from gradcv.targets import Target, gaussian_target, logistic_target
 
 
@@ -338,12 +338,33 @@ class TestConfigAndErrors:
         q = GaussianQ(0.0, 1.0)
         target = logistic_target()
         for est, size in ((est_greg_samplecov, 2), (est_cov, 1)):
-            with pytest.raises(ValueError, match="draws"):
+            with pytest.raises(ValueError, match="samples in each batch"):
                 est(q, target, q.sample(seed=0, size=size))
         est_greg_samplecov(q, target, q.sample(seed=0, size=3))
         est_simple(q, target, q.sample(seed=0, size=1))
-        with pytest.raises(ValueError, match="draws"):
+        with pytest.raises(ValueError, match="samples in each batch"):
             est_cv_ideal(q, target, q.sample(seed=0, size=1), q.sample(seed=1, size=5))
+
+    def test_est_floor_is_the_config_floor(self):
+        # one check of min_draws: a one-draw est_cov batch fails as the one-draw config does
+        q = GaussianQ(0.0, 1.0)
+        with pytest.raises(ValueError) as config_err:
+            EstimatorConfig(total_samples=1, estimator_id="cov")
+        with pytest.raises(ValueError) as est_err:
+            est_cov(q, logistic_target(), q.sample(seed=0, size=1))
+        assert str(est_err.value) == str(config_err.value)
+
+    @pytest.mark.parametrize("mu, reason", [(1e200, "overflows"), (1e15, "exceeds 1e+10")])
+    def test_estimates_and_the_oracle_share_the_gradient_domain(self, mu, reason):
+        # run_kernel and ground_truth_gradient reject q for the same reason, in the same words
+        q, target = GaussianQ(mu, 2.0), logistic_target()
+        with pytest.raises(EstimationError, match=r"^no gradient estimate of 'simple' at GaussianQ") as est_err:
+            run_kernel("simple", q, target, Draws(q, target, np.zeros((1, 4))), 0)
+        with pytest.raises(EvaluationError, match=r"^no ground-truth gradient at mu=") as gt_err:
+            ground_truth_gradient(q, target)
+        est_reason, gt_reason = (str(e.value).partition(": ")[2] for e in (est_err, gt_err))
+        assert est_reason == gt_reason
+        assert reason in est_reason
 
     def test_unknown_estimator_id(self):
         with pytest.raises(ValueError, match="unknown estimator"):

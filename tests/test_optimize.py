@@ -258,11 +258,20 @@ class TestFitLoop:
         with pytest.raises(EstimationError, match="log_p is not finite at draw"):
             fit(GaussianQ(0.0, 1.0), half, "cv-regression", sched, seed=0)
 
+    @pytest.mark.parametrize("q0, step0, message", [
+        (GaussianQ(0.0, 1.0), 1e307, "mu must be finite"),
+        (GaussianQ(0.0, 1e-320), 0.01, r"eta must be finite with eta\[1\] < 0"),
+    ], ids=["mean-overflows", "subnormal-variance"])
+    def test_iterate_leaving_the_family_is_estimation_error(self, q0, step0, message):
+        sched = SgdSchedule(step0=step0, iterations=4)
+        with pytest.raises(EstimationError, match=f"^fit step 1 leaves the Gaussian family: {message}"):
+            fit(q0, logistic_target(), "cv-regression", sched, seed=0)
+
     def test_nonfinite_estimate_is_estimation_error_without_warnings(self):
         sched = SgdSchedule(iterations=5, samples_per_step=20)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EstimationError, match="non-finite gradient estimate"):
+            with pytest.raises(EstimationError, match="no gradient estimate"):
                 fit(GaussianQ(1e200, 2.0), logistic_target(), "cv-regression", sched, seed=0)
 
     @pytest.mark.parametrize("natural_gradient, mu, sigma2", [

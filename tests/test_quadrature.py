@@ -67,8 +67,13 @@ class TestExpect:
         # and numpy's overflow warning does not leak
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(EvaluationError, match="ground-truth gradient is not finite"):
+            with pytest.raises(EvaluationError, match="no ground-truth gradient"):
                 ground_truth_gradient(GaussianQ(1e200, 2.0), logistic_target())
+
+    def test_overflowing_integrand_is_evaluation_error_without_warnings(self):
+        # the target's log p overflows at every node; pytest turns a leaked RuntimeWarning into an error
+        with pytest.raises(EvaluationError, match="integrand is not finite"):
+            kl_divergence(GaussianQ(0.0, 1.0), gaussian_target(1e200, 1.0))
 
     @pytest.mark.parametrize("mu", [1e15, 1e20])
     def test_nodes_that_lost_their_noise_are_evaluation_error(self, mu):

@@ -151,6 +151,11 @@ class TestGaussianTarget:
             with pytest.raises(ValueError):
                 gaussian_target(0.0, bad)
 
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_mean_is_checked_as_gaussianq_checks_it(self, mu):
+        with pytest.raises(ValueError, match="^mu must be finite"):
+            gaussian_target(mu, 1.0)
+
 
 class TestResolve:
     def test_logistic(self):
