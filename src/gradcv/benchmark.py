@@ -46,7 +46,7 @@ import numpy as np
 from .estimators import (
     ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimationError, EstimatorConfig, run_kernel,
 )
-from .gaussian import GaussianQ, rng_from_seed
+from .gaussian import GaussianQ, _count, rng_from_seed
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import Target, resolve_target
 
@@ -95,8 +95,7 @@ class BenchmarkSpec:
         qs = [GaussianQ(m, s) for m, s in self.settings]
         object.__setattr__(self, "settings", tuple((q.mu, q.sigma2) for q in qs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        _count("replications", self.replications)
         for name, items in (("settings", self.settings), ("estimators", self.estimators)):
             if not items:
                 raise ValueError(f"{name} must be non-empty")
@@ -179,15 +178,8 @@ def _setting_estimates(
     return est
 
 
-def _check_threads(threads) -> int:
-    """threads as a worker count: an int >= 1, else ValueError. The CLI's --threads is checked here too."""
-    if isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1:
-        raise ValueError(f"threads must be an int >= 1, got {threads!r}")
-    return int(threads)
-
-
 def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
-    """Fill the estimator-by-setting MSE table on threads workers (_check_threads).
+    """Fill the estimator-by-setting MSE table on threads workers, a count (gaussian._count).
 
     Estimators that need target derivatives the target does not provide
     produce an "n/a" row instead of failing the whole run. A non-finite
@@ -195,7 +187,7 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
     NaN. Output is deterministic given the spec, independent of the thread
     count.
     """
-    threads = _check_threads(threads)
+    threads = _count("threads", threads)
     target = resolve_target(spec.target)
     rule = gauss_hermite_rule()
     notes = {}
@@ -292,9 +284,9 @@ def mse_table_to_csv(table: MseTable, per_component: bool = False) -> str:
 
 
 def mse_table_to_json(table: MseTable) -> str:
-    """The spec and every row, keyed by their field names in field order; arrays as lists of floats."""
+    """The spec and every row, keyed by their field names in field order; arrays as lists, numpy ints as ints."""
     payload = {"spec": asdict(table.spec), "rows": [asdict(r) for r in table.rows]}
-    return json.dumps(payload, indent=2, allow_nan=True, default=np.ndarray.tolist) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=True, default=lambda value: value.tolist()) + "\n"
 
 
 def format_mse_table(table: MseTable, per_component: bool = False) -> str:

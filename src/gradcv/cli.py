@@ -26,7 +26,6 @@ import sys
 
 from .benchmark import (
     BenchmarkSpec,
-    _check_threads,
     format_mse_table,
     mse_table_to_csv,
     mse_table_to_json,
@@ -34,7 +33,7 @@ from .benchmark import (
 )
 from .diagnostics import run_all_checks
 from .estimators import CapabilityError, EstimationError, EstimatorConfig, estimate
-from .gaussian import GaussianQ
+from .gaussian import GaussianQ, _count
 from .optimize import SgdSchedule, VariationalSGD, _default, _fit_config, fit, trajectory_to_csv
 from .quadrature import EvaluationError, gauss_hermite_rule, ground_truth_gradient
 from .targets import resolve_target
@@ -231,7 +230,7 @@ def parse_args(argv=None) -> argparse.Namespace:
             total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator,
         )
     elif ns.command == "benchmark":
-        ns.threads = _build(cmd, "--threads", _check_threads, ns.threads)
+        ns.threads = _build(cmd, "--threads", _count, "threads", ns.threads)
         ns.spec = _build(
             cmd, "--settings/--estimators/--samples/--split/--reps", BenchmarkSpec,
             settings=ns.settings, estimators=ns.estimators, replications=ns.reps, samples=ns.samples,

@@ -44,11 +44,15 @@ dispatch, and a Draws its one input: it checks q and the target's
 capabilities, splits the columns, calls the kernel with overflow not
 warned about, and raises EstimationError on a non-finite estimate. The
 benchmark runs every estimator of a tile of rows on one Draws through it,
-the fit runs one row per step, and estimate() and the est_* functions run
-one row. The est_* functions are generated from the registry and carry
-their kernel's docstring; they take DrawBatches of q and reject one whose
-draws are not q.reparameterize of its noise. Every kernel treats each row
-on its own, so an estimate does not depend on which rows share its call.
+and the fit runs one row per step. estimate() and the est_* functions run
+one row through _row, their one path to run_kernel: it checks the draw
+floor and that each DrawBatch is of q (a DrawBatch derives its draws from
+its own q and noise, and the kernels read the noise, so a batch of another
+q is an error), and lays the batches' noise side by side in one row.
+estimate() draws its batches with q.sample. The est_* functions are
+generated from the registry and carry their kernel's docstring. Every
+kernel treats each row on its own, so an estimate does not depend on which
+rows share its call.
 
 The kernels are written as two-component arithmetic on (R, S) arrays, one
 array per component, following the regression view in which every
@@ -58,7 +62,8 @@ s = (x - mu, x^2 - E_q[x^2]) = L u with L = [[sigma, 0], [2 mu sigma,
 sigma2]], and Cov_q[u] = diag(1, 2) exactly. Each 2x2 system is posed on
 u, where it is well conditioned however far mu is from the origin: a
 gradient estimate maps back to eta by L, and coefficients on s (the alpha
-and g_nat of aux) by L^-T. No kernel forms x - mu or x^2:
+and g_nat of aux) by L^-T (gaussian._times_l and _solve_lt, which the
+oracle and the fit use too). No kernel forms x - mu or x^2:
 
 * score-function methods regress the integrand f = log q - log p on u;
   f reads log q from the noise, log q(x) = -log(2 pi sigma2)/2 - eps^2/2;
@@ -104,7 +109,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, _why_no_gradient, rng_from_seed
+from .gaussian import DrawBatch, GaussianQ, _count, _pair, _solve_lt, _times_l, _why_no_gradient
 from .targets import Target
 
 __all__ = [
@@ -156,6 +161,7 @@ class EstimatorConfig:
     estimator_id: str = "simple"
 
     def __post_init__(self):
+        _count("total_samples", self.total_samples)
         if not 0.0 < self.cv_split < 1.0:
             raise ValueError(f"cv_split must be in (0, 1), got {self.cv_split}")
         if self.estimator_id not in ESTIMATORS:
@@ -464,23 +470,6 @@ def _center(a: np.ndarray) -> np.ndarray:
 _dot = getattr(np, "vecdot", lambda a, b: np.einsum("...s,...s->...", a, b))
 
 
-def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """np.stack([a0, a1], axis=-1), with less per-call overhead."""
-    return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
-
-
-def _times_l(q: GaussianQ, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """L @ (v0, v1), L = [[sigma, 0], [2 mu sigma, sigma2]]: a u-basis vector mapped to eta coordinates."""
-    sigma = q.sigma
-    return _pair(sigma * v0, (2.0 * q.mu * sigma) * v0 + q.sigma2 * v1)
-
-
-def _solve_lt(q: GaussianQ, v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
-    """L^-T @ (v0, v1): coefficients on u mapped to coefficients on the eta score s = L u."""
-    a1 = v1 / q.sigma2
-    return _pair((v0 - (2.0 * q.mu * q.sigma) * a1) / q.sigma, a1)
-
-
 def _score_directions(u0: np.ndarray, u1: np.ndarray, q: GaussianQ) -> tuple[np.ndarray, np.ndarray]:
     """The eta score s = L u per draw, each component up to its constant factor: (s0 / sigma, s1 / sigma2).
 
@@ -601,9 +590,8 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
         k2 * af0 + k * (af1 + bf0) + bf1, k2 * bf0 + k * (bf1 + cf0) + cf1,
     )
     r0, _ = _cv_residual(ev, g00, g01)
-    r10, r11 = _cv_residual(ev, g10, g11)
-    sigma = q.sigma
-    est = _pair(sigma * r0, (2.0 * q.mu * sigma) * r10 + q.sigma2 * r11)
+    est = _times_l(q, *_cv_residual(ev, g10, g11))
+    est[..., 0] = q.sigma * r0
     alpha = np.stack([_solve_lt(q, g00, g01), _solve_lt(q, g10, g11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
@@ -648,8 +636,8 @@ def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]
     b0, b1, fb1 = _regression(coef, sigma * (k * p0 + e0), sigma * (k * p1 + e1))
     c10, c11 = b0 - k * b1, 0.5 * b1
     r0, _ = _path_residual(ev, 0.0, c01)
-    r10, r11 = _path_residual(ev, c10, c11)
-    est = _pair(sigma * r0, (2.0 * q.mu * sigma) * r10 + q.sigma2 * r11)
+    est = _times_l(q, *_path_residual(ev, c10, c11))
+    est[..., 0] = sigma * r0
     alpha = np.stack([_pair(np.zeros_like(c01), c01 / q.sigma2), _solve_lt(q, c10, c11)], axis=-2)
     return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
 
@@ -828,30 +816,31 @@ def run_kernel(
     return (value, aux) if with_aux else value
 
 
-def _row(info: EstimatorInfo, q: GaussianQ, t: Target, d: Draws, n_coef: int) -> GradEstimate:
-    """The GradEstimate of the one (1, S) row of d."""
-    value, aux = run_kernel(info.id, q, t, d, n_coef, with_aux=True)
-    return GradEstimate(value[0], info.id, samples_used=d.eps.shape[1], aux={k: v[0] for k, v in aux.items()} or None)
+def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches) -> GradEstimate:
+    """The GradEstimate of info's kernel on one row, the noise of the DrawBatches of q side by side.
+
+    The one path of estimate() and the est_* functions to run_kernel. It
+    checks the draw floor and that each batch is of q (an equal GaussianQ):
+    the kernels read the noise, so draws of another q would be ignored.
+    """
+    sizes = [b.size for b in batches]
+    info.check_draws(sizes)
+    for b in batches:
+        if b.q != q:
+            raise ValueError(f"draws of {b.q}, not of {q}")
+    d = Draws(q, t, np.concatenate([b.noise for b in batches])[None])
+    value, aux = run_kernel(info.id, q, t, d, sizes[0], with_aux=True)
+    return GradEstimate(value[0], info.id, samples_used=sum(sizes), aux={k: v[0] for k, v in aux.items()} or None)
 
 
 def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
-    """The public est_* function of an estimator: its kernel on one row of draws."""
-
-    def row(q: GaussianQ, t: Target, batches) -> GradEstimate:
-        sizes = [b.size for b in batches]
-        info.check_draws(sizes)
-        d = Draws(q, t, np.concatenate([b.noise for b in batches])[None])
-        # the kernels read the noise, so draws of another q would be ignored
-        if not np.array_equal(np.concatenate([b.draws for b in batches]), d.x[0]):
-            raise ValueError(f"estimator {info.id!r} got draws that are not q.reparameterize(noise) of {q}")
-        return _row(info, q, t, d, sizes[0])
-
+    """The public est_* function of an estimator: its kernel on one row of DrawBatches (_row)."""
     if info.split_budget:
         def est(q: GaussianQ, t: Target, batch_coef: DrawBatch, batch_eval: DrawBatch) -> GradEstimate:
-            return row(q, t, (batch_coef, batch_eval))
+            return _row(info, q, t, (batch_coef, batch_eval))
     else:
         def est(q: GaussianQ, t: Target, batch: DrawBatch) -> GradEstimate:
-            return row(q, t, (batch,))
+            return _row(info, q, t, (batch,))
     est.__name__ = est.__qualname__ = "est_" + info.kernel.__name__.removeprefix("_kernel_")
     est.__doc__ = info.kernel.__doc__
     return est
@@ -867,11 +856,10 @@ def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEsti
     """Draw the configured budget from q and run the configured estimator.
 
     Split-budget methods get two disjoint seeded batches; the rest get one
-    undivided batch. Batch i's noise is the stream keyed (*seed, i), the
-    noise of q.sample((*seed, i), n), drawn into its columns of one row.
-    Deterministic given (q, config, seed).
+    undivided batch. Batch i is q.sample((*seed, i), n), and the batches
+    run as the est_* functions run them (_row). Deterministic given
+    (q, config, seed).
     """
     base = seed if isinstance(seed, tuple) else (seed,)
-    sizes = config.batch_sizes()
-    eps = np.concatenate([rng_from_seed(base + (i,)).standard_normal(n) for i, n in enumerate(sizes)])[None]
-    return _row(ESTIMATORS[config.estimator_id], q, t, Draws(q, t, eps), sizes[0])
+    batches = [q.sample((*base, i), n) for i, n in enumerate(config.batch_sizes())]
+    return _row(ESTIMATORS[config.estimator_id], q, t, batches)

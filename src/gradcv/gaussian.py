@@ -2,8 +2,16 @@
 
 The approximation q(x) = N(mu, sigma2) is treated as an exponential family
 with sufficient statistics T(x) = (x, x^2) and natural parameters
-eta = (mu/sigma2, -1/(2*sigma2)). All gradient estimators in this package
-report gradients in these eta coordinates.
+eta = (mu/sigma2, -1/(2*sigma2)), which GaussianQ requires to be finite.
+All gradient estimators in this package report gradients in these eta
+coordinates. The estimators and the oracle work in the standardized score
+u = (eps, eps^2 - 1) of x = mu + sigma * eps, whose eta score is
+s = T(x) - E_q[T(x)] = L u with L = [[sigma, 0], [2 mu sigma, sigma2]];
+_times_l and _solve_lt, the one copy of L, map u-basis results to eta.
+
+A DrawBatch is q and its standard-normal noise; it derives its draws.
+_count is the one check of a count (a draw budget, a replication or
+iteration count, a thread count): an int >= 1, not a bool.
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded at import, so the first rng_from_seed does not pay for it
 
 __all__ = [
     "GaussianQ",
@@ -65,6 +74,30 @@ def _why_no_gradient(q: "GaussianQ") -> str:
     return ""
 
 
+def _count(name: str, value) -> int:
+    """value as a count: an int or numpy int >= 1, not a bool, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+    return int(value)
+
+
+def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """np.stack([a0, a1], axis=-1), with less per-call overhead."""
+    return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
+
+
+def _times_l(q: "GaussianQ", v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """L @ (v0, v1), L = [[sigma, 0], [2 mu sigma, sigma2]]: a u-basis vector mapped to eta coordinates."""
+    sigma = q.sigma
+    return _pair(sigma * v0, (2.0 * q.mu * sigma) * v0 + q.sigma2 * v1)
+
+
+def _solve_lt(q: "GaussianQ", v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """L^-T @ (v0, v1): coefficients on u mapped to coefficients on the eta score s = L u."""
+    a1 = v1 / q.sigma2
+    return _pair((v0 - (2.0 * q.mu * q.sigma) * a1) / q.sigma, a1)
+
+
 def rng_from_seed(seed) -> np.random.Generator:
     """Counter-based generator (Philox) keyed by an int, a str label or a tuple of those.
 
@@ -80,7 +113,7 @@ def rng_from_seed(seed) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class GaussianQ:
-    """Immutable N(mu, sigma2) with exponential-family accessors."""
+    """Immutable N(mu, sigma2) with exponential-family accessors; mu, sigma2 and eta are finite, sigma2 > 0."""
 
     mu: float
     sigma2: float
@@ -89,9 +122,11 @@ class GaussianQ:
         mu = float(self.mu)
         sigma2 = float(self.sigma2)
         if not math.isfinite(mu):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
+            raise ValueError(f"mu must be finite, got {mu!r}")
         if not (math.isfinite(sigma2) and sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
+            raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+        if not (math.isfinite(mu / sigma2) and math.isfinite(0.5 / sigma2)):
+            raise ValueError(f"eta = (mu / sigma2, -1 / (2 sigma2)) must be finite, got mu={mu!r}, sigma2={sigma2!r}")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", sigma2)
 
@@ -103,11 +138,6 @@ class GaussianQ:
     def eta(self) -> np.ndarray:
         """Natural parameters (mu/sigma2, -1/(2*sigma2))."""
         return np.array([self.mu / self.sigma2, -0.5 / self.sigma2])
-
-    @property
-    def log_normalizer(self) -> float:
-        """Log-partition Z(eta), computed in moment form for stability."""
-        return self.mu * self.mu / (2.0 * self.sigma2) + 0.5 * math.log(2.0 * math.pi * self.sigma2)
 
     def suff_stats(self, x) -> np.ndarray:
         """T(x) = (x, x^2), stacked along a trailing axis."""
@@ -160,35 +190,37 @@ class GaussianQ:
         return np.stack([j1, j2], axis=-1)
 
     def sample(self, seed, size: int) -> "DrawBatch":
-        """Deterministic batch of draws with the reparameterization noise recorded."""
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        noise = rng_from_seed(seed).standard_normal(size)
-        draws = self.reparameterize(noise)
-        return DrawBatch(draws=draws, noise=noise, seed=seed, size=size)
+        """The batch of size (_count) draws of q on the standard-normal noise of the stream keyed seed."""
+        return DrawBatch(self, rng_from_seed(seed).standard_normal(_count("size", size)), seed)
 
 
 @dataclass(frozen=True)
 class DrawBatch:
-    """Draws from q together with the standard-normal noise that produced them."""
+    """Standard-normal noise of q, and the draws it gives, draws = q.reparameterize(noise).
 
-    draws: np.ndarray
+    The noise is a non-empty 1-D array; size is its length. draws is
+    derived here, not given, so it is q's draws of the noise by
+    construction. Both arrays are read-only. seed records the key the noise
+    was drawn from.
+    """
+
+    q: GaussianQ
     noise: np.ndarray
     seed: object
-    size: int
 
     def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
         noise = np.asarray(self.noise, dtype=float)
-        if draws.shape != (self.size,) or noise.shape != (self.size,):
-            raise ValueError(
-                f"draws and noise must both have shape ({self.size},), "
-                f"got {draws.shape} and {noise.shape}"
-            )
-        draws.setflags(write=False)
+        if noise.ndim != 1 or not len(noise):
+            raise ValueError(f"noise must be a non-empty 1-D array, got shape {noise.shape}")
+        draws = self.q.reparameterize(noise)
         noise.setflags(write=False)
-        object.__setattr__(self, "draws", draws)
+        draws.setflags(write=False)
         object.__setattr__(self, "noise", noise)
+        object.__setattr__(self, "draws", draws)
+
+    @property
+    def size(self) -> int:
+        return len(self.noise)
 
 
 def from_moments(mu: float, sigma2: float) -> GaussianQ:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, _solve_lt, run_kernel
-from .gaussian import GaussianQ, from_natural, rng_from_seed
+from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
+from .gaussian import GaussianQ, _count, _solve_lt, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
 
@@ -68,10 +68,8 @@ class SgdSchedule:
             raise ValueError(f"step0 must be finite and >= 0, got {self.step0}")
         if not 0.5 < self.decay <= 1.0:
             raise ValueError(f"decay must lie in (0.5, 1], got {self.decay}")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.samples_per_step < 1:
-            raise ValueError(f"samples_per_step must be >= 1, got {self.samples_per_step}")
+        _count("iterations", self.iterations)
+        _count("samples_per_step", self.samples_per_step)
 
     def step(self, t: int) -> float:
         return self.step0 / (1.0 + t) ** self.decay
@@ -94,8 +92,7 @@ class FitResult:
 
 def _fit_config(record_every: int, estimator_id: str | None, samples: int, cv_split: float) -> EstimatorConfig | None:
     """fit's argument checks; the config of the stochastic estimator, None without one."""
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
+    _count("record_every", record_every)
     if estimator_id is None:
         return None
     config = EstimatorConfig(total_samples=samples, cv_split=cv_split, estimator_id=estimator_id)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import GaussianQ, _why_no_gradient
+from .gaussian import GaussianQ, _count, _times_l, _why_no_gradient
 from .targets import Target
 
 __all__ = [
@@ -56,11 +56,11 @@ class GhRule:
         object.__setattr__(self, "weights", weights)
 
 
-@lru_cache(maxsize=None)
+# typed, so that the rule cached for order 1 is not returned, unchecked, for True
+@lru_cache(maxsize=None, typed=True)
 def gauss_hermite_rule(order: int = DEFAULT_ORDER) -> GhRule:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    h_nodes, h_weights = np.polynomial.hermite.hermgauss(order)
+    """The order-point rule, order a count (gaussian._count)."""
+    h_nodes, h_weights = np.polynomial.hermite.hermgauss(_count("order", order))
     return GhRule(
         nodes=np.sqrt(2.0) * h_nodes,
         weights=h_weights / np.sqrt(np.pi),
@@ -131,8 +131,8 @@ def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = No
     at the nodes x = mu + sigma z. There T - E T = L u with u = (z, z^2 - 1)
     and L = [[sigma, 0], [2 mu sigma, sigma2]], and log q(x) =
     -log(2 pi sigma2)/2 - z^2/2, so neither x - mu nor x^2 is formed, and
-    the gradient is L E_w[u (d - E_w d)]: E[T d] - E[T] E[d] cancels when
-    mu^2 >> sigma2. A q outside the gradient's domain (gaussian._why_no_gradient:
+    the gradient is L E_w[u (d - E_w d)] (gaussian._times_l): E[T d] -
+    E[T] E[d] cancels when mu^2 >> sigma2. A q outside the gradient's domain (gaussian._why_no_gradient:
     E_q[x^2] = mu^2 + sigma2 overflows, say at mu = 1e200, or |mu| / sigma is
     past MAX_MU_OVER_SIGMA, where the nodes mu + sigma z have lost z to
     rounding) raises EvaluationError instead of returning inf or nan, and so
@@ -147,9 +147,7 @@ def ground_truth_gradient(q: GaussianQ, target: Target, rule: GhRule | None = No
         _, lp = _eval_at_nodes(q, target.log_p, rule)
         d = -0.5 * (math.log(2.0 * math.pi * q.sigma2) + z * z) - lp
         d -= w @ d
-        b0, b1 = w @ (z * d), w @ ((z * z - 1.0) * d)
-        sigma = q.sigma
-        grad = np.array([sigma * b0, 2.0 * q.mu * sigma * b0 + q.sigma2 * b1])
+        grad = _times_l(q, w @ (z * d), w @ ((z * z - 1.0) * d))
     if not np.isfinite(grad).all():
         raise EvaluationError(f"ground-truth gradient is not finite at mu={q.mu!r}, sigma2={q.sigma2!r}: {grad}")
     return grad

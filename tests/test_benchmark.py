@@ -70,6 +70,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="threads must be an int >= 1"):
             run_benchmark(small_spec(), threads=threads)
 
+    @pytest.mark.parametrize("replications", [2.5, True, 0])
+    def test_replications_must_be_an_int_of_at_least_one(self, replications):
+        # a count that is not an int is rejected here, before run_benchmark hands it to numpy
+        with pytest.raises(ValueError, match=f"^replications must be an int >= 1, got {replications!r}$"):
+            BenchmarkSpec(replications=replications)
+
     def test_threads_may_be_a_numpy_int(self):
         spec = small_spec(estimators=("simple",), settings=((0.0, 2.0),))
         assert tables_equal(run_benchmark(spec, threads=np.int64(2)), run_benchmark(spec))
@@ -387,6 +393,12 @@ class TestOutputFormats:
             assert key in row
         assert payload["spec"]["samples"] == 20
         assert list(payload["spec"]) == [f.name for f in dataclasses.fields(BenchmarkSpec)]
+
+    def test_json_of_numpy_int_counts(self):
+        # the spec's counts may be numpy ints, which json cannot write by itself
+        spec = small_spec(estimators=("simple",), settings=((0.0, 2.0),))
+        numpy_spec = dataclasses.replace(spec, replications=np.int64(400), samples=np.int64(20), base_seed=np.int64(7))
+        assert mse_table_to_json(run_benchmark(numpy_spec)) == mse_table_to_json(run_benchmark(spec))
 
     def test_json_row_keys_are_the_row_fields_in_order(self):
         import json

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -318,8 +320,15 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("total_samples", [0, -1])
     def test_empty_budget_rejected(self, total_samples):
-        with pytest.raises(ValueError, match="'simple' needs >= 1 samples"):
+        with pytest.raises(ValueError, match="total_samples must be an int >= 1"):
             EstimatorConfig(total_samples=total_samples)
+
+    @pytest.mark.parametrize("estimator_id", ["simple", "cv-regression"])
+    @pytest.mark.parametrize("total_samples", [50.5, True, "50"])
+    def test_budget_must_be_an_int(self, total_samples, estimator_id):
+        # a float, bool or string budget fails here, not in numpy when estimate() draws it
+        with pytest.raises(ValueError, match=f"^total_samples must be an int >= 1, got {re.escape(repr(total_samples))}$"):
+            EstimatorConfig(total_samples=total_samples, estimator_id=estimator_id)
 
     def test_one_draw_cov_raises_min_draws(self):
         with pytest.raises(ValueError, match="'cov' needs >= 2 samples in each batch; got 1"):
@@ -401,7 +410,7 @@ class TestConfigAndErrors:
         # back and flags it instead of failing
         q = GaussianQ(0.0, 1.0)
         noise = np.zeros(10)
-        batch = DrawBatch(draws=q.reparameterize(noise), noise=noise, seed=0, size=10)
+        batch = DrawBatch(q, noise, seed=0)
         result = est_greg_samplecov(q, logistic_target(), batch)
         assert result.aux["singular_fallback"]
         assert np.isfinite(result.value).all()

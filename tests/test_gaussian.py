@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ class TestNaturalParameters:
             assert abs(back.mu - mu) <= 1e-12 * max(abs(mu), 1.0)
             assert abs(back.sigma2 - sigma2) <= 1e-12 * sigma2
 
+    @pytest.mark.parametrize("mu,sigma2", [(0.0, 1e-320), (1e300, 1e-10)], ids=["subnormal-variance", "mu-over-sigma2"])
+    def test_nonfinite_eta_rejected(self, mu, sigma2):
+        # eta = (mu / sigma2, -1 / (2 sigma2)) overflows though mu and sigma2 are finite
+        with pytest.raises(ValueError, match=r"^eta = \(mu / sigma2, -1 / \(2 sigma2\)\) must be finite, got mu="):
+            GaussianQ(mu, sigma2)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: GaussianQ(np.float64(np.inf), 1.0), "mu must be finite, got inf"),
+        (lambda: GaussianQ(0.0, np.float64(-2.0)), "sigma2 must be finite and > 0, got -2.0"),
+    ])
+    def test_errors_quote_plain_floats(self, make, message):
+        # numpy scalars are quoted as the floats they are converted to, not as np.float64(...)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
     def test_from_natural_rejects_nonnegative_eta2(self):
         with pytest.raises(ValueError):
             from_natural(np.array([0.0, 0.0]))
@@ -70,7 +86,8 @@ class TestLogDensity:
         for _ in range(50):
             q = GaussianQ(rng.uniform(-5, 5), float(np.exp(rng.uniform(-4, 4))))
             x = rng.uniform(-8, 8, size=7)
-            ef = q.suff_stats(x) @ q.eta - q.log_normalizer
+            log_z = q.mu ** 2 / (2.0 * q.sigma2) + 0.5 * np.log(2.0 * np.pi * q.sigma2)
+            ef = q.suff_stats(x) @ q.eta - log_z
             np.testing.assert_allclose(q.log_density(x), ef, rtol=1e-12, atol=1e-12)
 
     def test_density_integrates_to_one(self):
@@ -177,12 +194,29 @@ class TestSampling:
             batch.draws[0] = 0.0
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DrawBatch(draws=np.zeros(3), noise=np.zeros(4), seed=0, size=3)
+        for noise in (np.zeros((2, 3)), np.zeros(0), 0.0):
+            with pytest.raises(ValueError, match="noise must be a non-empty 1-D array"):
+                DrawBatch(GaussianQ(0.0, 1.0), noise, seed=0)
+
+    def test_batch_derives_its_draws_from_q(self):
+        q = GaussianQ(-0.7, 2.3)
+        noise = rng_from_seed(11).standard_normal(9)
+        batch = DrawBatch(q, noise, seed=11)
+        assert batch.q is q and batch.size == len(noise) == 9
+        assert np.array_equal(batch.draws, q.reparameterize(noise))
+        assert [f.name for f in dataclasses.fields(DrawBatch)] == ["q", "noise", "seed"]
+        for array in (batch.draws, batch.noise):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
     def test_size_must_be_positive(self):
         with pytest.raises(ValueError):
             GaussianQ(0.0, 1.0).sample(seed=0, size=0)
+
+    @pytest.mark.parametrize("size", [2.5, True, "3"])
+    def test_size_must_be_an_int(self, size):
+        with pytest.raises(ValueError, match="^size must be an int >= 1, got "):
+            GaussianQ(0.0, 1.0).sample(seed=0, size=size)
 
     def test_negative_and_tuple_seeds_accepted(self):
         q = GaussianQ(0.0, 1.0)

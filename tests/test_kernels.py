@@ -74,15 +74,15 @@ class TestKernelEquivalence:
     def test_batch_equals_wrapper(self, est_id, target_name):
         q, t = GaussianQ(-1.0, 2.5), TARGETS[target_name]
         d = Draws(q, t, noise(5, ("wrapper", target_name)))
-        x, eps, n_coef = d.x, d.eps, n_coef_of(est_id)
+        eps, n_coef = d.eps, n_coef_of(est_id)
         batch, aux = run_kernel(est_id, q, t, d, n_coef, with_aux=True)
         for i in range(5):
             if ESTIMATORS[est_id].split_budget:
-                coef = DrawBatch(draws=x[i, :n_coef], noise=eps[i, :n_coef], seed=i, size=n_coef)
-                ev = DrawBatch(draws=x[i, n_coef:], noise=eps[i, n_coef:], seed=i, size=SAMPLES - n_coef)
+                coef = DrawBatch(q, eps[i, :n_coef], seed=i)
+                ev = DrawBatch(q, eps[i, n_coef:], seed=i)
                 result = ALIASES[est_id](q, t, coef, ev)
             else:
-                result = ALIASES[est_id](q, t, DrawBatch(draws=x[i], noise=eps[i], seed=i, size=SAMPLES))
+                result = ALIASES[est_id](q, t, DrawBatch(q, eps[i], seed=i))
             assert_rel_close(result.value, batch[i], 1e-12)
             assert set(result.aux or {}) == set(aux)
             for key, values in aux.items():
@@ -112,8 +112,21 @@ def test_alias_rejects_draws_of_another_q(est_id):
     for other_q in (GaussianQ(5.0, 1.0), GaussianQ(0.0, 1.0 + 1e-15)):
         batches = list(own)
         batches[-1] = other_q.sample((7, len(own) - 1), n)
-        with pytest.raises(ValueError, match=rf"^estimator {re.escape(repr(est_id))} got draws that are not"):
+        with pytest.raises(ValueError, match=rf"^draws of {re.escape(repr(other_q))}, not of {re.escape(repr(q))}$"):
             ALIASES[est_id](q, t, *batches)
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_alias_accepts_draws_of_an_equal_q(est_id):
+    # a batch is of q when its q equals q, not only when it is the same object
+    q, t = GaussianQ(0.25, 1.5), logistic_target()
+    n = SAMPLES // 2 if ESTIMATORS[est_id].split_budget else SAMPLES
+    count = 2 if ESTIMATORS[est_id].split_budget else 1
+    own = ALIASES[est_id](q, t, *[q.sample((3, i), n) for i in range(count)])
+    twin = GaussianQ(0.25, 1.5)
+    assert twin is not q
+    other = ALIASES[est_id](q, t, *[twin.sample((3, i), n) for i in range(count)])
+    np.testing.assert_array_equal(other.value, own.value)
 
 
 @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)

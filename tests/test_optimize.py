@@ -36,8 +36,15 @@ class TestSchedule:
 
     def test_one_draw_per_step_is_the_floor(self):
         SgdSchedule(samples_per_step=1)
-        with pytest.raises(ValueError, match="samples_per_step must be >= 1"):
+        with pytest.raises(ValueError, match="samples_per_step must be an int >= 1"):
             SgdSchedule(samples_per_step=0)
+
+    @pytest.mark.parametrize("field", ["iterations", "samples_per_step"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_ints(self, field, value):
+        # the fit loops and draws its noise blocks by these counts, so neither may be a float or a bool
+        with pytest.raises(ValueError, match=f"^{field} must be an int >= 1, got {value!r}$"):
+            SgdSchedule(**{field: value})
 
     def test_step_decay(self):
         sched = SgdSchedule(step0=0.5, decay=1.0)
@@ -60,6 +67,12 @@ class TestFit:
     def test_record_every_below_one_rejected(self, record_every):
         with pytest.raises(ValueError, match="record_every"):
             fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", record_every=record_every)
+
+    def test_record_every_must_be_an_int(self):
+        # with 2.5, `it % record_every == 0` would record the steps 0, 5, 10, ...
+        sched = SgdSchedule(iterations=20)
+        with pytest.raises(ValueError, match=r"^record_every must be an int >= 1, got 2\.5$"):
+            fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", sched, record_every=2.5)
 
     def test_recovers_gaussian_target_exactly(self):
         # zero-variance gradient makes the descent deterministic; the
@@ -260,12 +273,17 @@ class TestFitLoop:
 
     @pytest.mark.parametrize("q0, step0, message", [
         (GaussianQ(0.0, 1.0), 1e307, "mu must be finite"),
-        (GaussianQ(0.0, 1e-320), 0.01, r"eta must be finite with eta\[1\] < 0"),
-    ], ids=["mean-overflows", "subnormal-variance"])
+    ], ids=["mean-overflows"])
     def test_iterate_leaving_the_family_is_estimation_error(self, q0, step0, message):
         sched = SgdSchedule(step0=step0, iterations=4)
         with pytest.raises(EstimationError, match=f"^fit step 1 leaves the Gaussian family: {message}"):
             fit(q0, logistic_target(), "cv-regression", sched, seed=0)
+
+    def test_start_outside_the_family_is_rejected_before_the_fit(self):
+        # a subnormal variance puts eta[1] at -inf: no q0 is built, so no fit
+        # computes a KL and an estimate before failing at step 1
+        with pytest.raises(ValueError, match=r"^eta = \(mu / sigma2, -1 / \(2 sigma2\)\) must be finite"):
+            GaussianQ(0.0, 1e-320)
 
     def test_nonfinite_estimate_is_estimation_error_without_warnings(self):
         sched = SgdSchedule(iterations=5, samples_per_step=20)

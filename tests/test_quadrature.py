@@ -45,6 +45,13 @@ class TestRule:
         with pytest.raises(ValueError):
             gauss_hermite_rule(0)
 
+    @pytest.mark.parametrize("order", [2.5, True])
+    def test_order_must_be_an_int(self, order):
+        # True is rejected even after the rule of order 1 is cached: the cache is typed
+        gauss_hermite_rule(1)
+        with pytest.raises(ValueError, match=f"^order must be an int >= 1, got {order!r}$"):
+            gauss_hermite_rule(order)
+
 
 class TestExpect:
     def test_constant(self):
