@@ -107,23 +107,23 @@ def check_path_gradient_finite_difference(step: float = 1e-6, tol: float = 1e-6)
     worst = 0.0
     for case_idx, (mu, s2) in enumerate(_CHECK_QS):
         q = GaussianQ(mu, s2)
-        d = Draws(q, target, rng_from_seed(("path-fd", case_idx)).standard_normal((1, samples)))
+        d = Draws(q, target, rng_from_seed(("path-fd", case_idx)).standard_normal(samples))
         eps, x = d.eps, d.x
 
         def frozen_d(y):
             return q.log_density(y) - target.log_p(y)
 
-        kingma = run_kernel("kingma-reparam", q, target, d, 0)[0]
-        jac = q.path_jacobian(eps[0])
-        t_prime = np.stack([np.ones_like(x[0]), 2.0 * x[0]], axis=-1)
+        kingma = run_kernel("kingma-reparam", q, target, d, 0)
+        jac = q.path_jacobian(eps)
+        t_prime = np.stack([np.ones_like(x), 2.0 * x], axis=-1)
         path_cov = np.einsum("si,sl->il", jac, t_prime) / samples
 
         eta = q.eta
         for k in range(2):
             delta = np.zeros(2)
             delta[k] = step
-            x_hi = from_natural(eta + delta).reparameterize(eps[0])
-            x_lo = from_natural(eta - delta).reparameterize(eps[0])
+            x_hi = from_natural(eta + delta).reparameterize(eps)
+            x_lo = from_natural(eta - delta).reparameterize(eps)
             fd_d = (frozen_d(x_hi).mean() - frozen_d(x_lo).mean()) / (2.0 * step)
             worst = max(worst, abs(fd_d - kingma[k]) / max(abs(fd_d), 1.0))
             for l in range(2):

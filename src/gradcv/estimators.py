@@ -33,19 +33,20 @@ EstimatorInfo holds the method's vectorized kernel, whether the budget is
 split, the fewest draws per batch, the target derivatives it needs and
 whether it is unbiased. Every kernel has the signature
 
-    kernel(coef, ev) -> ((R, 2), aux)
+    kernel(coef, ev) -> ((..., 2), aux)
 
 where coef and ev are the coefficient and evaluation halves of one Draws,
-built from q, the target and standard-normal noise eps of shape (R, S), one
-row per independent replication. Split-budget methods fit coefficients on
-coef and evaluate on ev; the rest get coef None and the whole Draws as ev.
-aux maps diagnostic names to per-row arrays. run_kernel is the one
+built from q, the target and standard-normal noise eps of shape (..., S),
+one row of S draws per independent replication: an (R, S) tile of R rows,
+or one (S,) row. Split-budget methods fit coefficients on coef and
+evaluate on ev; the rest get coef None and the whole Draws as ev. aux maps
+diagnostic names to per-row values, of shape (..., *). run_kernel is the one
 dispatch, and a Draws its one input: it checks q and the target's
 capabilities, splits the columns, calls the kernel with overflow not
 warned about, and raises EstimationError on a non-finite estimate. The
 benchmark runs every estimator of a tile of rows on one Draws through it,
-and the fit runs one row per step. estimate() and the est_* functions run
-one row through _row, their one path to run_kernel: it checks the draw
+and the fit runs one (S,) row per step. estimate() and the est_* functions
+run one (S,) row through _row, their one path to run_kernel: it checks the draw
 floor and that each DrawBatch is of q (a DrawBatch derives its draws from
 its own q and noise, and the kernels read the noise, so a batch of another
 q is an error), and lays the batches' noise side by side in one row.
@@ -54,8 +55,8 @@ generated from the registry and carry their kernel's docstring. Every
 kernel treats each row on its own, so an estimate does not depend on which
 rows share its call.
 
-The kernels are written as two-component arithmetic on (R, S) arrays, one
-array per component, following the regression view in which every
+The kernels are written as two-component arithmetic on (..., S) arrays,
+one array per component, following the regression view in which every
 estimator is a function of a few per-draw quantities. All ten work in the
 standardized score u = (eps, u1), with u1 = eps^2 - 1. The eta score is
 s = (x - mu, x^2 - E_q[x^2]) = L u with L = [[sigma, 0], [2 mu sigma,
@@ -82,7 +83,7 @@ the target, over a Noise of the same rows. It computes each elementwise
 ingredient (the draws x = mu + sigma eps, which the target and
 delta-method read, u1, the target's log_p, f, and r, which reads grad_x)
 at most once, on every column, when a kernel first reads it; the halves are
-column views that slice it. It also keeps the (R,) moment tuples of a
+column views that slice it. It also keeps the (...) moment tuples of a
 column range: Cov-hat[u, f] and F. So every kernel run on one Draws reads
 what another has computed: cv-ideal and cv-regression share the
 evaluation half's moments, cov and greg-samplecov the whole range's,
@@ -94,11 +95,14 @@ computed by the same expression, on the same values, as a kernel alone
 would compute it, and every reduction is over one row, so neither the
 sharing nor the block changes any estimate. A kernel alone on a Draws
 computes nothing it does not read, except that a moment tuple is computed
-whole. Centered (R, S) arrays are not kept: each kernel centers what it
+whole. Centered (..., S) arrays are not kept: each kernel centers what it
 needs and lets it go, so a tile's memory is its elementwise ingredients.
-Every 2x2 coefficient or natural-gradient system is solved on (R,)
-component arrays a00, a01, a10, a11, b0, b1. No stacked (R, S, 2) score or
-(R, S, 2, 2) outer-product arrays are built.
+Every 2x2 coefficient or natural-gradient system is solved on (...)
+components a00, a01, a10, a11, b0, b1. No stacked (..., S, 2) score or
+(..., S, 2, 2) outer-product arrays are built. The reductions are over the
+last axis, so on an (S,) row, a fit step's or an estimate's, every moment
+and every 2x2 component is a numpy scalar, whose arithmetic costs a tenth
+of that on a 1-element array and follows np.errstate as arrays do.
 """
 
 from __future__ import annotations
@@ -201,15 +205,17 @@ class GradEstimate:
 
 
 class Noise:
-    """Standard-normal noise eps of shape (R, S), and the moments that read it alone.
+    """Standard-normal noise eps of shape (..., S), and the moments that read it alone.
 
     Per column range (lo, hi) it keeps the moments of the standardized
     score u = (eps, eps^2 - 1) (_u_moments: the sample mean of u and its
     Gram Cov-hat[u, u] with 1/(n-1)) and the matrix that solves the Gram
-    (_gram_inverse), each as (R,) components computed on first use, once
-    for all rows. rows(lo, hi) is the view of a row range: its eps
-    is a view, and its moments are row slices of those of the Noise it came
-    from, which keeps them.
+    (_gram_inverse), each as (...) components computed on first use, once
+    for all rows. len() is the number of rows, 1 for an (S,) row.
+    rows(index) is the view of the rows eps[index]: its eps is a view, and
+    its moments are those of the Noise it came from, which keeps them,
+    indexed alike. An int index gives an (S,) row whose moments are numpy
+    scalars; a slice gives a (k, S) block.
     """
 
     __slots__ = ("eps", "_root", "_rows", "_cache")
@@ -219,11 +225,11 @@ class Noise:
         self._root, self._rows, self._cache = None, slice(None), {}
 
     def __len__(self) -> int:
-        return len(self.eps)
+        return math.prod(self.eps.shape[:-1])
 
-    def rows(self, lo: int, hi: int) -> "Noise":
-        view = Noise(self.eps[lo:hi])
-        view._root, view._rows = self, slice(lo, hi)
+    def rows(self, index) -> "Noise":
+        view = Noise(self.eps[index])
+        view._root, view._rows = self, index
         return view
 
     def _kept(self, compute, *args) -> tuple:
@@ -247,13 +253,14 @@ class Noise:
 
 
 class Draws:
-    """The draws of q on noise eps of shape (R, S), with the target t: the ingredient cache of one tile.
+    """The draws of q on noise eps of shape (..., S), with the target t: the ingredient cache of one tile or row.
 
     A kernel's one input. Kernels read the per-draw ingredients from their
     Draws, so kernels run on one Draws compute each once. noise is the
     Noise of the rows (an array of eps is made one); eps is its noise on the
-    Draws' columns, len() its number of rows, and u_moments and gram_inverse
-    its moments of u there. The Draws keeps:
+    Draws' columns, len() its number of rows (1 for an (S,) row), and
+    u_moments and gram_inverse its moments of u there, numpy scalars on an
+    (S,) row. The Draws keeps:
 
     * the elementwise ingredients, keyed by the function that computes them:
       the draws x = q.reparameterize(eps) (_x), which the target and
@@ -261,13 +268,13 @@ class Draws:
       a non-finite log p is an estimation error naming its draw), the
       integrand f (_fval) and the path residual r (_resid), which reads the
       target's grad_x. Each is computed on first use, once for all columns;
-    * the (R,) moment tuples of _cov_uf and _path_uf, keyed by the
+    * the (...) moment tuples of _cov_uf and _path_uf, keyed by the
       reduction and the column range (lo, hi) as columns() was given it.
 
     columns(lo, hi) is the view of a column range of a whole Draws: its
     eps is a view, its elementwise ingredients are column slices of those
     of the Draws it came from, and its moments are kept there.
-    Centered (R, S) arrays are not kept; each kernel makes its own and lets
+    Centered (..., S) arrays are not kept; each kernel makes its own and lets
     them go.
     """
 
@@ -283,11 +290,11 @@ class Draws:
         self._cache: dict = {}
 
     def __len__(self) -> int:
-        return len(self.eps)
+        return len(self.noise)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
         view = Draws(self.q, self.t, self.noise)
-        view.eps = self.eps[:, lo:hi]
+        view.eps = self.eps[..., lo:hi]
         view._root, view._cols = self, slice(lo, hi)
         return view
 
@@ -298,7 +305,7 @@ class Draws:
             if value is None:
                 value = self._cache[compute] = compute(self)
             return value
-        return self._root._elementwise(compute)[:, self._cols]
+        return self._root._elementwise(compute)[..., self._cols]
 
     def _reduced(self, reduce) -> tuple:
         """reduce(self), kept by the whole Draws under this one's column range."""
@@ -358,7 +365,7 @@ def _u_moments(n: Noise, lo: int | None, hi: int | None) -> tuple:
     It is formed from c = eps - m0 and d = c^2 - mean c^2, the two
     temporaries, since u1 - m1 = d + 2 m0 c.
     """
-    e = n.eps[:, lo:hi]
+    e = n.eps[..., lo:hi]
     k = e.shape[-1]
     m0 = _mean(e)
     c = e - m0[..., None]
@@ -421,7 +428,7 @@ def _cov_u(d: Draws, y: np.ndarray) -> tuple:
     rounding of its spread, and the kept mean of u stands in for centered
     u arrays.
     """
-    y = y - y[:, :1]
+    y = y - y[..., :1]
     m0, m1 = d.u_moments[:2]
     sy = y.sum(-1)
     n1 = y.shape[-1] - 1
@@ -465,9 +472,14 @@ def _center(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _einsum_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vecdot(a, b) for numpy < 2.0, which has no np.vecdot."""
+    return np.einsum("...s,...s->...", a, b)
+
+
 # Sum over the draw axis of a * b, without the product temporary. np.vecdot
 # (numpy >= 2.0) has the least per-call overhead; einsum is the fallback.
-_dot = getattr(np, "vecdot", lambda a, b: np.einsum("...s,...s->...", a, b))
+_dot = getattr(np, "vecdot", _einsum_dot)
 
 
 def _score_directions(u0: np.ndarray, u1: np.ndarray, q: GaussianQ) -> tuple[np.ndarray, np.ndarray]:
@@ -526,7 +538,7 @@ def _solve2c(a00, a01, a10, a11, b0, b1):
 
 
 # ---------------------------------------------------------------------------
-# kernels: (coef, ev) -> ((R, 2), aux)
+# kernels: (coef, ev) -> ((..., 2), aux)
 #
 # Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
@@ -785,7 +797,8 @@ def run_kernel(
     Split-budget estimators use the first n_coef columns as the coefficient
     batch and the rest for evaluation. Every kernel run on one Draws shares
     its ingredients, as the benchmark's estimators share each tile. Returns
-    the (R, 2) estimates, or with with_aux=True the pair (estimates, aux),
+    the (..., 2) estimates of the (..., S) draws ((R, 2) for a tile, a
+    2-vector for an (S,) row), or with with_aux=True the pair (estimates, aux),
     aux holding the kernel's per-row diagnostics under the keys of
     GradEstimate.aux.
 
@@ -817,7 +830,7 @@ def run_kernel(
 
 
 def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches) -> GradEstimate:
-    """The GradEstimate of info's kernel on one row, the noise of the DrawBatches of q side by side.
+    """The GradEstimate of info's kernel on one (S,) row, the noise of the DrawBatches of q side by side.
 
     The one path of estimate() and the est_* functions to run_kernel. It
     checks the draw floor and that each batch is of q (an equal GaussianQ):
@@ -828,9 +841,9 @@ def _row(info: EstimatorInfo, q: GaussianQ, t: Target, batches) -> GradEstimate:
     for b in batches:
         if b.q != q:
             raise ValueError(f"draws of {b.q}, not of {q}")
-    d = Draws(q, t, np.concatenate([b.noise for b in batches])[None])
+    d = Draws(q, t, np.concatenate([b.noise for b in batches]))
     value, aux = run_kernel(info.id, q, t, d, sizes[0], with_aux=True)
-    return GradEstimate(value[0], info.id, samples_used=sum(sizes), aux={k: v[0] for k, v in aux.items()} or None)
+    return GradEstimate(value, info.id, samples_used=sum(sizes), aux=aux or None)
 
 
 def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:

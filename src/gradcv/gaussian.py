@@ -7,7 +7,8 @@ All gradient estimators in this package report gradients in these eta
 coordinates. The estimators and the oracle work in the standardized score
 u = (eps, eps^2 - 1) of x = mu + sigma * eps, whose eta score is
 s = T(x) - E_q[T(x)] = L u with L = [[sigma, 0], [2 mu sigma, sigma2]];
-_times_l and _solve_lt, the one copy of L, map u-basis results to eta.
+_times_l, _solve_l and _solve_lt, the one copy of L, map between the u
+basis and eta.
 
 A DrawBatch is q and its standard-normal noise; it derives its draws.
 _count is the one check of a count (a draw budget, a replication or
@@ -90,6 +91,12 @@ def _times_l(q: "GaussianQ", v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """L @ (v0, v1), L = [[sigma, 0], [2 mu sigma, sigma2]]: a u-basis vector mapped to eta coordinates."""
     sigma = q.sigma
     return _pair(sigma * v0, (2.0 * q.mu * sigma) * v0 + q.sigma2 * v1)
+
+
+def _solve_l(q: "GaussianQ", v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
+    """L^-1 @ (v0, v1): an eta-coordinate vector mapped to the u basis."""
+    a0 = v0 / q.sigma
+    return _pair(a0, (v1 - (2.0 * q.mu * q.sigma) * a0) / q.sigma2)
 
 
 def _solve_lt(q: "GaussianQ", v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
@@ -235,8 +242,11 @@ def from_natural(eta) -> GaussianQ:
         raise ValueError(f"eta must be a 2-vector, got shape {eta.shape}")
     if not (np.isfinite(eta).all() and eta[1] < 0.0):
         raise ValueError(f"eta must be finite with eta[1] < 0, got {eta}")
-    sigma2 = -0.5 / eta[1]
-    return GaussianQ(eta[0] * sigma2, sigma2)
+    # numpy scalars warn on overflow; GaussianQ rejects the inf or nan it gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma2 = -0.5 / eta[1]
+        mu = eta[0] * sigma2
+    return GaussianQ(mu, sigma2)
 
 
 def sample(q: GaussianQ, seed, size: int) -> DrawBatch:

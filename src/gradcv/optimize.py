@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
-from .gaussian import GaussianQ, _count, _solve_lt, from_natural, rng_from_seed
+from .gaussian import GaussianQ, _count, _solve_l, _solve_lt, from_natural, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
 
@@ -124,7 +124,7 @@ def _noise_rows(seed: int, steps: int, samples: int):
     for start in range(0, steps, block):
         noise = Noise(rng.standard_normal((min(block, steps - start), samples)))
         for t in range(len(noise)):
-            yield noise.rows(t, t + 1)
+            yield noise.rows(t)
 
 
 def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, steps: int):
@@ -138,7 +138,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     rows = _noise_rows(seed, steps, config.total_samples)
 
     def gradient(q: GaussianQ) -> np.ndarray:
-        return run_kernel(config.estimator_id, q, target, Draws(q, target, next(rows)), n_coef)[0]
+        return run_kernel(config.estimator_id, q, target, Draws(q, target, next(rows)), n_coef)
 
     return gradient
 
@@ -180,8 +180,8 @@ def fit(
             grad = np.asarray(gradient_fn(q), dtype=float)
             if natural_gradient:
                 # Cov_q[T]^-1 grad for Cov_q[T] = L diag(1, 2) L^T: L^-T diag(1, 1/2) L^-1 grad
-                v0 = grad[0] / q.sigma
-                grad = _solve_lt(q, v0, 0.5 * (grad[1] - (2.0 * q.mu * q.sigma) * v0) / q.sigma2)
+                v0, v1 = _solve_l(q, grad[0], grad[1])
+                grad = _solve_lt(q, v0, 0.5 * v1)
             eta = eta - schedule.step(t) * grad
             eta[1] = min(eta[1], ETA2_MAX)
             it = t + 1

@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from gradcv.gaussian import DrawBatch, GaussianQ, _seed_key, from_moments, from_natural, rng_from_seed
+from gradcv.gaussian import (
+    DrawBatch, GaussianQ, _seed_key, _solve_l, _solve_lt, _times_l, from_moments, from_natural, rng_from_seed,
+)
 from gradcv.quadrature import gauss_hermite_rule
 
 
@@ -62,10 +64,33 @@ class TestNaturalParameters:
         with pytest.raises(ValueError):
             from_natural(np.array([0.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta, message", [
+        ((1e300, -1e-10), r"^mu must be finite, got inf$"),
+        # sigma2 = inf, so mu = 0 * inf is nan
+        ((0.0, -1e-320), r"^mu must be finite, got nan$"),
+    ], ids=["mean-overflows", "variance-overflows"])
+    def test_from_natural_overflow_raises_without_a_warning(self, eta, message):
+        # an overflow of the numpy scalar arithmetic is the ValueError alone
+        with pytest.raises(ValueError, match=message):
+            from_natural(np.array(eta))
+
     def test_frozen(self):
         q = GaussianQ(0.0, 1.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             q.mu = 1.0
+
+
+@pytest.mark.parametrize("mu, sigma2", [(0.0, 1.0), (-2.0, 0.3), (1e3, 4e-2)])
+def test_basis_maps_are_l_and_its_inverses(mu, sigma2):
+    # s = L u with L = [[sigma, 0], [2 mu sigma, sigma2]]
+    q = GaussianQ(mu, sigma2)
+    l_matrix = np.array([[q.sigma, 0.0], [2.0 * mu * q.sigma, sigma2]])
+    v = np.array([0.7, -1.3])
+    np.testing.assert_allclose(_times_l(q, *v), l_matrix @ v, rtol=1e-15)
+    np.testing.assert_allclose(_solve_l(q, *v), np.linalg.solve(l_matrix, v), rtol=1e-12)
+    np.testing.assert_allclose(_solve_lt(q, *v), np.linalg.solve(l_matrix.T, v), rtol=1e-12)
+    np.testing.assert_allclose(_solve_l(q, *_times_l(q, *v)), v, rtol=1e-12)
 
 
 class TestLogDensity:

@@ -159,6 +159,51 @@ def test_estimate_equals_alias_and_run_kernel(est_id, mu, sigma2, samples, split
             np.testing.assert_array_equal(result.aux[key], values[0])
 
 
+def assert_same_bits(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.shape, got.dtype) == (ref.shape, ref.dtype)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dot", ["vecdot", "einsum"])
+@pytest.mark.parametrize("target_name", list(TARGETS))
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_a_row_is_a_one_row_tile(est_id, target_name, dot, monkeypatch):
+    # the fit and estimate() run 1-D (S,) noise, the benchmark (R, S) tiles:
+    # the same noise as an (S,) row, as a row of a block's Noise (whose kept
+    # moments it indexes) and as a (1, S) tile gives the same estimate and
+    # aux, bit for bit, at every budget from the estimator's floor; "einsum"
+    # runs the np.vecdot-less path of numpy < 2.0
+    if dot == "einsum":
+        monkeypatch.setattr(gradcv.estimators, "_dot", gradcv.estimators._einsum_dot)
+    q, t = GaussianQ(0.5, 1.5), TARGETS[target_name]
+    sizes = set()
+    for split in (0.3, 0.5):
+        for samples in (*range(1, 9), SAMPLES):
+            try:
+                config = EstimatorConfig(total_samples=samples, cv_split=split, estimator_id=est_id)
+            except ValueError:
+                continue
+            sizes.add(config.batch_sizes())
+            n_coef = config.batch_sizes()[0]
+            block = rng_from_seed(("row", target_name, split, samples)).standard_normal((3, samples))
+            ref, ref_aux = run_kernel(est_id, q, t, Draws(q, t, block[1:2]), n_coef, with_aux=True)
+            for noise in (block[1], Noise(block).rows(1)):
+                row = Draws(q, t, noise)
+                assert len(row) == 1
+                assert_same_bits(run_kernel(est_id, q, t, Draws(q, t, noise), n_coef), ref[0])
+                value, aux = run_kernel(est_id, q, t, row, n_coef, with_aux=True)
+                assert_same_bits(value, ref[0])
+                assert set(aux) == set(ref_aux)
+                for key in aux:
+                    assert_same_bits(aux[key], ref_aux[key][0])
+                # the row's moments are numpy scalars, not 1-element arrays
+                with np.errstate(invalid="ignore"):  # a 1-draw Gram is 0/0
+                    assert all(type(m) is np.float64 for m in row.u_moments)
+    floor = ESTIMATORS[est_id].min_draws
+    assert ((floor, floor) if ESTIMATORS[est_id].split_budget else (floor,)) in sizes
+
+
 class TestZeroVarianceOffChunk:
     REPS = 4099  # one full 4096 chunk and a remainder of 3
 
@@ -233,9 +278,12 @@ class TestSharedDraws:
             np.testing.assert_array_equal(views_first.columns(lo, hi).x, q.reparameterize(eps[:, lo:hi]))
             np.testing.assert_array_equal(root.columns(lo, hi).x, q.reparameterize(eps[:, lo:hi]))
         np.testing.assert_array_equal(views_first.x, q.reparameterize(eps))
-        row = Draws(q, t, Noise(eps).rows(1, 3))
-        np.testing.assert_array_equal(row.columns(5).x, q.reparameterize(eps[1:3, 5:]))
-        assert len(row) == 2
+        rows = Draws(q, t, Noise(eps).rows(slice(1, 3)))
+        np.testing.assert_array_equal(rows.columns(5).x, q.reparameterize(eps[1:3, 5:]))
+        assert len(rows) == 2
+        row = Draws(q, t, Noise(eps).rows(2))
+        np.testing.assert_array_equal(row.columns(5).x, q.reparameterize(eps[2, 5:]))
+        assert len(row) == 1
 
     def test_draws_of_another_q_or_target_rejected(self):
         q, t = GaussianQ(0.5, 1.5), logistic_target()

@@ -165,7 +165,8 @@ class TestNoiseStream:
     def test_blocks_are_rows_of_the_whole_stream(self):
         for samples in (50, 400, 20_000):
             steps = 2 * _block_steps(samples) + 3
-            rows = np.array([noise.eps for noise in _noise_rows(7, steps, samples)])
+            # each row is 1-D, so the stack of its (1, S) form is the (steps, 1, S) stream
+            rows = np.array([noise.eps[None] for noise in _noise_rows(7, steps, samples)])
             whole = rng_from_seed((7, FIT_STREAM_LABEL)).standard_normal((steps, 1, samples))
             np.testing.assert_array_equal(rows, whole)
 
@@ -175,7 +176,8 @@ class TestNoiseStream:
         # fits used to call it at step t, from (s, t, i), i = 0, 1; t also runs
         # over the label's own low words, where a short label would collide
         label = int.from_bytes(FIT_STREAM_LABEL.encode(), "little")
-        fit_row = next(_noise_rows(seed, 1, 8)).eps[0]
+        fit_row = next(_noise_rows(seed, 1, 8)).eps
+        assert fit_row.shape == (8,)
         keys = [(seed, i) for i in (0, 1)]
         keys += [(seed, t, i) for t in (*range(100), label & 0xFFFFFFFF, label & 0xFFFFFFFFFFFFFFFF) for i in (0, 1)]
         for key in keys:
@@ -213,14 +215,15 @@ class TestFitLoop:
 
     @pytest.mark.parametrize("estimator, cv_split", [("cv-ideal", 0.3), ("cov", 0.5)])
     def test_step_runs_the_kernel_on_its_row(self, estimator, cv_split):
-        # step t: the kernel on row t of the stream, split as estimate() splits its budget
+        # step t: the kernel on row t of the stream, split as estimate() splits
+        # its budget; the fit runs the 1-D row, the reference its (1, S) form
         q0, target = GaussianQ(0.2, 1.5), logistic_target()
         sched = SgdSchedule(step0=0.02, decay=0.6, iterations=3, samples_per_step=self.SAMPLES)
         result = fit(q0, target, estimator, sched, seed=4, cv_split=cv_split, record_every=1)
         config = EstimatorConfig(total_samples=self.SAMPLES, cv_split=cv_split, estimator_id=estimator)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(4, 3, self.SAMPLES)):
-            d = Draws(q, target, noise.eps)
+            d = Draws(q, target, noise.eps[None])
             eta = eta - sched.step(t) * run_kernel(estimator, q, target, d, config.batch_sizes()[0])[0]
             q = from_natural(eta)  # the projection is inactive at these steps
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
@@ -241,8 +244,9 @@ class TestFitLoop:
         result = fit(q0, target, estimator, sched, seed=1, record_every=1)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(1, steps, samples)):
-            # a Draws over the row's noise array alone, not over the block's Noise
-            eta = eta - sched.step(t) * run_kernel(estimator, q, target, Draws(q, target, noise.eps), samples // 2)[0]
+            # a Draws over the row's noise alone as a (1, S) tile, not over the block's Noise
+            d = Draws(q, target, noise.eps[None])
+            eta = eta - sched.step(t) * run_kernel(estimator, q, target, d, samples // 2)[0]
             eta[1] = min(eta[1], optimize.ETA2_MAX)
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2), t
@@ -253,7 +257,7 @@ class TestFitLoop:
         result = fit(q0, target, "simple", sched, seed=4, record_every=1)
         eta, q = q0.eta, q0
         for t, noise in enumerate(_noise_rows(4, 3, 1)):
-            eta = eta - sched.step(t) * run_kernel("simple", q, target, Draws(q, target, noise.eps), 0)[0]
+            eta = eta - sched.step(t) * run_kernel("simple", q, target, Draws(q, target, noise.eps[None]), 0)[0]
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2)
 
