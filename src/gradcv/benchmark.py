@@ -16,30 +16,45 @@ fixed chunks of 4096, and the noise for a chunk is a pure function of
 (base_seed, setting index, estimator index, chunk index). Results are
 therefore bit-identical across runs and across worker counts.
 
-One loop serves both modes. For each setting, every (stream, chunk) pair
-is one task, run on the thread pool: a stream is a noise stream and the
-estimators that read it. Unpaired, each estimator has its own stream;
-paired (--paired), the stream key has no estimator index, so one stream
-per chunk serves every estimator. A task walks its chunk in row tiles: it
-draws the tile's noise and runs each of its estimators on one shared Draws
-of q, the target and that noise, the tile's ingredient cache. The Draws
-forms the draws x and evaluates the target's log_p and grad_x once for the
-tile, and the q-side ingredients too: eps^2 - 1, the integrand
-log q - log p, the path residual, and on each column range the moments of
-u, of u and the integrand, and of the path residual. Paired tables thus
-draw, evaluate the target and compute each ingredient once per tile for all
-estimators. Tiles have 512 rows in both modes, which keeps a tile's
-(rows, S) arrays in cache. Drawing a chunk's noise tile by tile
-gives the same numbers as drawing it at once, every kernel treats each
-row on its own, and a cached ingredient is the value the kernel would
-compute alone, so neither the tiles nor the sharing change any estimate.
+One loop serves both modes. The ground truths of every setting come first;
+then every (setting, chunk) pair is one task, all of them on one thread
+pool (run in turn at one thread). A task reads the chunk's noise streams: a
+stream is a noise stream and the estimators that read it. Unpaired, each
+estimator has its own stream; paired (--paired), the stream key has no
+estimator index, so one stream per chunk serves every estimator. A task
+walks each stream in row tiles: it draws the tile's noise and runs each of
+its estimators on one shared Draws of q, the target and that noise, the
+tile's ingredient cache. The Draws forms the draws x and evaluates the
+target's log_p and grad_x once for the tile, and the q-side ingredients
+too: eps^2 - 1, the integrand log q - log p, the path residual, and on each
+column range the moments of u, of u and the integrand, and of the path
+residual. Paired tables thus draw, evaluate the target and compute each
+ingredient once per tile for all estimators. Tiles have 512 rows in both
+modes, which keeps a tile's (rows, S) arrays in cache. Drawing a chunk's
+noise tile by tile gives the same numbers as drawing it at once, every
+kernel treats each row on its own, and a cached ingredient is the value
+the kernel would compute alone, so neither the tiles nor the sharing
+change any estimate.
+
+A task writes its estimates into one (estimators, 2, rows) buffer and
+returns only their moments: per cell, the count, the sums and the sums of
+squared deviations of both estimate components and of the weighted squared
+error, and the sums of the squared component errors. Each cell merges its
+chunks' moments in chunk order, the order in which the pool's map returns
+them, so memory is a few chunks per thread whatever the replication count,
+and the table does not depend on which task finishes first. _reduce_cell
+states what the merge does to the statistics' rounding.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,36 +160,85 @@ def chunk_stream_key(base_seed: int, setting_idx: int, estimator_idx: int, chunk
     return (base_seed, setting_idx, estimator_idx, chunk_idx)
 
 
-def _setting_estimates(
-    spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, runnable: list[int], threads: int
-) -> np.ndarray:
-    """Replication estimates of one setting, (estimators, replications, 2).
+class _Moments(NamedTuple):
+    """Running statistics of a setting's cells over count rows, one row of sums and m2 per cell.
 
-    Only the estimators at the indices in runnable are run; the rows of
-    the others are left unset.
+    sums has the columns (est1, est2, weighted squared error, squared error 1,
+    squared error 2); m2 the sums of squared deviations from the mean of the
+    first three.
     """
+
+    count: int
+    sums: np.ndarray
+    m2: np.ndarray
+
+
+def _sq_dev_sums(x: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Sums of squared deviations from the means sums / n along x's last axis, as np.var forms them.
+
+    x is overwritten.
+    """
+    x -= (sums / x.shape[-1])[:, None]
+    x *= x
+    return x.sum(axis=-1)
+
+
+def _chunk_moments(est: np.ndarray, gt: np.ndarray) -> _Moments:
+    """The moments of a chunk's (cells, 2, rows) estimates of one setting, whose gradient is gt.
+
+    Every reduction runs over the contiguous last axis, which numpy sums
+    pairwise in one pass, and forms what np.mean and np.std form, so a
+    one-chunk cell's statistics are theirs on its columns bit for bit. est
+    is overwritten, and once its first component is reduced that component
+    is scratch, so the reduction allocates two arrays of a component's size
+    and stays below the memory peak of the chunk's tiles.
+    """
+    n = est.shape[-1]
+    sums, m2 = np.empty((len(est), 5)), np.empty((len(est), 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums[:, :2] = est.sum(axis=-1)
+        err = est[:, 0] - gt[0]
+        weighted = MSE_WEIGHTS[0] * err
+        weighted *= err
+        err *= err
+        sums[:, 3] = err.sum(axis=-1)
+        m2[:, 0] = _sq_dev_sums(est[:, 0], sums[:, 0])
+        np.subtract(est[:, 1], gt[1], out=err)
+        term = np.multiply(MSE_WEIGHTS[1], err, out=est[:, 0])
+        term *= err
+        weighted += term
+        err *= err
+        sums[:, 4] = err.sum(axis=-1)
+        m2[:, 1] = _sq_dev_sums(est[:, 1], sums[:, 1])
+        sums[:, 2] = weighted.sum(axis=-1)
+        m2[:, 2] = _sq_dev_sums(weighted, sums[:, 2])
+    return _Moments(n, sums, m2)
+
+
+def _merge(a: _Moments, b: _Moments) -> _Moments:
+    """The moments of a's rows followed by b's: the pairwise update of Chan, Golub & LeVeque (1979)."""
+    count = a.count + b.count
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = b.sums[:, :3] / b.count - a.sums[:, :3] / a.count
+        m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / count)
+    return _Moments(count, a.sums + b.sums, m2)
+
+
+def _chunk_estimates(
+    spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, chunk_idx: int, runnable: list[int]
+) -> np.ndarray:
+    """One chunk's estimates of the estimators at the indices in runnable, (len(runnable), 2, rows)."""
     n_coef = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split).split_sizes()[0]
-    est = np.empty((len(spec.estimators), spec.replications, 2))
-    # (stream index, the estimators that read the stream)
-    streams = [(0, runnable)] if spec.paired else [(i, [i]) for i in runnable]
-    n_chunks = -(-spec.replications // _CHUNK)
-    tasks = [(stream, chunk_idx) for stream in streams if stream[1] for chunk_idx in range(n_chunks)]
-
-    def run(task) -> None:
-        (stream_idx, members), chunk_idx = task
+    rows = min(_CHUNK, spec.replications - chunk_idx * _CHUNK)
+    est = np.empty((len(runnable), 2, rows))
+    # (stream index, the rows of est whose estimators read the stream)
+    streams = [(0, range(len(runnable)))] if spec.paired else [(i, (j,)) for j, i in enumerate(runnable)]
+    for stream_idx, members in streams:
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
-        stop = min((chunk_idx + 1) * _CHUNK, spec.replications)
-        for lo in range(chunk_idx * _CHUNK, stop, _TILE):
-            draws = Draws(q, target, rng.standard_normal((min(_TILE, stop - lo), spec.samples)))
-            for i in members:
-                est[i, lo:lo + len(draws)] = run_kernel(spec.estimators[i], q, target, draws, n_coef)
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, tasks))
-    else:
-        for task in tasks:
-            run(task)
+        for tile in range(0, rows, _TILE):
+            draws = Draws(q, target, rng.standard_normal((min(_TILE, rows - tile), spec.samples)))
+            for j in members:
+                est[j, :, tile:tile + len(draws)] = run_kernel(spec.estimators[runnable[j]], q, target, draws, n_coef).T
     return est
 
 
@@ -197,55 +261,76 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
         except CapabilityError as err:
             notes[est_id] = f"n/a: {err}"
     runnable = [i for i, est_id in enumerate(spec.estimators) if est_id not in notes]
+    qs = [GaussianQ(mu, sigma2) for mu, sigma2 in spec.settings]
+    gts = [ground_truth_gradient(q, target, rule) for q in qs]
+    n_chunks = -(-spec.replications // _CHUNK) if runnable else 0
+    tasks = [(setting_idx, chunk_idx) for setting_idx in range(len(qs)) for chunk_idx in range(n_chunks)]
+
+    def run(task) -> _Moments:
+        setting_idx, chunk_idx = task
+        est = _chunk_estimates(spec, qs[setting_idx], target, setting_idx, chunk_idx, runnable)
+        return _chunk_moments(est, gts[setting_idx])
+
+    serial = threads == 1 or len(tasks) < 2
     rows = []
-    for setting_idx, (mu, sigma2) in enumerate(spec.settings):
-        q = GaussianQ(mu, sigma2)
-        gt = ground_truth_gradient(q, target, rule)
-        est = _setting_estimates(spec, q, target, setting_idx, runnable, threads)
-        for i, est_id in enumerate(spec.estimators):
-            if est_id not in notes:
-                rows.append(_reduce_cell(est_id, mu, sigma2, est[i], gt))
-                continue
-            rows.append(MseRow(
-                estimator=est_id, mu=mu, sigma2=sigma2,
-                mse=float("nan"), mse_stderr=float("nan"),
-                mean_bias=np.full(2, np.nan), ground_truth=gt,
-                replications=spec.replications,
-                mean_se=np.full(2, np.nan), mse_components=np.full(2, np.nan),
-                note=notes[est_id],
-            ))
+    with nullcontext() if serial else ThreadPoolExecutor(max_workers=threads) as pool:
+        # map yields in task order, so each cell merges its chunks in chunk order
+        chunks = map(run, tasks) if serial else pool.map(run, tasks)
+        try:
+            for (mu, sigma2), gt in zip(spec.settings, gts):
+                cells = functools.reduce(_merge, itertools.islice(chunks, n_chunks)) if runnable else None
+                for i, est_id in enumerate(spec.estimators):
+                    if est_id not in notes:
+                        rows.append(_cell_row(est_id, mu, sigma2, cells, runnable.index(i), gt))
+                        continue
+                    rows.append(MseRow(
+                        estimator=est_id, mu=mu, sigma2=sigma2,
+                        mse=float("nan"), mse_stderr=float("nan"),
+                        mean_bias=np.full(2, np.nan), ground_truth=gt,
+                        replications=spec.replications,
+                        mean_se=np.full(2, np.nan), mse_components=np.full(2, np.nan),
+                        note=notes[est_id],
+                    ))
+        except BaseException:
+            # a failed cell ends the run: the later settings' tasks not yet started never start
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+            raise
     return MseTable(spec=spec, rows=tuple(rows))
 
 
-def _reduce_cell(est_id: str, mu: float, sigma2: float, est: np.ndarray, gt: np.ndarray) -> MseRow:
-    """The statistics of one cell's (n, 2) estimates; overflow in them is an EstimationError.
-
-    Each component is reduced as its own 1-D column view, which numpy sums
-    pairwise in one pass; reducing the (n, 2) block along either axis runs
-    an inner loop of length 2, and along axis 0 sums sequentially. The
-    per-row weighted squared error is the expression of the block form, so
-    mse and mse_stderr are the same either way; the column means and
-    standard deviations err by about log2(n) * eps * max|estimate| at
-    worst, where sequential sums err by n * eps * max|estimate|.
-    """
-    n = est.shape[0]
-    cols = (est[:, 0], est[:, 1])
+def _cell_row(est_id: str, mu: float, sigma2: float, cells: _Moments, j: int, gt: np.ndarray) -> MseRow:
+    """The row of cell j of the merged moments; a non-finite statistic is an EstimationError."""
+    n = cells.count
     with np.errstate(over="ignore", invalid="ignore"):
-        err = [col - g for col, g in zip(cols, gt)]
-        weighted = (MSE_WEIGHTS[0] * err[0]) * err[0] + (MSE_WEIGHTS[1] * err[1]) * err[1]
-        mse = float(weighted.mean())
-        mse_stderr = float(weighted.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        mean_bias = np.array([col.mean() for col in cols]) - gt
-        mean_se = np.array([col.std(ddof=1) for col in cols]) / np.sqrt(n) if n > 1 else np.zeros(2)
-        mse_components = np.array([(e * e).mean() for e in err])
-    stats = {"mse": mse, "mse_stderr": mse_stderr, "mean_bias": mean_bias, "mean_se": mean_se,
-             "mse_components": mse_components}
+        mean = cells.sums[j] / n
+        se = np.sqrt(cells.m2[j] / (n - 1)) / np.sqrt(n) if n > 1 else np.zeros(3)
+    stats = {"mse": float(mean[2]), "mse_stderr": float(se[2]), "mean_bias": mean[:2] - gt, "mean_se": se[:2],
+             "mse_components": mean[3:]}
     bad = [f"{name}={np.asarray(value).tolist()}" for name, value in stats.items() if not np.isfinite(value).all()]
     if bad:
         raise EstimationError(
             f"non-finite cell statistics of {est_id!r} at mu={mu:g}, sigma2={sigma2:g}: {', '.join(bad)}"
         )
     return MseRow(estimator=est_id, mu=mu, sigma2=sigma2, ground_truth=gt, replications=n, **stats)
+
+
+def _reduce_cell(est_id: str, mu: float, sigma2: float, est: np.ndarray, gt: np.ndarray) -> MseRow:
+    """The statistics of one cell's (n, 2) estimates, reduced as run_benchmark reduces a cell.
+
+    Each chunk of 4096 rows is reduced in one pass of numpy's pairwise sums,
+    and the chunks' sums and sums of squared deviations merge in chunk order
+    by the pairwise update of Chan, Golub & LeVeque (1979). A one-chunk
+    cell's statistics are np.mean and np.std of its columns bit for bit. The
+    means of a two-chunk cell are too, since numpy splits a sum of 8192 at
+    4096; each further chunk adds one rounding of about eps * |sum|. A
+    merged standard deviation is the two-pass one up to rounding of the same
+    order. Sums of the (n, 2) block along axis 0 would instead run
+    sequentially, erring by n * eps * max|estimate|.
+    """
+    chunks = (_chunk_moments(est[lo:lo + _CHUNK].T.copy()[None], gt)
+              for lo in range(0, len(est), _CHUNK))
+    return _cell_row(est_id, mu, sigma2, functools.reduce(_merge, chunks), 0, gt)
 
 
 def bias_decomposition(rows) -> list[tuple[float, float]]:

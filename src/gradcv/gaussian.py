@@ -128,10 +128,11 @@ class GaussianQ:
     def __post_init__(self):
         mu = float(self.mu)
         sigma2 = float(self.sigma2)
-        if not math.isfinite(mu):
-            raise ValueError(f"mu must be finite, got {mu!r}")
+        # sigma2 first: from_natural's mu = eta[0] * sigma2 is nan when sigma2 overflows
         if not (math.isfinite(sigma2) and sigma2 > 0.0):
             raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu!r}")
         if not (math.isfinite(mu / sigma2) and math.isfinite(0.5 / sigma2)):
             raise ValueError(f"eta = (mu / sigma2, -1 / (2 sigma2)) must be finite, got mu={mu!r}, sigma2={sigma2!r}")
         object.__setattr__(self, "mu", mu)

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradcv.benchmark as bench
 from gradcv.benchmark import (
     MSE_WEIGHTS,
     BenchmarkSpec,
     MseRow,
     MseTable,
     _reduce_cell,
-    _setting_estimates,
     bias_decomposition,
     chunk_stream_key,
     format_mse_table,
@@ -236,6 +238,32 @@ def blackbox_spec(monkeypatch, **overrides):
     return small_spec(target="blackbox", **overrides)
 
 
+def chunk_estimates_of_a_run(spec, threads):
+    """run_benchmark(spec, threads) and every chunk task's estimates, {(setting, chunk): (cells, 2, rows)}."""
+    seen = {}
+    chunk_estimates = bench._chunk_estimates
+
+    def record(spec, q, target, setting_idx, chunk_idx, runnable):
+        est = chunk_estimates(spec, q, target, setting_idx, chunk_idx, runnable)
+        seen[setting_idx, chunk_idx] = est.copy()
+        return est
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_chunk_estimates", record)
+        table = run_benchmark(spec, threads)
+    return table, seen
+
+
+def assert_chunks_are_the_reference(spec, seen, setting_idx):
+    # a cell's chunks, in chunk order, are its untiled, unshared estimates
+    n_chunks = -(-spec.replications // 4096)
+    got = np.concatenate([seen[setting_idx, c] for c in range(n_chunks)], axis=-1)
+    expected = np.stack([reference_estimates(spec, setting_idx, i) for i in range(len(spec.estimators))])
+    expected = np.ascontiguousarray(expected.transpose(0, 2, 1))
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestTilesAndSharing:
     """Row tiles and paired sharing leave every estimate as an untiled, unshared run gives it."""
 
@@ -243,15 +271,15 @@ class TestTilesAndSharing:
     @pytest.mark.parametrize("reps", [1, 1500, 5000])
     def test_estimates_equal_run_kernel_on_whole_chunks(self, reps, paired):
         # reps not a multiple of the chunk or of the tile, and one chunk with
-        # a partial second in the 5000 case; every thread count gives the same bits
+        # a partial second in the 5000 case; every thread count runs the same
+        # chunk tasks to the same bits
         spec = BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=ESTIMATOR_IDS,
                              replications=reps, samples=12, base_seed=11, paired=paired)
-        q = GaussianQ(*spec.settings[1])
-        expected = np.stack([reference_estimates(spec, 1, i) for i in range(len(ESTIMATOR_IDS))])
         for threads in (1, 2, 3):
-            got = _setting_estimates(spec, q, resolve_target(spec.target), 1, list(range(len(ESTIMATOR_IDS))), threads)
-            assert got.shape == expected.shape
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), threads
+            _, seen = chunk_estimates_of_a_run(spec, threads)
+            assert len(seen) == 2 * -(-reps // 4096)
+            for setting_idx in range(2):
+                assert_chunks_are_the_reference(spec, seen, setting_idx)
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=12)
     @given(
@@ -267,10 +295,8 @@ class TestTilesAndSharing:
     def test_any_spec_equals_run_kernel_on_whole_chunks(self, mu, sigma2, reps, samples, split, seed, threads, paired):
         spec = BenchmarkSpec(settings=((mu, sigma2),), estimators=ESTIMATOR_IDS, replications=reps,
                              samples=samples, cv_split=split, base_seed=seed, paired=paired)
-        got = _setting_estimates(spec, GaussianQ(mu, sigma2), resolve_target(spec.target), 0,
-                                 list(range(len(ESTIMATOR_IDS))), threads)
-        expected = np.stack([reference_estimates(spec, 0, i) for i in range(len(ESTIMATOR_IDS))])
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        _, seen = chunk_estimates_of_a_run(spec, threads)
+        assert_chunks_are_the_reference(spec, seen, 0)
 
     def test_table_reduces_the_reference_estimates(self):
         spec = small_spec(estimators=ESTIMATOR_IDS, replications=5000, samples=12, paired=True)
@@ -294,6 +320,31 @@ class TestTilesAndSharing:
         assert tables_equal(MseTable(spec, tuple(r for r in table.rows if r.ok)), alone)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+def test_memory_does_not_grow_with_the_replications(paired, threads):
+    # Two settings, so a 1-chunk run already keeps both threads busy: a run
+    # holds at most threads chunk tasks' estimates and temporaries at a
+    # time, whatever the chunk count, and 8 chunks may peak at most a
+    # quarter above 1. Keeping every estimate, (estimators, R, 2) per
+    # setting, adds 7/8 of the 8-chunk buffer and its reduction temporaries.
+    def spec(chunks):
+        return BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=("simple", "cv-regression"),
+                             replications=chunks * 4096, samples=12, base_seed=5, paired=paired)
+
+    def peak(chunks):
+        tracemalloc.start()
+        try:
+            run_benchmark(spec(chunks), threads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_benchmark(spec(1), threads)  # one-time allocations (imports, caches) are not a chunk's
+    one, eight = peak(1), peak(8)
+    assert eight <= 1.25 * one, (one, eight)
+
+
 class TestNonFinite:
     # at sigma2 = 1e150 the draws reach 1e75: every estimate stays finite, as
     # no kernel squares x, but the squared errors of simple's estimates
@@ -313,6 +364,26 @@ class TestNonFinite:
             with pytest.raises(EstimationError, match=match):
                 run_benchmark(spec, threads=threads)
 
+    def test_a_failed_cell_cancels_the_later_settings_tasks(self):
+        # the first setting's simple cell overflows once its 4 chunks merge;
+        # the second setting's 4 tasks each take 50 ms, so by then at most
+        # the two running ones have started, and the rest never do
+        spec = BenchmarkSpec(settings=((0.0, 1e150), (0.0, 2.0)), estimators=("simple",),
+                             replications=4 * 4096, samples=4)
+        chunk_estimates, started = bench._chunk_estimates, []
+
+        def slow_second_setting(spec, q, target, setting_idx, chunk_idx, runnable):
+            if setting_idx == 1:
+                started.append(chunk_idx)
+                time.sleep(0.05)
+            return chunk_estimates(spec, q, target, setting_idx, chunk_idx, runnable)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bench, "_chunk_estimates", slow_second_setting)
+            with pytest.raises(EstimationError, match=self.SIMPLE_CELL):
+                run_benchmark(spec, threads=2)
+        assert len(started) < 4, started
+
     def test_cell_statistics_formulas(self):
         est = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.25]])
         gt = np.array([1.5, 0.5])
@@ -327,10 +398,12 @@ class TestNonFinite:
         assert row.ok and row.replications == 3
 
     def test_cell_statistics_accurate_at_a_large_offset(self):
-        # An (8192, 2) cell whose estimates share an offset of 100. mse and
-        # mse_stderr are the per-row formulas bit for bit; the column means
-        # and SEs are within 1e-13 of exactly rounded sums (a sequential
-        # axis-0 mean of these columns misses the bias by 1.8e-13).
+        # An (8192, 2) cell whose estimates share an offset of 100: two
+        # chunks. mse is the per-row formula's mean bit for bit (numpy splits
+        # a sum of 8192 at 4096); mse_stderr, merged from the chunks' squared
+        # deviations, and the column means and SEs are within 1e-13 of
+        # exactly rounded sums (a sequential axis-0 mean of these columns
+        # misses the bias by 1.8e-13).
         n = 8192
         est = 100.0 + np.random.default_rng(0).standard_normal((n, 2)) * [1.0, 0.5]
         gt = np.array([100.01, 99.98])
@@ -338,7 +411,9 @@ class TestNonFinite:
         err = est - gt
         weighted = (MSE_WEIGHTS * err * err).sum(axis=1)
         assert row.mse == weighted.mean()
-        assert row.mse_stderr == weighted.std(ddof=1) / np.sqrt(n)
+        w_mean = math.fsum(weighted) / n
+        w_se = math.sqrt(math.fsum((w - w_mean) ** 2 for w in weighted) / (n - 1) / n)
+        np.testing.assert_allclose(row.mse_stderr, w_se, rtol=1e-13, atol=0.0)
         mean = [math.fsum(est[:, k]) / n for k in range(2)]
         se = [math.sqrt(math.fsum((x - mean[k]) ** 2 for x in est[:, k]) / (n - 1) / n) for k in range(2)]
         components = [math.fsum(e * e for e in err[:, k]) / n for k in range(2)]

@@ -67,8 +67,8 @@ class TestNaturalParameters:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("eta, message", [
         ((1e300, -1e-10), r"^mu must be finite, got inf$"),
-        # sigma2 = inf, so mu = 0 * inf is nan
-        ((0.0, -1e-320), r"^mu must be finite, got nan$"),
+        # sigma2 = inf, which is reported, not the nan mu = 0 * inf
+        ((0.0, -1e-320), r"^sigma2 must be finite and > 0, got inf$"),
     ], ids=["mean-overflows", "variance-overflows"])
     def test_from_natural_overflow_raises_without_a_warning(self, eta, message):
         # an overflow of the numpy scalar arithmetic is the ValueError alone

@@ -9,6 +9,7 @@ of the benchmark's 4096-replication chunk.
 
 import gc
 import inspect
+import math
 import re
 import warnings
 import weakref
@@ -441,6 +442,26 @@ def test_logistic_tails_finite_and_unbiased(mu, log10_sigma2, seed):
     gt = ground_truth_gradient(q, t)
     scale = max(np.abs(gt).max(), 1.0)
     eps = rng_from_seed(("logistic-tails", seed)).standard_normal((4096, SAMPLES))
+    d = Draws(q, t, eps)
+    for est_id in ESTIMATOR_IDS:
+        est = run_kernel(est_id, q, t, d, SAMPLES // 2)
+        assert np.isfinite(est).all(), est_id
+        if ESTIMATORS[est_id].unbiased:
+            se = est.std(axis=0, ddof=1) / np.sqrt(len(est))
+            assert (np.abs(est.mean(axis=0) - gt) <= BIAS_Z * se + 1e-12 * scale).all(), (est_id, est.mean(axis=0), gt, se)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(r=st.floats(-4.0, 4.0), log10_sigma2=st.floats(-8.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_logistic_wide_box_finite_and_unbiased(r, log10_sigma2, seed):
+    # the same property over sigma2 in [1e-8, 1e2] with mu = r sigma, |r| <= 4:
+    # inside 4 sigma of mu the draws reach the mass the oracle integrates, so
+    # the sample SE bounds the bias (further out, see ROADMAP item 5)
+    sigma2 = 10.0 ** log10_sigma2
+    q, t = GaussianQ(r * math.sqrt(sigma2), sigma2), logistic_target()
+    gt = ground_truth_gradient(q, t)
+    scale = max(np.abs(gt).max(), 1.0)
+    eps = rng_from_seed(("logistic-wide-box", seed)).standard_normal((4096, SAMPLES))
     d = Draws(q, t, eps)
     for est_id in ESTIMATOR_IDS:
         est = run_kernel(est_id, q, t, d, SAMPLES // 2)
