@@ -61,7 +61,7 @@ import numpy as np
 from .estimators import (
     ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimationError, EstimatorConfig, run_kernel,
 )
-from .gaussian import GaussianQ, _count, rng_from_seed
+from .gaussian import GaussianQ, _count, _seed_part, rng_from_seed
 from .quadrature import gauss_hermite_rule, ground_truth_gradient
 from .targets import Target, resolve_target
 
@@ -111,6 +111,9 @@ class BenchmarkSpec:
         object.__setattr__(self, "settings", tuple((q.mu, q.sigma2) for q in qs))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         _count("replications", self.replications)
+        # base_seed heads every stream key (chunk_stream_key), so it is one key part
+        if _seed_part(self.base_seed) is None:
+            raise ValueError(f"base_seed must be an int (not a bool) or a str label, got {self.base_seed!r}")
         for name, items in (("settings", self.settings), ("estimators", self.estimators)):
             if not items:
                 raise ValueError(f"{name} must be non-empty")

@@ -33,20 +33,23 @@ EstimatorInfo holds the method's vectorized kernel, whether the budget is
 split, the fewest draws per batch, the target derivatives it needs and
 whether it is unbiased. Every kernel has the signature
 
-    kernel(coef, ev) -> ((..., 2), aux)
+    kernel(coef, ev, with_aux) -> ((..., 2), aux)
 
 where coef and ev are the coefficient and evaluation halves of one Draws,
 built from q, the target and standard-normal noise eps of shape (..., S),
 one row of S draws per independent replication: an (R, S) tile of R rows,
 or one (S,) row. Split-budget methods fit coefficients on coef and
 evaluate on ev; the rest get coef None and the whole Draws as ev. aux maps
-diagnostic names to per-row values, of shape (..., *). run_kernel is the one
-dispatch, and a Draws its one input: it checks q and the target's
-capabilities, splits the columns, calls the kernel with overflow not
-warned about, and raises EstimationError on a non-finite estimate. The
-benchmark runs every estimator of a tile of rows on one Draws through it,
-and the fit runs one (S,) row per step. estimate() and the est_* functions
-run one (S,) row through _row, their one path to run_kernel: it checks the draw
+diagnostic names to per-row values, of shape (..., *): the fallback and
+zero-variance masks, which come out of the solves, and, only when with_aux
+is true, the derived coefficients (alpha, g_nat, coef), which cost their
+own L^-T maps and stacks. run_kernel is the one dispatch, and a Draws
+its one input: it checks q and the target's capabilities, splits the
+columns, calls the kernel with overflow not warned about, and raises
+EstimationError on a non-finite estimate. The benchmark runs every
+estimator of a tile of rows on one Draws through it, and the fit runs one
+(S,) row per step. estimate() and the est_* functions run one (S,) row
+through _row, their one path to run_kernel: it checks the draw
 floor and that each DrawBatch is of q (a DrawBatch derives its draws from
 its own q and noise, and the kernels read the noise, so a batch of another
 q is an error), and lays the batches' noise side by side in one row.
@@ -83,20 +86,22 @@ the target, over a Noise of the same rows. It computes each elementwise
 ingredient (the draws x = mu + sigma eps, which the target and
 delta-method read, u1, the target's log_p, f, and r, which reads grad_x)
 at most once, on every column, when a kernel first reads it; the halves are
-column views that slice it. It also keeps the (...) moment tuples of a
-column range: Cov-hat[u, f] and F. So every kernel run on one Draws reads
-what another has computed: cv-ideal and cv-regression share the
-evaluation half's moments, cov and greg-samplecov the whole range's,
-kingma-reparam and greg-pathgrad the whole range's F, and all path methods
-r. A benchmark tile is its own Noise. A fit draws its noise in blocks, and
-step t's Draws is row t of its block with that step's q, so the moments of
-u are computed once per block for all its steps. A cached value is
-computed by the same expression, on the same values, as a kernel alone
-would compute it, and every reduction is over one row, so neither the
-sharing nor the block changes any estimate. A kernel alone on a Draws
-computes nothing it does not read, except that a moment tuple is computed
-whole. Centered (..., S) arrays are not kept: each kernel centers what it
-needs and lets it go, so a tile's memory is its elementwise ingredients.
+column views that slice it once and keep the slice. It also keeps the
+(...) moment tuples of a column range: Cov-hat[u, f] and F. So every kernel
+run on one Draws reads what another has computed: cv-ideal and
+cv-regression share the evaluation half's moments, cov and greg-samplecov
+the whole range's, kingma-reparam and greg-pathgrad the whole range's F,
+and all path methods r. A benchmark tile is its own Noise. A fit draws its
+noise in blocks, and step t's Draws is row t of its block with that step's
+q, so the moments of u are computed once per block for all its steps, and
+split once into one tuple of numpy scalars per row, which row t reads. A
+cached value is computed by the same expression, on the same values, as a
+kernel alone would compute it, and every reduction is over one row, so
+neither the sharing nor the block changes any estimate. A kernel alone on a
+Draws computes nothing it does not read, except that a moment tuple is
+computed whole. Centered (..., S) arrays are not kept: each kernel centers
+what it needs and lets it go, so a tile's memory is its elementwise
+ingredients.
 Every 2x2 coefficient or natural-gradient system is solved on (...)
 components a00, a01, a10, a11, b0, b1. No stacked (..., S, 2) score or
 (..., S, 2, 2) outer-product arrays are built. The reductions are over the
@@ -113,7 +118,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, _count, _pair, _solve_lt, _times_l, _why_no_gradient
+from .gaussian import DrawBatch, GaussianQ, _count, _pair, _seed_key, _solve_lt, _times_l, _why_no_gradient
 from .targets import Target
 
 __all__ = [
@@ -211,18 +216,21 @@ class Noise:
     score u = (eps, eps^2 - 1) (_u_moments: the sample mean of u and its
     Gram Cov-hat[u, u] with 1/(n-1)) and the matrix that solves the Gram
     (_gram_inverse), each as (...) components computed on first use, once
-    for all rows. len() is the number of rows, 1 for an (S,) row.
-    rows(index) is the view of the rows eps[index]: its eps is a view, and
-    its moments are those of the Noise it came from, which keeps them,
-    indexed alike. An int index gives an (S,) row whose moments are numpy
-    scalars; a slice gives a (k, S) block.
+    for all rows: _kept(compute, lo, hi). len() is the number of rows, 1
+    for an (S,) row. rows(index) is the view of the rows eps[index]: its
+    eps is a view, and its moments are those of the Noise it came from,
+    which keeps them, indexed alike. An int index gives an (S,) row whose
+    moments are numpy scalars; a slice gives a (k, S) block. A slice view
+    indexes a kept value once and keeps the result. For int rows the root
+    splits each kept value, once, into one tuple per row, so a fit step's
+    row reads its moments without indexing an array.
     """
 
-    __slots__ = ("eps", "_root", "_rows", "_cache")
+    __slots__ = ("eps", "_root", "_rows", "_cache", "_row_tuples")
 
     def __init__(self, eps: np.ndarray):
         self.eps = eps
-        self._root, self._rows, self._cache = None, slice(None), {}
+        self._root, self._rows, self._cache, self._row_tuples = None, slice(None), {}, {}
 
     def __len__(self) -> int:
         return math.prod(self.eps.shape[:-1])
@@ -232,24 +240,26 @@ class Noise:
         view._root, view._rows = self, index
         return view
 
-    def _kept(self, compute, *args) -> tuple:
-        """compute(root, *args), kept by the root Noise and sliced to this one's rows."""
-        if self._root is not None:
-            rows = self._rows
-            # a list, not a generator: tuple(generator) resizes the tuple it
-            # builds, and CPython then keeps every one freed on a free list
-            return tuple([v[rows] for v in self._root._kept(compute, *args)])
-        key = (compute, *args)
+    def _kept(self, compute, lo: int | None, hi: int | None) -> tuple:
+        """compute(root, lo, hi) of the columns lo:hi, kept by the root Noise and indexed to this one's rows."""
+        key = (compute, lo, hi)
+        root, rows = self._root, self._rows
+        if isinstance(rows, int):
+            per_row = root._row_tuples.get(key)
+            if per_row is None:
+                # iterating an array gives what indexing it gives
+                per_row = root._row_tuples[key] = list(zip(*root._kept(*key)))
+            return per_row[rows]
         value = self._cache.get(key)
         if value is None:
-            value = self._cache[key] = compute(self, *args)
+            if root is None:
+                value = compute(self, lo, hi)
+            else:
+                # a list, not a generator: tuple(generator) resizes the tuple it
+                # builds, and CPython then keeps every one freed on a free list
+                value = tuple([v[rows] for v in root._kept(*key)])
+            self._cache[key] = value
         return value
-
-    def moments(self, lo: int | None, hi: int | None) -> tuple:
-        return self._kept(_u_moments, lo, hi)
-
-    def gram_inverse(self, lo: int | None, hi: int | None) -> tuple:
-        return self._kept(_gram_inverse, lo, hi)
 
 
 class Draws:
@@ -273,12 +283,13 @@ class Draws:
 
     columns(lo, hi) is the view of a column range of a whole Draws: its
     eps is a view, its elementwise ingredients are column slices of those
-    of the Draws it came from, and its moments are kept there.
+    of the Draws it came from, which it slices once and keeps, and its
+    moments are kept there.
     Centered (..., S) arrays are not kept; each kernel makes its own and lets
     them go.
     """
 
-    __slots__ = ("q", "t", "eps", "noise", "_root", "_cols", "_cache")
+    __slots__ = ("q", "t", "eps", "noise", "_root", "_lo", "_hi", "_cache")
 
     def __init__(self, q: GaussianQ, t: Target, noise):
         self.q, self.t = q, t
@@ -286,31 +297,32 @@ class Draws:
         self.eps = self.noise.eps
         # a root Draws is its own root; None, not self, since a reference
         # cycle would keep every tile's arrays until the cycle collector runs
-        self._root, self._cols = None, slice(None)
+        self._root, self._lo, self._hi = None, None, None
         self._cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.noise)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
-        view = Draws(self.q, self.t, self.noise)
+        view = Draws.__new__(Draws)  # the root's q, t and noise, without __init__'s check
+        view.q, view.t, view.noise = self.q, self.t, self.noise
         view.eps = self.eps[..., lo:hi]
-        view._root, view._cols = self, slice(lo, hi)
+        view._root, view._lo, view._hi, view._cache = self, lo, hi, {}
         return view
 
     def _elementwise(self, compute):
-        """compute(root) of the whole Draws, kept by it and sliced to this one's columns."""
-        if self._root is None:
-            value = self._cache.get(compute)
-            if value is None:
-                value = self._cache[compute] = compute(self)
-            return value
-        return self._root._elementwise(compute)[..., self._cols]
+        """compute(root) of the whole Draws, kept by it; a view keeps it sliced to its columns."""
+        value = self._cache.get(compute)
+        if value is None:
+            root = self._root
+            value = compute(self) if root is None else root._elementwise(compute)[..., self._lo:self._hi]
+            self._cache[compute] = value
+        return value
 
     def _reduced(self, reduce) -> tuple:
         """reduce(self), kept by the whole Draws under this one's column range."""
         cache = self._cache if self._root is None else self._root._cache
-        key = (reduce, self._cols.start, self._cols.stop)
+        key = (reduce, self._lo, self._hi)
         value = cache.get(key)
         if value is None:
             value = cache[key] = reduce(self)
@@ -326,11 +338,11 @@ class Draws:
 
     @property
     def u_moments(self) -> tuple:
-        return self.noise.moments(self._cols.start, self._cols.stop)
+        return self.noise._kept(_u_moments, self._lo, self._hi)
 
     @property
     def gram_inverse(self) -> tuple:
-        return self.noise.gram_inverse(self._cols.start, self._cols.stop)
+        return self.noise._kept(_gram_inverse, self._lo, self._hi)
 
     @property
     def log_p(self) -> np.ndarray:
@@ -385,7 +397,7 @@ def _gram_inverse(n: Noise, lo: int | None, hi: int | None) -> tuple:
     is the solve of any right-hand side b, with the pseudo-inverse fallback
     of a singular Gram, which the fallback mask flags.
     """
-    g00, g01, g11 = (g[..., None] for g in n.moments(lo, hi)[2:])
+    g00, g01, g11 = (g[..., None] for g in n._kept(_u_moments, lo, hi)[2:])
     # both unit right-hand sides in one solve, along a trailing axis
     x0, x1, fallback = _solve2c(g00, g01, g01, g11, _UNIT0, _UNIT1)
     return x0[..., 0], x0[..., 1], x1[..., 0], x1[..., 1], fallback[..., 0]
@@ -538,7 +550,7 @@ def _solve2c(a00, a01, a10, a11, b0, b1):
 
 
 # ---------------------------------------------------------------------------
-# kernels: (coef, ev) -> ((..., 2), aux)
+# kernels: (coef, ev, with_aux) -> ((..., 2), aux)
 #
 # Unsplit methods get the whole Draws, named d below, and coef None;
 # arguments a kernel ignores carry a leading underscore. _kernel_NAME's
@@ -547,20 +559,20 @@ def _solve2c(a00, a01, a10, a11, b0, b1):
 # kernels run on one Draws share them; what a kernel centers is its own.
 
 
-def _kernel_simple(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_simple(_coef, d: Draws, _with_aux: bool) -> tuple[np.ndarray, dict]:
     """Mean of score(x) * (log q(x) - log p(x)) over the batch; unbiased."""
     # the mean of s f = L (u f)
     f, n = d.f, d.eps.shape[-1]
     return _times_l(d.q, _dot(d.eps, f) / n, _dot(d.u1, f) / n), {}
 
 
-def _kernel_cov(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_cov(_coef, d: Draws, _with_aux: bool) -> tuple[np.ndarray, dict]:
     """Sample covariance of score and integrand with 1/(S-1); unbiased."""
     # Cov-hat[s, f] = L Cov-hat[u, f]
     return _times_l(d.q, *d.cov_uf), {}
 
 
-def _kernel_cv_ideal(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal(coef: Draws, ev: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """Covariance estimator minus fitted score-covariance control variates.
 
     Coefficients are fitted on batch_coef only, so independence of the two
@@ -604,11 +616,12 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     r0, _ = _cv_residual(ev, g00, g01)
     est = _times_l(q, *_cv_residual(ev, g10, g11))
     est[..., 0] = q.sigma * r0
-    alpha = np.stack([_solve_lt(q, g00, g01), _solve_lt(q, g10, g11)], axis=-2)
-    return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
+    aux = {"alpha": np.stack([_solve_lt(q, g00, g01), _solve_lt(q, g10, g11)], axis=-2)} if with_aux else {}
+    aux["singular_fallback"] = _pair(fb0, fb1)
+    return est, aux
 
 
-def _kernel_cv_regression(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_cv_regression(coef: Draws, ev: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """Control variates with the shared regression coefficient vector.
 
     The coefficient is the natural-gradient solve on the coefficient batch;
@@ -618,10 +631,12 @@ def _kernel_cv_regression(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
     # the regression of f on u, gamma, is L^T alpha
     g0, g1, fallback = _regression(coef, *coef.cov_uf)
     est = _times_l(ev.q, *_cv_residual(ev, g0, g1))
-    return est, {"alpha": _solve_lt(ev.q, g0, g1), "singular_fallback": fallback}
+    aux = {"alpha": _solve_lt(ev.q, g0, g1)} if with_aux else {}
+    aux["singular_fallback"] = fallback
+    return est, aux
 
 
-def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """cv-ideal with every covariance term estimated through the sampler path."""
     # cv-ideal on the path estimates F and M' (see the module docstring):
     # est_i = (L (F - (M' - diag(1, 2)) gamma_i))_i on the evaluation batch,
@@ -650,11 +665,14 @@ def _kernel_cv_ideal_pathgrad(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]
     r0, _ = _path_residual(ev, 0.0, c01)
     est = _times_l(q, *_path_residual(ev, c10, c11))
     est[..., 0] = sigma * r0
-    alpha = np.stack([_pair(np.zeros_like(c01), c01 / q.sigma2), _solve_lt(q, c10, c11)], axis=-2)
-    return est, {"alpha": alpha, "singular_fallback": _pair(fb0, fb1)}
+    aux = {}
+    if with_aux:
+        aux["alpha"] = np.stack([_pair(np.zeros_like(c01), c01 / q.sigma2), _solve_lt(q, c10, c11)], axis=-2)
+    aux["singular_fallback"] = _pair(fb0, fb1)
+    return est, aux
 
 
-def _kernel_ranganath_cv(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_ranganath_cv(coef: Draws, ev: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """Generic per-component control variate h_i = score_i with a scalar coefficient."""
     # per-component control variate h_i = s_i for the per-draw integrand
     # s_i f; s_i up to its constant factor gives the same coefficient, and
@@ -671,10 +689,12 @@ def _kernel_ranganath_cv(coef: Draws, ev: Draws) -> tuple[np.ndarray, dict]:
         est.append(_dot(w_e, f_e - c[..., None]) * (factor / n))
         coefs.append(c)
         zero_var.append(zero)
-    return _pair(*est), {"coef": _pair(*coefs), "zero_variance": _pair(*zero_var)}
+    aux = {"coef": _pair(*coefs)} if with_aux else {}
+    aux["zero_variance"] = _pair(*zero_var)
+    return _pair(*est), aux
 
 
-def _kernel_delta_method(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_delta_method(_coef, d: Draws, _with_aux: bool) -> tuple[np.ndarray, dict]:
     """Second-order Taylor control variate for log p, analytic remainder."""
     mu, s2, t = d.q.mu, d.q.sigma2, d.t
     lp0 = float(np.asarray(t.log_p(np.array(mu)), dtype=float))
@@ -699,7 +719,7 @@ def _kernel_delta_method(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     return est, {}
 
 
-def _kernel_kingma_reparam(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_kingma_reparam(_coef, d: Draws, _with_aux: bool) -> tuple[np.ndarray, dict]:
     """Sampler-path derivative of the Monte Carlo sum of log q - log p.
 
     The integrand is held fixed and only the draw path x = s(eta, eps) is
@@ -709,20 +729,24 @@ def _kernel_kingma_reparam(_coef, d: Draws) -> tuple[np.ndarray, dict]:
     return _times_l(d.q, *d.path_uf), {}
 
 
-def _kernel_greg_samplecov(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_greg_samplecov(_coef, d: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """Exact score covariance times the regression solve on one batch; biased."""
     # Cov_exact L^-T gamma = L diag(1, 2) gamma for the regression gamma of f on u
     g0, g1, fallback = _regression(d, *d.cov_uf)
-    return _times_l(d.q, g0, 2.0 * g1), {"g_nat": _solve_lt(d.q, g0, g1), "singular_fallback": fallback}
+    aux = {"g_nat": _solve_lt(d.q, g0, g1)} if with_aux else {}
+    aux["singular_fallback"] = fallback
+    return _times_l(d.q, g0, 2.0 * g1), aux
 
 
-def _kernel_greg_pathgrad(_coef, d: Draws) -> tuple[np.ndarray, dict]:
+def _kernel_greg_pathgrad(_coef, d: Draws, with_aux: bool) -> tuple[np.ndarray, dict]:
     """greg-samplecov with sampler-path covariance estimates; biased."""
     # greg-samplecov with gamma = M'^-1 F, M' = [[1, 2 m0], [m0, 2 mean eps^2]]
     # for the mean (m0, m1) of u; M' is not symmetric
     m0, m1 = d.u_moments[:2]
     g0, g1, fallback = _solve2c(1.0, 2.0 * m0, m0, 2.0 * (m1 + 1.0), *d.path_uf)
-    return _times_l(d.q, g0, 2.0 * g1), {"g_nat": _solve_lt(d.q, g0, g1), "singular_fallback": fallback}
+    aux = {"g_nat": _solve_lt(d.q, g0, g1)} if with_aux else {}
+    aux["singular_fallback"] = fallback
+    return _times_l(d.q, g0, 2.0 * g1), aux
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +824,8 @@ def run_kernel(
     the (..., 2) estimates of the (..., S) draws ((R, 2) for a tile, a
     2-vector for an (S,) row), or with with_aux=True the pair (estimates, aux),
     aux holding the kernel's per-row diagnostics under the keys of
-    GradEstimate.aux.
+    GradEstimate.aux. Only then does the kernel compute the derived
+    coefficients; the estimates are the same either way, bit for bit.
 
     This is the one caller of a kernel. It checks the target's
     capabilities, splits the columns and runs the kernel with overflow not
@@ -822,7 +847,7 @@ def run_kernel(
         raise EstimationError(f"no gradient estimate of {estimator_id!r} at {q}: {reason}")
     coef, ev = (draws.columns(0, n_coef), draws.columns(n_coef)) if info.split_budget else (None, draws)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, aux = info.kernel(coef, ev)
+        value, aux = info.kernel(coef, ev, with_aux)
     if not np.isfinite(value).all():
         bad = value[~np.isfinite(value).all(axis=-1)][0]
         raise EstimationError(f"non-finite gradient estimate {bad} of {estimator_id!r} at {q}")
@@ -871,8 +896,10 @@ def estimate(q: GaussianQ, t: Target, config: EstimatorConfig, seed) -> GradEsti
     Split-budget methods get two disjoint seeded batches; the rest get one
     undivided batch. Batch i is q.sample((*seed, i), n), and the batches
     run as the est_* functions run them (_row). Deterministic given
-    (q, config, seed).
+    (q, config, seed). A seed that is no key (gaussian._seed_key) is a
+    ValueError naming it, not the batch key it would head.
     """
+    _seed_key(seed)
     base = seed if isinstance(seed, tuple) else (seed,)
     batches = [q.sample((*base, i), n) for i, n in enumerate(config.batch_sizes())]
     return _row(ESTIMATORS[config.estimator_id], q, t, batches)

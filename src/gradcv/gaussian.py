@@ -45,19 +45,27 @@ _SEED_MASK = (1 << 64) - 1
 MAX_MU_OVER_SIGMA = 1e10
 
 
-def _seed_key(seed) -> tuple[int, ...]:
-    """Normalize a seed (int, str label, or tuple of those) into a SeedSequence key.
+def _seed_part(value) -> int | None:
+    """One part of a SeedSequence key: an int or numpy int (not a bool), or a str label; None for anything else.
 
     Ints are taken modulo 2^64. A string label becomes the integer of its
     UTF-8 bytes, whole: SeedSequence takes integers of any size, so labels
-    that differ only after their eighth byte get distinct streams.
+    that differ only after their eighth byte get distinct streams. A float
+    is not an int: truncated, 1.5 would reuse the stream of 1.
     """
-    if isinstance(seed, (int, np.integer, str)):
-        seed = (seed,)
-    return tuple(
-        int.from_bytes(s.encode(), "little") if isinstance(s, str) else int(s) & _SEED_MASK
-        for s in seed
-    )
+    if isinstance(value, str):
+        return int.from_bytes(value.encode(), "little")
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value) & _SEED_MASK
+    return None
+
+
+def _seed_key(seed) -> tuple[int, ...]:
+    """Normalize a seed (a _seed_part or a tuple of those) into a SeedSequence key; else ValueError naming it."""
+    key = [_seed_part(s) for s in (seed if isinstance(seed, tuple) else (seed,))]
+    if None in key:
+        raise ValueError(f"seed must be an int (not a bool), a str label or a tuple of those, got {seed!r}")
+    return tuple(key)
 
 
 def _why_no_gradient(q: "GaussianQ") -> str:
@@ -241,13 +249,19 @@ def from_natural(eta) -> GaussianQ:
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (2,):
         raise ValueError(f"eta must be a 2-vector, got shape {eta.shape}")
-    if not (np.isfinite(eta).all() and eta[1] < 0.0):
-        raise ValueError(f"eta must be finite with eta[1] < 0, got {eta}")
-    # numpy scalars warn on overflow; GaussianQ rejects the inf or nan it gives
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma2 = -0.5 / eta[1]
-        mu = eta[0] * sigma2
-    return GaussianQ(mu, sigma2)
+    return _from_natural(*eta.tolist())
+
+
+def _from_natural(eta0: float, eta1: float) -> GaussianQ:
+    """from_natural of eta = (eta0, eta1) given as two floats, with its checks and messages.
+
+    Python floats round as the numpy scalars of a 2-vector do, and overflow
+    to inf or nan without a warning; GaussianQ rejects either.
+    """
+    if not (math.isfinite(eta0) and math.isfinite(eta1) and eta1 < 0.0):
+        raise ValueError(f"eta must be finite with eta[1] < 0, got {np.array([eta0, eta1])}")
+    sigma2 = -0.5 / eta1
+    return GaussianQ(eta0 * sigma2, sigma2)
 
 
 def sample(q: GaussianQ, seed, size: int) -> DrawBatch:

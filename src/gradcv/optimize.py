@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
-from .gaussian import GaussianQ, _count, _solve_l, _solve_lt, from_natural, rng_from_seed
+from .gaussian import GaussianQ, _count, _from_natural, _seed_key, _solve_l, _solve_lt, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
 
@@ -135,6 +135,7 @@ def _estimator_gradient(target: Target, config: EstimatorConfig, seed: int, step
     batch_sizes()[0] columns, as estimate() lays out its batches.
     """
     n_coef = config.batch_sizes()[0]
+    _seed_key(seed)  # checked here, not at the first step's draw
     rows = _noise_rows(seed, steps, config.total_samples)
 
     def gradient(q: GaussianQ) -> np.ndarray:
@@ -172,7 +173,8 @@ def fit(
     if config is not None:
         gradient_fn = _estimator_gradient(target, config, seed, schedule.iterations)
     rule = gauss_hermite_rule()
-    eta = np.array(q0.eta)
+    # eta as two floats: the arithmetic of the 2-vector, without its per-step overhead
+    eta0, eta1 = q0.eta.tolist()
     q = q0
     history = [TrajectoryPoint(0, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(0))]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -182,11 +184,12 @@ def fit(
                 # Cov_q[T]^-1 grad for Cov_q[T] = L diag(1, 2) L^T: L^-T diag(1, 1/2) L^-1 grad
                 v0, v1 = _solve_l(q, grad[0], grad[1])
                 grad = _solve_lt(q, v0, 0.5 * v1)
-            eta = eta - schedule.step(t) * grad
-            eta[1] = min(eta[1], ETA2_MAX)
+            g0, g1 = grad.tolist()
+            step = schedule.step(t)
+            eta0, eta1 = eta0 - step * g0, min(eta1 - step * g1, ETA2_MAX)
             it = t + 1
             try:
-                q = from_natural(eta)
+                q = _from_natural(eta0, eta1)
             except ValueError as err:
                 raise EstimationError(f"fit step {it} leaves the Gaussian family: {err}") from None
             if it % record_every == 0 or it == schedule.iterations:

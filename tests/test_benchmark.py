@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -77,6 +78,13 @@ class TestSpecValidation:
         # a count that is not an int is rejected here, before run_benchmark hands it to numpy
         with pytest.raises(ValueError, match=f"^replications must be an int >= 1, got {replications!r}$"):
             BenchmarkSpec(replications=replications)
+
+    @pytest.mark.parametrize("base_seed", [1.5, None, True, (1, 2)], ids=repr)
+    def test_base_seed_is_checked_at_construction(self, base_seed):
+        # base_seed heads every stream key: 1.5 would have drawn the streams of 1
+        message = f"^{re.escape(f'base_seed must be an int (not a bool) or a str label, got {base_seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            BenchmarkSpec(base_seed=base_seed)
 
     def test_threads_may_be_a_numpy_int(self):
         spec = small_spec(estimators=("simple",), settings=((0.0, 2.0),))

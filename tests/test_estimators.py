@@ -424,6 +424,13 @@ class TestConfigAndErrors:
         np.testing.assert_array_equal(a.value, b.value)
         assert a.samples_used == 50
 
+    @pytest.mark.parametrize("seed", [1.5, True, None, (9, 0.5)], ids=repr)
+    def test_seed_must_be_a_key(self, seed):
+        # 1.5 used to draw the batches of seed 1, and True those of 1
+        message = f"^{re.escape(f'seed must be an int (not a bool), a str label or a tuple of those, got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            estimate(GaussianQ(0.0, 2.0), logistic_target(), EstimatorConfig(estimator_id="cv-ideal"), seed=seed)
+
     def test_estimate_value_is_2vector_and_finite(self):
         q = GaussianQ(0.0, 2.0)
         target = logistic_target()

@@ -280,6 +280,23 @@ class TestSampling:
         assert _seed_key("cv-ideal") == (int.from_bytes(b"cv-ideal", "little"),)
         assert _seed_key(-3) == ((1 << 64) - 3,)
 
+    @pytest.mark.parametrize(
+        "seed", [1.5, True, np.True_, None, np.float64(2.0), [1, 2], (1, 1.5), (3, (1,)), (False, 0)], ids=repr)
+    def test_a_seed_that_is_no_key_is_a_value_error_naming_it(self, seed):
+        # a float used to be truncated (1.5 drew the stream of 1) and a bool
+        # taken as an int; neither, nor None, a list or a nested tuple, is a key
+        message = f"^{re.escape(f'seed must be an int (not a bool), a str label or a tuple of those, got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            _seed_key(seed)
+        with pytest.raises(ValueError, match=message):
+            GaussianQ(0.0, 1.0).sample(seed, 3)
+
+    def test_a_numpy_int_seed_is_its_int(self):
+        assert _seed_key(np.int64(7)) == _seed_key(7) == (7,)
+        assert _seed_key((np.uint8(3), "a")) == _seed_key((3, "a"))
+        q = GaussianQ(0.0, 1.0)
+        assert np.array_equal(q.sample(np.int32(5), 4).noise, q.sample(5, 4).noise)
+
 
 class TestPathJacobian:
     def test_at_zero_noise_first_component_is_variance(self):

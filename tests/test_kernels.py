@@ -187,7 +187,8 @@ def test_a_row_is_a_one_row_tile(est_id, target_name, dot, monkeypatch):
                 continue
             sizes.add(config.batch_sizes())
             n_coef = config.batch_sizes()[0]
-            block = rng_from_seed(("row", target_name, split, samples)).standard_normal((3, samples))
+            # a seed key takes ints, not floats: int(split) is 0 for both splits
+            block = rng_from_seed(("row", target_name, int(split), samples)).standard_normal((3, samples))
             ref, ref_aux = run_kernel(est_id, q, t, Draws(q, t, block[1:2]), n_coef, with_aux=True)
             for noise in (block[1], Noise(block).rows(1)):
                 row = Draws(q, t, noise)
@@ -203,6 +204,32 @@ def test_a_row_is_a_one_row_tile(est_id, target_name, dot, monkeypatch):
                     assert all(type(m) is np.float64 for m in row.u_moments)
     floor = ESTIMATORS[est_id].min_draws
     assert ((floor, floor) if ESTIMATORS[est_id].split_budget else (floor,)) in sizes
+
+
+@pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
+def test_aux_only_on_request(est_id, monkeypatch):
+    # the derived coefficients (alpha, g_nat, coef) and their L^-T maps are
+    # computed only with with_aux=True; the estimates do not depend on it,
+    # bit for bit, on a tile and on an (S,) row
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return solve_lt(*args)
+
+    solve_lt = gradcv.estimators._solve_lt
+    monkeypatch.setattr(gradcv.estimators, "_solve_lt", spy)
+    q, t = GaussianQ(0.5, 1.5), TARGETS["logistic"]
+    eps = noise(4, ("aux-on-request", est_id))
+    n_coef = n_coef_of(est_id)
+    for rows in (eps, eps[2]):
+        value = run_kernel(est_id, q, t, Draws(q, t, rows), n_coef)
+        assert not calls
+        with_aux, aux = run_kernel(est_id, q, t, Draws(q, t, rows), n_coef, with_aux=True)
+        assert_same_bits(value, with_aux)
+        derived = set(aux) - {"singular_fallback", "zero_variance"}
+        assert bool(calls) == bool(derived & {"alpha", "g_nat"})
+        calls.clear()
 
 
 class TestZeroVarianceOffChunk:
@@ -410,7 +437,8 @@ def test_no_solver_fallback_far_from_the_origin(est_id, mu, sigma2):
     # to the pseudo-inverse
     q = GaussianQ(mu, sigma2)
     t = logistic_target()
-    _, aux = run_kernel(est_id, q, t, Draws(q, t, noise(4096, ("far", mu, sigma2))), n_coef_of(est_id), with_aux=True)
+    d = Draws(q, t, noise(4096, ("far", int(mu), int(sigma2))))  # a seed key takes ints, not floats
+    _, aux = run_kernel(est_id, q, t, d, n_coef_of(est_id), with_aux=True)
     assert not aux["singular_fallback"].any()
 
 
@@ -469,6 +497,40 @@ def test_logistic_wide_box_finite_and_unbiased(r, log10_sigma2, seed):
         if ESTIMATORS[est_id].unbiased:
             se = est.std(axis=0, ddof=1) / np.sqrt(len(est))
             assert (np.abs(est.mean(axis=0) - gt) <= BIAS_Z * se + 1e-12 * scale).all(), (est_id, est.mean(axis=0), gt, se)
+
+
+# the far-tail box: |mu| / sigma in [4, 9.9e9] (below MAX_MU_OVER_SIGMA, 1e10)
+# on either side of the origin, sigma2 in [1e-8, 1e2]
+FAR_R = (4.0, 9.9e9)
+FAR_LOG10_SIGMA2 = (-8.0, 2.0)
+
+
+def assert_far_tile_finite(r, sigma2, seed):
+    # every estimator's estimate on a 256-row logistic tile is finite, and
+    # nothing warns: past |mu| / sigma = 4 the sample SE bounds no bias (the
+    # draws almost never reach the mass the oracle integrates), so
+    # finiteness is what holds there
+    q, t = GaussianQ(r * math.sqrt(sigma2), sigma2), logistic_target()
+    d = Draws(q, t, rng_from_seed(("logistic-far-tails", seed)).standard_normal((256, SAMPLES)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for est_id in ESTIMATOR_IDS:
+            assert np.isfinite(run_kernel(est_id, q, t, d, SAMPLES // 2)).all(), (est_id, r, sigma2)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("r", [4.0, 5.0, 50.0, 1e3, 1e6, 1e9, 9.9e9])
+def test_logistic_far_tails_finite_on_a_grid(r, sign):
+    for log10_sigma2 in (-8.0, -2.0, 0.0, 2.0):
+        assert_far_tile_finite(sign * r, 10.0 ** log10_sigma2, 0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(log10_r=st.floats(*np.log10(FAR_R)), negative=st.booleans(), log10_sigma2=st.floats(*FAR_LOG10_SIGMA2),
+       seed=st.integers(0, 2**32 - 1))
+def test_logistic_far_tails_finite(log10_r, negative, log10_sigma2, seed):
+    r = min(10.0 ** log10_r, FAR_R[1])
+    assert_far_tile_finite(-r if negative else r, 10.0 ** log10_sigma2, seed)
 
 
 @pytest.mark.parametrize("mu", [1e15, 1e20, -1e15])

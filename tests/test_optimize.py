@@ -1,4 +1,5 @@
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from gradcv import optimize
 from gradcv.estimators import Draws, EstimationError, EstimatorConfig, estimate, run_kernel
-from gradcv.gaussian import GaussianQ, from_natural, rng_from_seed
+from gradcv.gaussian import GaussianQ, _solve_l, _solve_lt, from_natural, rng_from_seed
 from gradcv.optimize import (
     FIT_STREAM_LABEL, FitResult, SgdSchedule, VariationalSGD, _block_steps, _noise_rows, fit, trajectory_to_csv,
 )
@@ -67,6 +68,14 @@ class TestFit:
     def test_record_every_below_one_rejected(self, record_every):
         with pytest.raises(ValueError, match="record_every"):
             fit(GaussianQ(0.0, 1.0), logistic_target(), "simple", record_every=record_every)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, True], ids=repr)
+    def test_seed_must_be_a_key(self, seed):
+        # None used to fail with a TypeError at the first step's draw, 1.5 to
+        # draw the stream of 1; both are rejected before any step
+        message = f"^{re.escape(f'seed must be an int (not a bool), a str label or a tuple of those, got {seed!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            fit(GaussianQ(0.0, 1.0), logistic_target(), "cv-regression", SgdSchedule(iterations=3), seed=seed)
 
     def test_record_every_must_be_an_int(self):
         # with 2.5, `it % record_every == 0` would record the steps 0, 5, 10, ...
@@ -250,6 +259,41 @@ class TestFitLoop:
             eta[1] = min(eta[1], optimize.ETA2_MAX)
             q = from_natural(eta)
             assert (result.trajectory[t + 1].mu, result.trajectory[t + 1].sigma2) == (q.mu, q.sigma2), t
+
+    @staticmethod
+    def array_reference(q0, target, estimator, sched, seed, natural_gradient=False):
+        """Each step's (mu, sigma2) with eta a 2-vector through from_natural: fit's loop on an eta array."""
+        n_coef = EstimatorConfig(total_samples=sched.samples_per_step, estimator_id=estimator).batch_sizes()[0]
+        eta, q, steps = q0.eta, q0, []
+        for t, noise in enumerate(_noise_rows(seed, sched.iterations, sched.samples_per_step)):
+            grad = run_kernel(estimator, q, target, Draws(q, target, noise.eps[None]), n_coef)[0]
+            if natural_gradient:
+                v0, v1 = _solve_l(q, grad[0], grad[1])
+                grad = _solve_lt(q, v0, 0.5 * v1)
+            eta = eta - sched.step(t) * grad
+            eta[1] = min(eta[1], optimize.ETA2_MAX)
+            q = from_natural(eta)
+            steps.append((q.mu, q.sigma2))
+        return steps
+
+    def test_natural_gradient_step_equals_its_array_reference(self):
+        # fit keeps eta as two floats; the natural-gradient map of each
+        # step's gradient and the step itself round as on the 2-vector
+        q0, target = GaussianQ(0.2, 1.5), logistic_target()
+        sched = SgdSchedule(step0=0.02, decay=0.6, iterations=60, samples_per_step=20)
+        result = fit(q0, target, "cv-regression", sched, seed=5, natural_gradient=True, record_every=1)
+        steps = [(p.mu, p.sigma2) for p in result.trajectory[1:]]
+        assert steps == self.array_reference(q0, target, "cv-regression", sched, 5, natural_gradient=True)
+
+    def test_projected_step_equals_its_array_reference(self):
+        # aggressive steps push eta[1] past ETA2_MAX, where the projection
+        # holds it: sigma2 = -1 / (2 ETA2_MAX) at that step, as on the 2-vector
+        q0, target = GaussianQ(0.0, 1.0), logistic_target()
+        sched = SgdSchedule(step0=0.5, decay=0.51, iterations=300, samples_per_step=10)
+        result = fit(q0, target, "cov", sched, seed=1, record_every=1)
+        steps = [(p.mu, p.sigma2) for p in result.trajectory[1:]]
+        assert any(sigma2 == -0.5 / optimize.ETA2_MAX for _, sigma2 in steps)
+        assert steps == self.array_reference(q0, target, "cov", sched, 1)
 
     def test_one_draw_simple_fit_runs_the_kernel_on_its_row(self):
         q0, target = GaussianQ(0.2, 1.5), logistic_target()
