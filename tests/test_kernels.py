@@ -187,8 +187,8 @@ def test_a_row_is_a_one_row_tile(est_id, target_name, dot, monkeypatch):
                 continue
             sizes.add(config.batch_sizes())
             n_coef = config.batch_sizes()[0]
-            # a seed key takes ints, not floats: int(split) is 0 for both splits
-            block = rng_from_seed(("row", target_name, int(split), samples)).standard_normal((3, samples))
+            # a seed key takes ints, not floats: each split draws its own noise
+            block = rng_from_seed(("row", target_name, round(10 * split), samples)).standard_normal((3, samples))
             ref, ref_aux = run_kernel(est_id, q, t, Draws(q, t, block[1:2]), n_coef, with_aux=True)
             for noise in (block[1], Noise(block).rows(1)):
                 row = Draws(q, t, noise)
@@ -426,6 +426,24 @@ def test_gaussian_target_exactness_far_from_the_origin(mu, log10_sigma2, target_
     for est_id in ZERO_VARIANCE_IDS:
         est = run_kernel(est_id, q, t, d, n_coef)
         assert np.abs(est - exact).max() / scale < 1e-7, est_id
+
+
+@pytest.mark.parametrize("target_mu, target_sigma2", [(0.0, 0.25), (0.0, 4.0), (3.0, 0.25), (3.0, 4.0)])
+@pytest.mark.parametrize("mu", [40.0, -40.0, 1e4, -1e4, 9e4, -9e4, 5e5])
+def test_gaussian_target_exactness_in_the_tails(mu, target_mu, target_sigma2):
+    # the zero-variance estimators stay exact, to 1e-7 of max(|exact|, 1),
+    # where the target's mass lies far out in q's tail: |mu| / sigma from 4
+    # to 5e9, beyond the property's |mu| <= 1e3
+    t = gaussian_target(target_mu, target_sigma2)
+    eps = noise(4, ("gaussian-tail-exactness", int(mu)))
+    for sigma2 in (1e-8, 1e-4, 1.0, 1e2):
+        q = GaussianQ(mu, sigma2)
+        exact = moment_form_gradient(mu, sigma2, target_mu, target_sigma2)
+        scale = max(np.abs(exact).max(), 1.0)
+        d = Draws(q, t, eps)
+        for est_id in ZERO_VARIANCE_IDS:
+            est = run_kernel(est_id, q, t, d, SAMPLES // 2)
+            assert np.abs(est - exact).max() / scale < 1e-7, (est_id, sigma2)
 
 
 @pytest.mark.parametrize("mu, sigma2", [(20.0, 1e-6), (50.0, 1e-8), (-50.0, 1e-8), (1000.0, 1.0)])

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradcv
 from gradcv.gaussian import GaussianQ, from_natural
 from gradcv.quadrature import (
     EvaluationError,
@@ -24,7 +29,66 @@ def double_factorial(k):
     return out
 
 
+# How far the stored order-128 rule may sit from hermgauss(128) rescaled, for
+# numpy/LAPACK builds other than the one it was made with: hermgauss polishes
+# each LAPACK eigenvalue by one Newton step, so a build may move a node by a
+# few ulp (8 allowed); a node moved by k ulp moves its weight by about
+# |z| k ulp(z) relative, up to about 5500 ulp of the weight for k = 8 at the
+# outermost node z = 21.6 (2**14 allowed).
+NODE_ULPS = 8
+WEIGHT_ULPS = 2**14
+
+# Runs a short fit, a small benchmark and a ground truth in a fresh process
+# whose numpy.linalg.eigvalsh records its calls and raises: none may call it or
+# import numpy.polynomial (which numpy < 2.0 imports itself, with numpy).
+NO_HERMGAUSS_RUN = """
+import sys
+import numpy
+polynomial_with_numpy = "numpy.polynomial" in sys.modules
+calls = []
+def eigvalsh(*args, **kwargs):
+    calls.append(args)
+    raise RuntimeError("numpy.linalg.eigvalsh called")
+numpy.linalg.eigvalsh = eigvalsh
+from gradcv.cli import main
+for argv in (
+    ["fit", "--iterations", "20", "--out", sys.argv[1]],
+    ["benchmark", "--reps", "16", "--threads", "1", "--format", "csv", "--out", sys.argv[1]],
+    ["ground-truth", "--out", sys.argv[1]],
+):
+    assert main(argv) == 0, argv
+assert not calls, calls
+assert ("numpy.polynomial" in sys.modules) == polynomial_with_numpy
+"""
+
+
 class TestRule:
+    def test_default_rule_is_stored(self):
+        rule = gradcv.quadrature._DEFAULT_RULE
+        assert gauss_hermite_rule() is rule
+        assert gauss_hermite_rule(128) is rule
+        assert gauss_hermite_rule(np.int64(128)) is rule
+        assert rule.order == 128
+
+    def test_stored_rule_is_symmetric_and_sums_to_one(self):
+        rule = gauss_hermite_rule()
+        assert (rule.nodes == -rule.nodes[::-1]).all()
+        assert (rule.weights == rule.weights[::-1]).all()
+        assert abs(rule.weights.sum() - 1.0) <= 1e-15
+
+    def test_stored_rule_is_hermgauss(self):
+        x, w = np.polynomial.hermite.hermgauss(128)
+        nodes, weights = np.sqrt(2.0) * x, w / np.sqrt(np.pi)
+        rule = gauss_hermite_rule()
+        assert (np.abs(rule.nodes - nodes) <= NODE_ULPS * np.spacing(np.abs(nodes))).all()
+        assert (np.abs(rule.weights - weights) <= WEIGHT_ULPS * np.spacing(weights)).all()
+
+    def test_runs_neither_import_numpy_polynomial_nor_call_lapack(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(gradcv.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", NO_HERMGAUSS_RUN, str(tmp_path / "out")],
+                             capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+
     @pytest.mark.parametrize("order", [4, 8, 16, 20, 32, 64, 128])
     def test_weights_sum_to_one(self, order):
         rule = gauss_hermite_rule(order)
