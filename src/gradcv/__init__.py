@@ -20,7 +20,6 @@ from .benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from .diagnostics import run_all_checks
 from .estimators import (
     ESTIMATOR_IDS,
     ESTIMATORS,
@@ -55,6 +54,16 @@ from .quadrature import (
 from .targets import ExpFamTarget, Target, gaussian_target, logistic_target, resolve_target
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """run_all_checks, imported on first use: only the self-test runs gradcv.diagnostics."""
+    if name == "run_all_checks":
+        from .diagnostics import run_all_checks
+
+        return run_all_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BenchmarkSpec",

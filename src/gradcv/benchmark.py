@@ -18,7 +18,9 @@ therefore bit-identical across runs and across worker counts.
 
 One loop serves both modes. The ground truths of every setting come first;
 then every (setting, chunk) pair is one task, all of them on one thread
-pool (run in turn at one thread). A task reads the chunk's noise streams: a
+pool. At one thread the tasks run in turn and no pool is made: the module
+attribute ThreadPoolExecutor imports concurrent.futures only when a table on
+more than one worker first reads it. A task reads the chunk's noise streams: a
 stream is a noise stream and the estimators that read it. Unpaired, each
 estimator has its own stream; paired (--paired), the stream key has no
 estimator index, so one stream per chunk serves every estimator. A task
@@ -51,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -276,7 +278,8 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
 
     serial = threads == 1 or len(tasks) < 2
     rows = []
-    with nullcontext() if serial else ThreadPoolExecutor(max_workers=threads) as pool:
+    # the pool class is read off the module, so a class assigned to it is the one entered
+    with nullcontext() if serial else sys.modules[__name__].ThreadPoolExecutor(max_workers=threads) as pool:
         # map yields in task order, so each cell merges its chunks in chunk order
         chunks = map(run, tasks) if serial else pool.map(run, tasks)
         try:
@@ -300,6 +303,15 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
                 pool.shutdown(cancel_futures=True)
             raise
     return MseTable(spec=spec, rows=tuple(rows))
+
+
+def __getattr__(name: str):
+    """ThreadPoolExecutor, imported on first use: only a table on more than one worker runs a pool."""
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _cell_row(est_id: str, mu: float, sigma2: float, cells: _Moments, j: int, gt: np.ndarray) -> MseRow:

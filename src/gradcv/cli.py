@@ -21,7 +21,9 @@ code 2).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .benchmark import (
@@ -31,7 +33,6 @@ from .benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from .diagnostics import run_all_checks
 from .estimators import CapabilityError, EstimationError, EstimatorConfig, estimate
 from .gaussian import GaussianQ, _count
 from .optimize import SgdSchedule, VariationalSGD, _default, _fit_config, fit, trajectory_to_csv
@@ -248,14 +249,36 @@ def parse_args(argv=None) -> argparse.Namespace:
     return ns
 
 
+def _cannot_write(out_path: str, err: OSError) -> int:
+    print(f"gradcv: cannot write {out_path!r}: {err}", file=sys.stderr)
+    return 1
+
+
+def _write_error(out_path: str) -> OSError | None:
+    """The error that opening out_path for writing would meet, or None, found without creating or truncating it.
+
+    An existing path must be a file one may write; a new name needs a directory one may write in.
+    """
+    new = not os.path.exists(out_path)
+    path = (os.path.dirname(out_path) or ".") if new else out_path
+    if not os.path.exists(path):
+        code = errno.ENOENT
+    elif os.path.isdir(path) != new:
+        code = errno.ENOTDIR if new else errno.EISDIR
+    elif not os.access(path, (os.W_OK | os.X_OK) if new else os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
+
+
 def _emit(text: str, out_path) -> int:
     if out_path:
         try:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as err:
-            print(f"gradcv: cannot write {out_path!r}: {err}", file=sys.stderr)
-            return 1
+            return _cannot_write(out_path, err)
         return 0
     sys.stdout.write(text)
     return 0
@@ -276,11 +299,16 @@ def _vector_payload(ns: argparse.Namespace, name: str, vec, extra: dict) -> str:
 def main(argv=None) -> int:
     """Run the command of argv; its exit code.
 
-    Usage errors exit with code 2 (see parse_args). The library's run-time
-    errors, a non-finite estimate or ground truth or a target without a
-    needed derivative, print "gradcv: error: MESSAGE" on stderr and give 1.
+    Usage errors exit with code 2 (see parse_args). An --out path that
+    cannot be written gives 1 before any work is done. The library's
+    run-time errors, a non-finite estimate or ground truth or a target
+    without a needed derivative, print "gradcv: error: MESSAGE" on stderr
+    and give 1.
     """
     ns = parse_args(argv)
+    err = _write_error(ns.out) if ns.out else None
+    if err is not None:
+        return _cannot_write(ns.out, err)
     try:
         return _run(ns)
     except (EstimationError, CapabilityError, EvaluationError) as err:
@@ -327,6 +355,8 @@ def _run(ns: argparse.Namespace) -> int:
         return _emit(trajectory_to_csv(result), ns.out)
 
     if ns.command == "selftest":
+        from .diagnostics import run_all_checks  # only the self-test loads the suites
+
         results = run_all_checks()
         all_ok = True
         lines = []

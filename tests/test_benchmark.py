@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import re
@@ -158,6 +159,30 @@ class TestDeterminism:
         row_a = next(r for r in a.rows if r.estimator == "cov" and r.mu == 0.0)
         row_b = next(r for r in b.rows if r.estimator == "cov" and r.mu == 0.0)
         assert row_a.mse == row_b.mse
+
+
+class TestThreadPoolAttribute:
+    """perfbench traces the pool by reading and reassigning benchmark.ThreadPoolExecutor."""
+
+    def test_reads_as_the_concurrent_futures_pool(self):
+        assert bench.ThreadPoolExecutor is concurrent.futures.ThreadPoolExecutor
+
+    def test_a_class_assigned_to_it_is_the_pool_a_threaded_run_enters(self, monkeypatch):
+        entered = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __enter__(self):
+                entered.append(self._max_workers)
+                return super().__enter__()
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+        spec = small_spec()
+        assert tables_equal(run_benchmark(spec, threads=2), run_benchmark(spec))
+        assert entered == [2]
+
+    def test_an_unknown_attribute_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="^module 'gradcv.benchmark' has no attribute 'ThreadPool'$"):
+            bench.ThreadPool
 
 
 class TestRows:

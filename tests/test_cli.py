@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -368,6 +369,15 @@ class TestEstimateCommand:
         assert first["samples"] == 40
         assert len(first["estimate"]) == 2
 
+    def test_a_failed_run_neither_creates_nor_truncates_out(self, tmp_path, capsys):
+        kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+        kept.write_text("kept\n")
+        for out in (kept, new):
+            assert main(["estimate", "--mu", "1e200", "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("gradcv: error: ")
+        assert kept.read_text() == "kept\n"
+        assert not new.exists()
+
 
 class TestBenchmarkCommand:
     def test_small_run_csv_schema(self, capsys):
@@ -409,6 +419,21 @@ class TestBenchmarkCommand:
         assert main(bad) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["benchmark", "fit"])
+    def test_unwritable_out_fails_before_any_work(self, command, tmp_path, monkeypatch, capsys):
+        def never(fn):
+            @functools.wraps(fn)  # the parser reads its defaults off the signature
+            def run(*args, **kwargs):
+                raise AssertionError(f"{fn.__name__} ran")
+            return run
+
+        for name in ("run_benchmark", "fit"):
+            monkeypatch.setattr(gradcv.cli, name, never(getattr(gradcv.cli, name)))
+        (tmp_path / "file").write_text("")
+        for out in (tmp_path / "no-dir" / "x.csv", tmp_path / "file" / "x.csv", tmp_path):
+            assert main([command, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(f"gradcv: cannot write {str(out)!r}: [Errno ")
+
     def test_threads_flag_does_not_change_output(self, capsys):
         base = ["benchmark", "--reps", "5000", "--samples", "10", "--estimators", "cov",
                 "--settings", "0:2", "--format", "csv"]
@@ -438,3 +463,51 @@ class TestSelftestCommand:
         assert all(l.startswith("PASS") for l in lines)
         for name in ("covariance-identity", "gaussian-exactness", "path-gradient-finite-difference"):
             assert any(name in l for l in lines)
+
+
+# Each command imports only what it runs: neither concurrent.futures (the
+# thread pool) nor gradcv.diagnostics (the self-test) loads before a command
+# uses it, unless numpy imported it by itself.
+LAZY_IMPORTS_RUN = """
+import sys
+from pathlib import Path
+import numpy
+LAZY = ("concurrent.futures", "gradcv.diagnostics")
+with_numpy = {name for name in LAZY if name in sys.modules}
+from gradcv.cli import main
+def loaded():
+    return {name for name in LAZY if name in sys.modules} - with_numpy
+out = Path(sys.argv[1])
+def table(threads, *flags):
+    assert main(["benchmark", "--reps", "16", "--threads", threads, "--format", "csv", "--out", str(out), *flags]) == 0
+    return out.read_bytes()
+for argv in (["fit", "--iterations", "20"], ["estimate"], ["ground-truth"]):
+    assert main([*argv, "--out", str(out)]) == 0, argv
+one_thread = [table("1"), table("1", "--paired")]
+assert not loaded(), loaded()
+assert [table("2"), table("2", "--paired")] == one_thread
+assert loaded() == {"concurrent.futures"} - with_numpy, loaded()
+assert main(["selftest", "--out", str(out)]) == 0
+assert "gradcv.diagnostics" in sys.modules
+"""
+
+STAR_IMPORT_RUN = """
+from gradcv import *
+import gradcv
+assert all(globals()[name] is getattr(gradcv, name) for name in gradcv.__all__)
+"""
+
+
+@pytest.mark.parametrize("script", [LAZY_IMPORTS_RUN, STAR_IMPORT_RUN], ids=["lazy-imports", "star-import"])
+def test_imports_in_a_fresh_process(script, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(gradcv.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_every_public_name_resolves():
+    assert [name for name in gradcv.__all__ if not hasattr(gradcv, name)] == []
+    assert gradcv.run_all_checks is gradcv.diagnostics.run_all_checks
+    with pytest.raises(AttributeError, match="^module 'gradcv' has no attribute 'no_such_name'$"):
+        gradcv.no_such_name
