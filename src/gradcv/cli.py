@@ -157,14 +157,6 @@ def _config_tokens(file_cfg: dict, cmd: argparse.ArgumentParser, path: str) -> l
     return tokens
 
 
-def _build(cmd: argparse.ArgumentParser, flags: str, make, *args, **kwargs):
-    """make(*args, **kwargs); its ValueError is a usage error naming the flags the values came from."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as err:
-        cmd.error(f"{flags}: {err}")
-
-
 def _parse(parser: argparse.ArgumentParser, commands: dict, argv: list[str]):
     """parser.parse_known_args(argv), with an argparse error a usage error of the command it came from.
 
@@ -191,7 +183,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     --config values are parsed as flags given before argv's own, so
     argparse checks both alike and an explicit flag wins; an error in the
     file is reported as "--config 'PATH': ...", for a bad value as
-    "--config 'PATH': argument --FLAG: ...". The
+    "--config 'PATH': argument --FLAG: ...", and for a value the library
+    rejects as "--config 'PATH': --FLAGS: ..." unless argv overrides it. The
     namespace holds the command's own flags plus the objects the command
     runs, each built and checked once by its own constructor:
     resolved_target for every command with --target; q (GaussianQ) for
@@ -206,6 +199,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     cmd = command_parsers[ns.command]
     if unknown:
         cmd.error(f"unrecognized arguments: {' '.join(unknown)}")
+    from_config = set()  # the flags whose value came from the --config file
     if ns.config is not None:
         try:
             with open(ns.config) as fh:
@@ -220,30 +214,40 @@ def parse_args(argv=None) -> argparse.Namespace:
         except argparse.ArgumentError as err:
             cmd.error(f"--config {ns.config!r}: {err}")
         ns, _ = _parse(parser, command_parsers, [ns.command, *tokens, *argv[1:]])
+        # flags are matched exactly, so a flag argv sets is one of its tokens
+        from_config = {t.split("=", 1)[0] for t in tokens} - {a.split("=", 1)[0] for a in argv[1:]}
+
+    def build(flags: str, make, *args, **kwargs):
+        """make(*args, **kwargs); its ValueError is a usage error naming the flags, and the file if one came from it."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as err:
+            where = f"--config {ns.config!r}: " if from_config.intersection(flags.split("/")) else ""
+            cmd.error(f"{where}{flags}: {err}")
 
     if hasattr(ns, "target"):
-        ns.resolved_target = _build(cmd, "--target", resolve_target, ns.target)
+        ns.resolved_target = build("--target", resolve_target, ns.target)
     if ns.command in ("estimate", "ground-truth", "fit"):
-        ns.q = _build(cmd, "--mu/--sigma2", GaussianQ, ns.mu, ns.sigma2)
+        ns.q = build("--mu/--sigma2", GaussianQ, ns.mu, ns.sigma2)
     if ns.command == "estimate":
-        ns.estimator_config = _build(
-            cmd, "--estimator/--samples/--split", EstimatorConfig,
+        ns.estimator_config = build(
+            "--estimator/--samples/--split", EstimatorConfig,
             total_samples=ns.samples, cv_split=ns.split, estimator_id=ns.estimator,
         )
     elif ns.command == "benchmark":
-        ns.threads = _build(cmd, "--threads", _count, "threads", ns.threads)
-        ns.spec = _build(
-            cmd, "--settings/--estimators/--samples/--split/--reps", BenchmarkSpec,
+        ns.threads = build("--threads", _count, "threads", ns.threads)
+        ns.spec = build(
+            "--settings/--estimators/--samples/--split/--reps", BenchmarkSpec,
             settings=ns.settings, estimators=ns.estimators, replications=ns.reps, samples=ns.samples,
             cv_split=ns.split, base_seed=ns.seed, target=ns.target, paired=ns.paired,
         )
     elif ns.command == "fit":
-        ns.schedule = _build(
-            cmd, "--step0/--decay/--iterations/--samples", SgdSchedule,
+        ns.schedule = build(
+            "--step0/--decay/--iterations/--samples", SgdSchedule,
             step0=ns.step0, decay=ns.decay, iterations=ns.iterations, samples_per_step=ns.samples,
         )
-        ns.estimator_config = _build(
-            cmd, "--estimator/--samples/--split/--record-every", _fit_config,
+        ns.estimator_config = build(
+            "--estimator/--samples/--split/--record-every", _fit_config,
             ns.record_every, ns.estimator, ns.samples, ns.split,
         )
     return ns

@@ -1,7 +1,8 @@
 """Identity and exactness checks, shared by the selftest CLI and the test suite.
 
 Each check returns a CheckResult with the worst observed deviation so the
-CLI can print one pass/fail line per suite.
+CLI can print one pass/fail line per suite. The finite-difference steps,
+the tolerances and the replication count are fixed module constants.
 """
 
 from __future__ import annotations
@@ -32,26 +33,33 @@ class CheckResult:
     passed: bool
     worst: float
     tolerance: float
-    detail: str = ""
 
 
 _CHECK_QS = ((0.0, 2.0), (-2.0, 2.0), (1.5, 0.7))
+# central-difference steps in eta: of the quadrature E_q[h], and of log q and the draws
+_COV_STEP = 1e-5
+_FD_STEP = 1e-6
+# tolerances of the finite-difference checks, and of the exactness and normalization checks
+_FD_TOL = 1e-6
+_EXACT_TOL = 1e-10
+_EXACTNESS_REPLICATIONS = 1000
 
 
-def _fd_expect_eta(q: GaussianQ, h, rule, step: float) -> np.ndarray:
-    """Central finite differences in eta of the quadrature E_q[h]."""
-    out = np.empty(2)
-    eta = q.eta
-    for k in range(2):
-        delta = np.zeros(2)
-        delta[k] = step
-        hi = expect(from_natural(eta + delta), h, rule)
-        lo = expect(from_natural(eta - delta), h, rule)
-        out[k] = (hi - lo) / (2.0 * step)
-    return out
+def _central_difference(q: GaussianQ, fn, step: float) -> np.ndarray:
+    """Central finite differences in eta of fn(q), one row per component of eta."""
+    return np.array([
+        (fn(from_natural(q.eta + delta)) - fn(from_natural(q.eta - delta))) / (2.0 * step)
+        for delta in step * np.eye(2)
+    ])
 
 
-def check_covariance_identity(step: float = 1e-5, tol: float = 1e-6) -> CheckResult:
+def _result(name: str, worst: float, tol: float) -> CheckResult:
+    """The CheckResult of a worst deviation, as a Python float and bool."""
+    worst = float(worst)
+    return CheckResult(name, worst <= tol, worst, tol)
+
+
+def check_covariance_identity() -> CheckResult:
     """d/deta E_q[h] equals Cov_q[score_eta, h] for fixed h.
 
     Verified by quadrature against central finite differences in eta for
@@ -65,13 +73,13 @@ def check_covariance_identity(step: float = 1e-5, tol: float = 1e-6) -> CheckRes
         q = GaussianQ(mu, s2)
         for h in funcs:
             cov_val = cov(q, q.score_eta, h, rule)[:, 0]
-            fd = _fd_expect_eta(q, h, rule, step)
+            fd = _central_difference(q, lambda p: expect(p, h, rule), _COV_STEP)
             scale = max(float(np.abs(fd).max()), 1.0)
             worst = max(worst, float(np.abs(cov_val - fd).max()) / scale)
-    return CheckResult("covariance-identity", worst <= tol, worst, tol)
+    return _result("covariance-identity", worst, _FD_TOL)
 
 
-def check_score_finite_difference(step: float = 1e-6, tol: float = 1e-6) -> CheckResult:
+def check_score_finite_difference() -> CheckResult:
     """score_eta matches central finite differences of log_density in eta.
 
     The log-normalizer is differentiated along with the linear term.
@@ -80,20 +88,13 @@ def check_score_finite_difference(step: float = 1e-6, tol: float = 1e-6) -> Chec
     worst = 0.0
     for mu, s2 in _CHECK_QS:
         q = GaussianQ(mu, s2)
-        eta = q.eta
-        analytic = q.score_eta(xs)
-        for k in range(2):
-            delta = np.zeros(2)
-            delta[k] = step
-            hi = from_natural(eta + delta).log_density(xs)
-            lo = from_natural(eta - delta).log_density(xs)
-            fd = (hi - lo) / (2.0 * step)
-            scale = np.maximum(np.abs(analytic[:, k]), 1.0)
-            worst = max(worst, float(np.max(np.abs(fd - analytic[:, k]) / scale)))
-    return CheckResult("score-finite-difference", worst <= tol, worst, tol)
+        analytic = q.score_eta(xs).T
+        fd = _central_difference(q, lambda p: p.log_density(xs), _FD_STEP)
+        worst = max(worst, float(np.max(np.abs(fd - analytic) / np.maximum(np.abs(analytic), 1.0))))
+    return _result("score-finite-difference", worst, _FD_TOL)
 
 
-def check_path_gradient_finite_difference(step: float = 1e-6, tol: float = 1e-6) -> CheckResult:
+def check_path_gradient_finite_difference() -> CheckResult:
     """Sampler-path estimates match finite differences of their fixed-seed sums.
 
     With the integrand h frozen at the base parameters, the path estimate
@@ -110,31 +111,20 @@ def check_path_gradient_finite_difference(step: float = 1e-6, tol: float = 1e-6)
         d = Draws(q, target, rng_from_seed(("path-fd", case_idx)).standard_normal(samples))
         eps, x = d.eps, d.x
 
-        def frozen_d(y):
-            return q.log_density(y) - target.log_p(y)
+        def path_means(p):
+            y = p.reparameterize(eps)
+            return np.array([(q.log_density(y) - target.log_p(y)).mean(), y.mean(), (y ** 2).mean()])
 
         kingma = run_kernel("kingma-reparam", q, target, d, 0)
-        jac = q.path_jacobian(eps)
         t_prime = np.stack([np.ones_like(x), 2.0 * x], axis=-1)
-        path_cov = np.einsum("si,sl->il", jac, t_prime) / samples
-
-        eta = q.eta
-        for k in range(2):
-            delta = np.zeros(2)
-            delta[k] = step
-            x_hi = from_natural(eta + delta).reparameterize(eps)
-            x_lo = from_natural(eta - delta).reparameterize(eps)
-            fd_d = (frozen_d(x_hi).mean() - frozen_d(x_lo).mean()) / (2.0 * step)
-            worst = max(worst, abs(fd_d - kingma[k]) / max(abs(fd_d), 1.0))
-            for l in range(2):
-                t_hi = (x_hi ** (l + 1)).mean()
-                t_lo = (x_lo ** (l + 1)).mean()
-                fd_t = (t_hi - t_lo) / (2.0 * step)
-                worst = max(worst, abs(fd_t - path_cov[k, l]) / max(abs(fd_t), 1.0))
-    return CheckResult("path-gradient-finite-difference", worst <= tol, worst, tol)
+        path_cov = np.einsum("si,sl->il", q.path_jacobian(eps), t_prime) / samples
+        fd = _central_difference(q, path_means, _FD_STEP)
+        analytic = np.column_stack([kingma, path_cov])
+        worst = max(worst, np.max(np.abs(fd - analytic) / np.maximum(np.abs(fd), 1.0)))
+    return _result("path-gradient-finite-difference", worst, _FD_TOL)
 
 
-def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult:
+def check_exactness() -> CheckResult:
     """Zero-variance collapse for Gaussian-form targets.
 
     cv-regression and greg-samplecov must return exactly the closed-form
@@ -156,7 +146,7 @@ def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult
         delta = q.eta - target.eta_tilde
         exact = q.exact_suffstat_cov() @ delta
         scale = max(float(np.abs(exact).max()), 1.0)
-        d = Draws(q, target, rng_from_seed(("exactness", pair_idx)).standard_normal((replications, samples)))
+        d = Draws(q, target, rng_from_seed(("exactness", pair_idx)).standard_normal((_EXACTNESS_REPLICATIONS, samples)))
         est_reg, aux = run_kernel("cv-regression", q, target, d, samples // 2, with_aux=True)
         est_greg = run_kernel("greg-samplecov", q, target, d, 0)
         worst = max(worst, float(np.abs(est_reg - exact).max()) / scale)
@@ -164,10 +154,10 @@ def check_exactness(replications: int = 1000, tol: float = 1e-10) -> CheckResult
         alpha = aux["alpha"]
         alpha_scale = max(float(np.abs(delta).max()), 1.0)
         worst = max(worst, float(np.abs(alpha - delta).max()) / alpha_scale)
-    return CheckResult("gaussian-exactness", worst <= tol, worst, tol)
+    return _result("gaussian-exactness", worst, _EXACT_TOL)
 
 
-def check_density_normalization(tol: float = 1e-10) -> CheckResult:
+def check_density_normalization() -> CheckResult:
     """exp(log_density) integrates to 1 and the score has zero quadrature mean."""
     rule = gauss_hermite_rule()
     worst = 0.0
@@ -179,7 +169,7 @@ def check_density_normalization(tol: float = 1e-10) -> CheckResult:
         x = q.mu + q.sigma * rule.nodes
         score_mean = rule.weights @ q.score_eta(x)
         worst = max(worst, float(np.abs(score_mean).max()))
-    return CheckResult("density-normalization", worst <= tol, worst, tol)
+    return _result("density-normalization", worst, _EXACT_TOL)
 
 
 def run_all_checks() -> list[CheckResult]:

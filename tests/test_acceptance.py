@@ -133,9 +133,10 @@ class TestCriterion2Ordering:
 
 class TestCriterion3ZeroVarianceExactness:
     def test_exactness_over_replications(self):
-        result = check_exactness(replications=1000, tol=1e-10)
+        result = check_exactness()
         report("3", result.passed,
                f"zero-variance exactness, worst relative deviation {result.worst:.3g}")
+        assert result.tolerance == 1e-10
         assert result.passed, f"worst deviation {result.worst:.3g} above {result.tolerance:g}"
 
 
@@ -163,18 +164,21 @@ class TestCriterion5BiasFraction:
 
 class TestCriterion6IdentityChecks:
     def test_covariance_identity(self):
-        result = check_covariance_identity(tol=1e-6)
+        result = check_covariance_identity()
         report("6", result.passed, f"covariance identity, worst {result.worst:.3g}")
+        assert result.tolerance == 1e-6
         assert result.passed
 
     def test_path_gradient_finite_differences(self):
-        result = check_path_gradient_finite_difference(tol=1e-6)
+        result = check_path_gradient_finite_difference()
         report("6", result.passed, f"path-gradient finite differences, worst {result.worst:.3g}")
+        assert result.tolerance == 1e-6
         assert result.passed
 
     def test_score_finite_differences(self):
-        result = check_score_finite_difference(tol=1e-6)
+        result = check_score_finite_difference()
         report("6", result.passed, f"score finite differences, worst {result.worst:.3g}")
+        assert result.tolerance == 1e-6
         assert result.passed
 
 

@@ -310,6 +310,30 @@ class TestParseArgs:
         assert capsys.readouterr().err.splitlines()[-1] == \
             f"gradcv benchmark: error: --config {str(cfg)!r}: 'reps': false is a value of an on/off flag only"
 
+    @pytest.mark.parametrize("flags, where, got", [([], True, "0"), (["--reps=-1"], False, "-1")])
+    def test_config_value_the_library_rejects_names_the_file(self, flags, where, got, tmp_path, capsys):
+        # BenchmarkSpec rejects the reps: the file is named when the value
+        # came from it, and not when the command line overrides it
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"reps": 0}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["benchmark", "--config", str(cfg), *flags])
+        assert exc.value.code == 2
+        prefix = f"--config {str(cfg)!r}: " if where else ""
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"gradcv benchmark: error: {prefix}--settings/--estimators/--samples/--split/--reps: "
+            f"replications must be an int >= 1, got {got}")
+
+    def test_fit_config_value_the_library_rejects_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"sigma2": -1}))
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["fit", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"gradcv fit: error: --config {str(cfg)!r}: --mu/--sigma2: sigma2 must be finite and > 0, got -1.0"
+        assert parse_args(["fit", "--config", str(cfg), "--sigma2", "3"]).q.sigma2 == 3.0
+
     @pytest.mark.parametrize("argv, flag, value", [
         (["benchmark", "--settings", "-50:2"], "--settings", "-50:2"),
         (["benchmark", "--reps", "10", "--settings", "-50:2,0:1"], "--settings", "-50:2,0:1"),
@@ -463,6 +487,14 @@ class TestSelftestCommand:
         assert all(l.startswith("PASS") for l in lines)
         for name in ("covariance-identity", "gaussian-exactness", "path-gradient-finite-difference"):
             assert any(name in l for l in lines)
+
+    def test_results_hold_python_floats_and_bools(self):
+        # numpy scalars would fail json.dumps (np.bool_) and leak into reprs
+        results = gradcv.run_all_checks()
+        assert len(results) == 5
+        for r in results:
+            assert (type(r.name), type(r.passed), type(r.worst), type(r.tolerance)) == (str, bool, float, float), r
+        json.dumps([vars(r) for r in results])
 
 
 # Each command imports only what it runs: neither concurrent.futures (the
