@@ -31,12 +31,12 @@ target's log_p and grad_x once for the tile, and the q-side ingredients
 too: eps^2 - 1, the integrand log q - log p, the path residual, and on each
 column range the moments of u, of u and the integrand, and of the path
 residual. Paired tables thus draw, evaluate the target and compute each
-ingredient once per tile for all estimators. Tiles have 512 rows in both
-modes, which keeps a tile's (rows, S) arrays in cache. Drawing a chunk's
-noise tile by tile gives the same numbers as drawing it at once, every
-kernel treats each row on its own, and a cached ingredient is the value
-the kernel would compute alone, so neither the tiles nor the sharing
-change any estimate.
+ingredient once per tile for all estimators. A tile holds a fixed number
+of draws (see _TILE_DRAWS), so its (rows, S) arrays stay in cache and a
+run's memory does not grow with S. Drawing a chunk's noise tile by tile
+gives the same numbers as drawing it at once, every kernel treats each row
+on its own, and a cached ingredient is the value the kernel would compute
+alone, so neither the tiles nor the sharing change any estimate.
 
 A task writes its estimates into one (estimators, 2, rows) buffer and
 returns only their moments: per cell, the count, the sums and the sums of
@@ -54,6 +54,7 @@ import functools
 import itertools
 import json
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -87,11 +88,15 @@ MSE_WEIGHTS.setflags(write=False)
 DEFAULT_SETTINGS: tuple[tuple[float, float], ...] = ((0.0, 2.0), (-2.0, 2.0), (2.0, 2.0), (0.0, 4.0))
 
 _CHUNK = 4096
-# Rows per kernel call within a chunk, a divisor of _CHUNK, paired or not:
-# 512 rows keep a tile's (rows, S) ingredients and temporaries small enough
-# to stay in cache. Paired tiles of 1024 rows, which spread each kernel's
-# per-call cost over twice the rows, measured no faster.
-_TILE = 512
+# Draws per row tile, paired and unpaired: a tile has max(1, draws // S)
+# rows of S draws, so its (rows, S) ingredients and temporaries take the
+# same memory whatever S is, and a row is never split. At the standard
+# S = 50 a paired tile has 512 rows and an unpaired one 256. Unpaired, the
+# smaller tile cut peak RSS with no resolvable change in time; paired,
+# where every estimator pays its per-call cost on each tile, 256 rows ran
+# about 1.085x slower, and 1024 rows measured no faster than 512.
+_PAIRED_TILE_DRAWS = 512 * 50
+_TILE_DRAWS = 256 * 50
 
 _CSV_HEADER = "estimator,mu,sigma2,mse,mse_stderr,bias1,bias2,gt1,gt2,replications"
 
@@ -111,6 +116,15 @@ class BenchmarkSpec:
         # GaussianQ checks each setting, so a bad one fails here, before any cell runs
         qs = [GaussianQ(m, s) for m, s in self.settings]
         object.__setattr__(self, "settings", tuple((q.mu, q.sigma2) for q in qs))
+        # a str is a sequence of one-letter ids, and paired="no" would run the paired table
+        if isinstance(self.estimators, str) or not (
+            isinstance(self.estimators, Sequence) and all(isinstance(e, str) for e in self.estimators)
+        ):
+            raise ValueError(f"estimators must be a sequence of estimator ids (str), got {self.estimators!r}")
+        if not isinstance(self.paired, (bool, np.bool_)):
+            raise ValueError(f"paired must be a bool, got {self.paired!r}")
+        if not isinstance(self.target, str):
+            raise ValueError(f"target must be a str, got {self.target!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         _count("replications", self.replications)
         # base_seed heads every stream key (chunk_stream_key), so it is one key part
@@ -235,15 +249,16 @@ def _chunk_estimates(
     """One chunk's estimates of the estimators at the indices in runnable, (len(runnable), 2, rows)."""
     n_coef = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split).split_sizes()[0]
     rows = min(_CHUNK, spec.replications - chunk_idx * _CHUNK)
+    tile = max(1, (_PAIRED_TILE_DRAWS if spec.paired else _TILE_DRAWS) // spec.samples)
     est = np.empty((len(runnable), 2, rows))
     # (stream index, the rows of est whose estimators read the stream)
     streams = [(0, range(len(runnable)))] if spec.paired else [(i, (j,)) for j, i in enumerate(runnable)]
     for stream_idx, members in streams:
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
-        for tile in range(0, rows, _TILE):
-            draws = Draws(q, target, rng.standard_normal((min(_TILE, rows - tile), spec.samples)))
+        for lo in range(0, rows, tile):
+            draws = Draws(q, target, rng.standard_normal((min(tile, rows - lo), spec.samples)))
             for j in members:
-                est[j, :, tile:tile + len(draws)] = run_kernel(spec.estimators[runnable[j]], q, target, draws, n_coef).T
+                est[j, :, lo:lo + len(draws)] = run_kernel(spec.estimators[runnable[j]], q, target, draws, n_coef).T
     return est
 
 

@@ -118,7 +118,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gaussian import DrawBatch, GaussianQ, _count, _pair, _seed_key, _solve_lt, _times_l, _why_no_gradient
+from .gaussian import (
+    DrawBatch, GaussianQ, _count, _pair, _real, _seed_key, _solve_lt, _times_l, _why_no_gradient,
+)
 from .targets import Target
 
 __all__ = [
@@ -171,7 +173,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _count("total_samples", self.total_samples)
-        if not 0.0 < self.cv_split < 1.0:
+        if not 0.0 < _real("cv_split", self.cv_split) < 1.0:
             raise ValueError(f"cv_split must be in (0, 1), got {self.cv_split}")
         if self.estimator_id not in ESTIMATORS:
             raise ValueError(

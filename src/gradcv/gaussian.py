@@ -12,7 +12,9 @@ basis and eta.
 
 A DrawBatch is q and its standard-normal noise; it derives its draws.
 _count is the one check of a count (a draw budget, a replication or
-iteration count, a thread count): an int >= 1, not a bool.
+iteration count, a thread count): an int >= 1, not a bool. _real is the one
+check that a setting (a split fraction, a step size or decay) is a real
+number, not a bool.
 """
 
 from __future__ import annotations
@@ -88,6 +90,13 @@ def _count(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an int >= 1, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float: an int, float or numpy int or float, not a bool, else ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number (not a bool), got {value!r}")
+    return float(value)
 
 
 def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
-from .gaussian import GaussianQ, _count, _from_natural, _seed_key, _solve_l, _solve_lt, rng_from_seed
+from .gaussian import GaussianQ, _count, _from_natural, _real, _seed_key, _solve_l, _solve_lt, rng_from_seed
 from .quadrature import gauss_hermite_rule, kl_divergence
 from .targets import Target, resolve_target
 
@@ -64,9 +64,10 @@ class SgdSchedule:
     samples_per_step: int = EstimatorConfig.total_samples
 
     def __post_init__(self):
-        if not (np.isfinite(self.step0) and self.step0 >= 0.0):
+        step0 = _real("step0", self.step0)
+        if not (np.isfinite(step0) and step0 >= 0.0):
             raise ValueError(f"step0 must be finite and >= 0, got {self.step0}")
-        if not 0.5 < self.decay <= 1.0:
+        if not 0.5 < _real("decay", self.decay) <= 1.0:
             raise ValueError(f"decay must lie in (0.5, 1], got {self.decay}")
         _count("iterations", self.iterations)
         _count("samples_per_step", self.samples_per_step)

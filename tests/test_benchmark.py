@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gradcv.benchmark as bench
@@ -115,6 +115,26 @@ class TestSpecValidation:
         # under one (estimator, setting) name that the text table shows as one
         with pytest.raises(ValueError, match=f"^{message}"):
             BenchmarkSpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        # paired="no" would run the paired table, and "simple" its letters as ids
+        ("paired", "no", "paired must be a bool"),
+        ("paired", 1, "paired must be a bool"),
+        ("paired", None, "paired must be a bool"),
+        ("estimators", "simple", "estimators must be a sequence of estimator ids"),
+        ("estimators", ("simple", 1), "estimators must be a sequence of estimator ids"),
+        ("estimators", None, "estimators must be a sequence of estimator ids"),
+        ("target", None, "target must be a str"),
+        ("cv_split", None, "cv_split must be a real number"),
+    ], ids=repr)
+    def test_rejects_wrong_typed_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}.*, got {re.escape(repr(value))}$"):
+            BenchmarkSpec(**{field: value})
+
+    def test_paired_may_be_a_numpy_bool(self):
+        spec = small_spec(estimators=("simple",), settings=((0.0, 2.0),))
+        assert tables_equal(run_benchmark(dataclasses.replace(spec, paired=np.True_)),
+                            run_benchmark(dataclasses.replace(spec, paired=True)))
 
     @pytest.mark.parametrize("bad", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
     def test_rejects_bad_setting_at_construction(self, bad):
@@ -301,11 +321,20 @@ class TestTilesAndSharing:
     """Row tiles and paired sharing leave every estimate as an untiled, unshared run gives it."""
 
     @pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
-    @pytest.mark.parametrize("reps", [1, 1500, 5000])
-    def test_estimates_equal_run_kernel_on_whole_chunks(self, reps, paired):
-        # reps not a multiple of the chunk or of the tile, and one chunk with
-        # a partial second in the 5000 case; every thread count runs the same
-        # chunk tasks to the same bits
+    @pytest.mark.parametrize("tile_draws, reps", [
+        (None, 1), (None, 1500), (None, 5000), (1, 150), (7 * 12 + 5, 1500), (100 * 12, 5000),
+    ], ids=["1", "1500", "5000", "one-row-150", "7-row-1500", "100-row-5000"])
+    def test_estimates_equal_run_kernel_on_whole_chunks(self, monkeypatch, tile_draws, reps, paired):
+        # at 12 draws the default tiles have 1066 rows unpaired and 2133
+        # paired, so a chunk is one to four tiles, the last partial; budgets
+        # of a few rows' worth give many tiles a chunk: one below S gives
+        # one-row tiles, one that is no multiple of S rounds down to whole
+        # rows, and 1500 and 5000 leave a partial last tile in every chunk;
+        # 5000 is one chunk and a partial second; every thread count runs the
+        # same chunk tasks to the same bits
+        if tile_draws is not None:
+            monkeypatch.setattr(bench, "_TILE_DRAWS", tile_draws)
+            monkeypatch.setattr(bench, "_PAIRED_TILE_DRAWS", tile_draws)
         spec = BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=ESTIMATOR_IDS,
                              replications=reps, samples=12, base_seed=11, paired=paired)
         for threads in (1, 2, 3):
@@ -318,14 +347,24 @@ class TestTilesAndSharing:
     @given(
         mu=st.floats(-3.0, 3.0),
         sigma2=st.floats(0.1, 5.0),
-        reps=st.integers(1, 5000),
-        samples=st.integers(6, 20),
+        # up to 20 draws, up to 5000 reps, so runs of two chunks; past that up
+        # to 100k draws a cell; a tile has 6 to 2133 rows unpaired, 12 to 4266 paired
+        reps_and_samples=st.one_of(
+            st.tuples(st.integers(1, 5000), st.integers(6, 20)),
+            st.integers(21, 2000).flatmap(lambda samples: st.tuples(st.integers(1, 100_000 // samples),
+                                                                    st.just(samples))),
+        ),
         split=st.floats(0.3, 0.7),
         seed=st.integers(0, 2**32 - 1),
         threads=st.integers(1, 3),
         paired=st.booleans(),
     )
-    def test_any_spec_equals_run_kernel_on_whole_chunks(self, mu, sigma2, reps, samples, split, seed, threads, paired):
+    # runs of two chunks, the second partial, which the drawn examples need not reach
+    @example(mu=0.5, sigma2=2.0, reps_and_samples=(4500, 7), split=0.5, seed=3, threads=2, paired=False)
+    @example(mu=-1.0, sigma2=0.5, reps_and_samples=(4999, 13), split=0.4, seed=4, threads=3, paired=True)
+    def test_any_spec_equals_run_kernel_on_whole_chunks(self, mu, sigma2, reps_and_samples, split, seed, threads,
+                                                        paired):
+        reps, samples = reps_and_samples
         spec = BenchmarkSpec(settings=((mu, sigma2),), estimators=ESTIMATOR_IDS, replications=reps,
                              samples=samples, cv_split=split, base_seed=seed, paired=paired)
         _, seen = chunk_estimates_of_a_run(spec, threads)
@@ -353,6 +392,21 @@ class TestTilesAndSharing:
         assert tables_equal(MseTable(spec, tuple(r for r in table.rows if r.ok)), alone)
 
 
+def peak_traced_memory(spec, threads):
+    """The tracemalloc peak of run_benchmark(spec, threads), in bytes."""
+    tracemalloc.start()
+    try:
+        run_benchmark(spec, threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def two_cell_spec(paired, **overrides):
+    return BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=("simple", "cv-regression"),
+                         base_seed=5, paired=paired, **overrides)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
 def test_memory_does_not_grow_with_the_replications(paired, threads):
@@ -362,20 +416,30 @@ def test_memory_does_not_grow_with_the_replications(paired, threads):
     # quarter above 1. Keeping every estimate, (estimators, R, 2) per
     # setting, adds 7/8 of the 8-chunk buffer and its reduction temporaries.
     def spec(chunks):
-        return BenchmarkSpec(settings=((0.0, 2.0), (-1.0, 1.5)), estimators=("simple", "cv-regression"),
-                             replications=chunks * 4096, samples=12, base_seed=5, paired=paired)
-
-    def peak(chunks):
-        tracemalloc.start()
-        try:
-            run_benchmark(spec(chunks), threads)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return two_cell_spec(paired, replications=chunks * 4096, samples=12)
 
     run_benchmark(spec(1), threads)  # one-time allocations (imports, caches) are not a chunk's
-    one, eight = peak(1), peak(8)
+    one, eight = peak_traced_memory(spec(1), threads), peak_traced_memory(spec(8), threads)
     assert eight <= 1.25 * one, (one, eight)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+def test_memory_does_not_grow_with_the_draws_per_replication(paired, threads):
+    # A tile holds a fixed number of draws, so a tile's noise, draws and
+    # ingredients take as much memory at 800 draws a replication as at 50.
+    # Tiles of a fixed row count would hold 16 times the draws at 800, and
+    # the (estimators, 2, rows) buffer, the same at both, is small beside
+    # them. A run holds at most threads chunk tasks at a time; the 50-draw
+    # run on one worker peaks at one task, while on more workers its peak
+    # depends on whether the tasks' peaks coincide, so the bound is threads
+    # times the one-worker peak.
+    def spec(samples):
+        return two_cell_spec(paired, replications=1024, samples=samples)
+
+    run_benchmark(spec(50), threads)  # one-time allocations (imports, caches) are not a task's
+    one, big = peak_traced_memory(spec(50), 1), peak_traced_memory(spec(800), threads)
+    assert big <= 1.25 * threads * one, (one, big)
 
 
 class TestNonFinite:

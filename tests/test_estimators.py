@@ -330,6 +330,12 @@ class TestConfigAndErrors:
         with pytest.raises(ValueError, match=f"^total_samples must be an int >= 1, got {re.escape(repr(total_samples))}$"):
             EstimatorConfig(total_samples=total_samples, estimator_id=estimator_id)
 
+    @pytest.mark.parametrize("cv_split", ["0.5", True, None], ids=repr)
+    def test_cv_split_must_be_a_real_number(self, cv_split):
+        # a str or None would fail in the range comparison, and True is not a fraction
+        with pytest.raises(ValueError, match=f"^cv_split must be a real number \\(not a bool\\), got {re.escape(repr(cv_split))}$"):
+            EstimatorConfig(cv_split=cv_split)
+
     def test_one_draw_cov_raises_min_draws(self):
         with pytest.raises(ValueError, match="'cov' needs >= 2 samples in each batch; got 1"):
             EstimatorConfig(total_samples=1, estimator_id="cov")

@@ -47,6 +47,14 @@ class TestSchedule:
         with pytest.raises(ValueError, match=f"^{field} must be an int >= 1, got {value!r}$"):
             SgdSchedule(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("step0", True), ("step0", "0.1"), ("step0", None), ("decay", True), ("decay", "0.6"),
+    ], ids=repr)
+    def test_step_settings_must_be_real_numbers(self, field, value):
+        # step0=True would be a step size of 1, and a str would fail inside numpy
+        with pytest.raises(ValueError, match=f"^{field} must be a real number \\(not a bool\\), got {re.escape(repr(value))}$"):
+            SgdSchedule(**{field: value})
+
     def test_step_decay(self):
         sched = SgdSchedule(step0=0.5, decay=1.0)
         assert sched.step(0) == 0.5
