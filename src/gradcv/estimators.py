@@ -99,9 +99,13 @@ cached value is computed by the same expression, on the same values, as a
 kernel alone would compute it, and every reduction is over one row, so
 neither the sharing nor the block changes any estimate. A kernel alone on a
 Draws computes nothing it does not read, except that a moment tuple is
-computed whole. Centered (..., S) arrays are not kept: each kernel centers
-what it needs and lets it go, so a tile's memory is its elementwise
-ingredients.
+computed whole. Centered (..., S) arrays are not kept, and no kernel writes
+into an array a Draws keeps. The arrays a kernel makes are its own: it
+reuses them in place for a later stage's values, and releases them before
+its next stage, so a call's temporaries stay a few (..., S) arrays on top
+of a tile's elementwise ingredients. A test pins the bound
+(test_kernel_temporaries_stay_a_few_tile_halves: seven (512, 25) arrays on
+a (512, 50) tile, paired and unpaired).
 Every 2x2 coefficient or natural-gradient system is solved on (...)
 components a00, a01, a10, a11, b0, b1. No stacked (..., S, 2) score or
 (..., S, 2, 2) outer-product arrays are built. The reductions are over the
@@ -287,8 +291,9 @@ class Draws:
     eps is a view, its elementwise ingredients are column slices of those
     of the Draws it came from, which it slices once and keeps, and its
     moments are kept there.
-    Centered (..., S) arrays are not kept; each kernel makes its own and lets
-    them go.
+    Centered (..., S) arrays are not kept: each kernel makes its own, reuses
+    them in place and releases them before its next stage. No kernel writes
+    into an array the Draws keeps.
     """
 
     __slots__ = ("q", "t", "eps", "noise", "_root", "_lo", "_hi", "_cache")
@@ -604,9 +609,13 @@ def _kernel_cv_ideal(coef: Draws, ev: Draws, with_aux: bool) -> tuple[np.ndarray
         # their rounding, which would pose two systems of noise: zeroed, both
         # flag the fallback and fit zero coefficients (the estimate is cov on ev)
         a[...] = b[...] = c[...] = 0.0
-    f0, f1 = u0 * f, u1 * f
+    # the responses in the buffers of u0 and u1, which a, b and c no longer need
+    f0, f1 = np.multiply(u0, f, out=u0), np.multiply(u1, f, out=u1)
+    del f
     aa, ab, ac, bb, bc, cc = _dot(a, a), _dot(a, b), _dot(a, c), _dot(b, b), _dot(b, c), _dot(c, c)
     af0, bf0, cf0, af1, bf1, cf1 = _dot(a, f0), _dot(b, f0), _dot(c, f0), _dot(a, f1), _dot(b, f1), _dot(c, f1)
+    # released before _cv_residual computes the evaluation half's moments
+    del a, b, c, u0, u1, f0, f1
     g00, g01, fb0 = _solve2c(aa, ab, ab, bb, af0, bf0)
     k = 2.0 * q.mu / q.sigma
     k2 = k * k

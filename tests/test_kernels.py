@@ -11,6 +11,7 @@ import gc
 import inspect
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 
@@ -291,6 +292,11 @@ class TestSharedDraws:
             for est_id, n_coef in order:
                 got = run_kernel(est_id, q, t, shared, n_coef, with_aux=True)
                 assert_same_run(got, fresh[est_id, n_coef])
+            # no kernel wrote into a shared array: the cached ingredients are
+            # what a fresh Draws computes
+            ref = Draws(q, t, eps)
+            for name in ("x", "u1", "log_p", "f", "resid"):
+                assert_same_bits(getattr(shared, name), getattr(ref, name))
 
     def test_x_is_q_reparameterize_of_the_noise(self):
         # x is formed once per Draws, from its q and noise, on first read;
@@ -360,6 +366,38 @@ def test_draws_are_freed_without_the_cycle_collector():
             assert all(ref() is None for ref in cached), fill
         finally:
             gc.enable()
+
+
+# The most a kernel call may allocate beyond what it keeps (its estimates and
+# what its Draws caches), in (512, 25) float64 arrays: one half of a paired
+# tile at S = 50. A kernel reuses its own arrays in place and releases them
+# before its next stage, so its temporaries stay a few tile halves.
+TRANSIENT_HALVES = 7
+
+
+@pytest.mark.parametrize("paired", [True, False], ids=["paired", "unpaired"])
+def test_kernel_temporaries_stay_a_few_tile_halves(paired):
+    # paired, the ten kernels run in registry order on one shared Draws, as a
+    # paired tile runs them; unpaired, each on a Draws of its own
+    q, t = GaussianQ(2.0, 2.0), logistic_target()
+    eps = noise(512, "transient")
+    half = eps.nbytes / 2
+    for est_id in ESTIMATOR_IDS:  # one-time allocations (lazy imports, caches) are not a call's
+        run_kernel(est_id, q, t, Draws(q, t, eps), n_coef_of(est_id))
+    shared, transient = Draws(q, t, eps), {}
+    tracemalloc.start()
+    try:
+        for est_id in ESTIMATOR_IDS:
+            d = shared if paired else Draws(q, t, eps)
+            tracemalloc.reset_peak()
+            value = run_kernel(est_id, q, t, d, n_coef_of(est_id))
+            held, peak = tracemalloc.get_traced_memory()
+            transient[est_id] = (peak - held) / half
+            del d, value
+    finally:
+        tracemalloc.stop()
+    worst = max(transient, key=transient.get)
+    assert transient[worst] <= TRANSIENT_HALVES, (worst, transient)
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["fresh", "shared"])
