@@ -61,11 +61,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import (
-    ESTIMATOR_IDS, ESTIMATORS, CapabilityError, Draws, EstimationError, EstimatorConfig, run_kernel,
-)
+from .estimators import ESTIMATOR_IDS, Draws, EstimationError, EstimatorConfig, run_kernel
 from .gaussian import GaussianQ, _count, _seed_part, rng_from_seed
-from .quadrature import gauss_hermite_rule, ground_truth_gradient
+from .quadrature import ground_truth_gradient
 from .targets import Target, resolve_target
 
 __all__ = [
@@ -144,6 +142,15 @@ class BenchmarkSpec:
 
 @dataclass(frozen=True)
 class MseRow:
+    """One cell's statistics.
+
+    run_benchmark leaves note empty, since every estimator of its spec
+    runs. note and ok stay for tables built by hand (format_mse_table shows a
+    noted row as "n/a"), for the JSON schema, which writes "note", and for
+    perfbench's gate (perfbench/gate.py), which fails a cell whose note is
+    non-empty.
+    """
+
     estimator: str
     mu: float
     sigma2: float
@@ -243,52 +250,46 @@ def _merge(a: _Moments, b: _Moments) -> _Moments:
     return _Moments(count, a.sums + b.sums, m2)
 
 
-def _chunk_estimates(
-    spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, chunk_idx: int, runnable: list[int]
-) -> np.ndarray:
-    """One chunk's estimates of the estimators at the indices in runnable, (len(runnable), 2, rows)."""
+def _chunk_estimates(spec: BenchmarkSpec, q: GaussianQ, target: Target, setting_idx: int, chunk_idx: int) -> np.ndarray:
+    """One chunk's estimates, (estimators, 2, rows): row j is estimator j of spec.estimators.
+
+    Unpaired, estimator j reads stream j; paired, every estimator reads stream 0.
+    """
     n_coef = EstimatorConfig(total_samples=spec.samples, cv_split=spec.cv_split).split_sizes()[0]
     rows = min(_CHUNK, spec.replications - chunk_idx * _CHUNK)
     tile = max(1, (_PAIRED_TILE_DRAWS if spec.paired else _TILE_DRAWS) // spec.samples)
-    est = np.empty((len(runnable), 2, rows))
-    # (stream index, the rows of est whose estimators read the stream)
-    streams = [(0, range(len(runnable)))] if spec.paired else [(i, (j,)) for j, i in enumerate(runnable)]
+    est = np.empty((len(spec.estimators), 2, rows))
+    # (stream index, the estimators that read the stream)
+    streams = [(0, range(len(est)))] if spec.paired else [(j, (j,)) for j in range(len(est))]
     for stream_idx, members in streams:
         rng = rng_from_seed(chunk_stream_key(spec.base_seed, setting_idx, stream_idx, chunk_idx, spec.paired))
         for lo in range(0, rows, tile):
             draws = Draws(q, target, rng.standard_normal((min(tile, rows - lo), spec.samples)))
             for j in members:
-                est[j, :, lo:lo + len(draws)] = run_kernel(spec.estimators[runnable[j]], q, target, draws, n_coef).T
+                est[j, :, lo:lo + len(draws)] = run_kernel(spec.estimators[j], q, target, draws, n_coef).T
     return est
 
 
 def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
     """Fill the estimator-by-setting MSE table on threads workers, a count (gaussian._count).
 
-    Estimators that need target derivatives the target does not provide
-    produce an "n/a" row instead of failing the whole run. A non-finite
-    estimate or cell statistic is an EstimationError: no computed cell is
-    NaN. Output is deterministic given the spec, independent of the thread
-    count.
+    Every estimator of the spec runs in every setting. Every target that
+    resolve_target builds has grad_x and hess_x; a Target without a
+    derivative that an estimator needs fails the run with run_kernel's
+    CapabilityError. A non-finite estimate or cell statistic is an
+    EstimationError: no cell is NaN. Output is deterministic given the spec,
+    independent of the thread count.
     """
     threads = _count("threads", threads)
     target = resolve_target(spec.target)
-    rule = gauss_hermite_rule()
-    notes = {}
-    for est_id in spec.estimators:
-        try:
-            ESTIMATORS[est_id].check(target)
-        except CapabilityError as err:
-            notes[est_id] = f"n/a: {err}"
-    runnable = [i for i, est_id in enumerate(spec.estimators) if est_id not in notes]
     qs = [GaussianQ(mu, sigma2) for mu, sigma2 in spec.settings]
-    gts = [ground_truth_gradient(q, target, rule) for q in qs]
-    n_chunks = -(-spec.replications // _CHUNK) if runnable else 0
+    gts = [ground_truth_gradient(q, target) for q in qs]
+    n_chunks = -(-spec.replications // _CHUNK)
     tasks = [(setting_idx, chunk_idx) for setting_idx in range(len(qs)) for chunk_idx in range(n_chunks)]
 
     def run(task) -> _Moments:
         setting_idx, chunk_idx = task
-        est = _chunk_estimates(spec, qs[setting_idx], target, setting_idx, chunk_idx, runnable)
+        est = _chunk_estimates(spec, qs[setting_idx], target, setting_idx, chunk_idx)
         return _chunk_moments(est, gts[setting_idx])
 
     serial = threads == 1 or len(tasks) < 2
@@ -299,19 +300,9 @@ def run_benchmark(spec: BenchmarkSpec, threads: int = 1) -> MseTable:
         chunks = map(run, tasks) if serial else pool.map(run, tasks)
         try:
             for (mu, sigma2), gt in zip(spec.settings, gts):
-                cells = functools.reduce(_merge, itertools.islice(chunks, n_chunks)) if runnable else None
-                for i, est_id in enumerate(spec.estimators):
-                    if est_id not in notes:
-                        rows.append(_cell_row(est_id, mu, sigma2, cells, runnable.index(i), gt))
-                        continue
-                    rows.append(MseRow(
-                        estimator=est_id, mu=mu, sigma2=sigma2,
-                        mse=float("nan"), mse_stderr=float("nan"),
-                        mean_bias=np.full(2, np.nan), ground_truth=gt,
-                        replications=spec.replications,
-                        mean_se=np.full(2, np.nan), mse_components=np.full(2, np.nan),
-                        note=notes[est_id],
-                    ))
+                cells = functools.reduce(_merge, itertools.islice(chunks, n_chunks))
+                for j, est_id in enumerate(spec.estimators):
+                    rows.append(_cell_row(est_id, mu, sigma2, cells, j, gt))
         except BaseException:
             # a failed cell ends the run: the later settings' tasks not yet started never start
             if pool is not None:

@@ -36,7 +36,7 @@ from .benchmark import (
 from .estimators import CapabilityError, EstimationError, EstimatorConfig, estimate
 from .gaussian import GaussianQ, _count
 from .optimize import SgdSchedule, VariationalSGD, _default, _fit_config, fit, trajectory_to_csv
-from .quadrature import EvaluationError, gauss_hermite_rule, ground_truth_gradient
+from .quadrature import EvaluationError, ground_truth_gradient
 from .targets import resolve_target
 
 __all__ = ["main", "parse_args"]
@@ -52,6 +52,13 @@ def _settings(text: str) -> tuple[tuple[float, float], ...]:
             raise argparse.ArgumentTypeError(f"expected MU:SIGMA2 pairs, got {piece.strip()!r}") from None
         out.append((mu, sigma2))
     return tuple(out)
+
+
+def _out(path: str) -> str:
+    """--out: a path; an empty one is an error, as writing to stdout is what leaving --out out does."""
+    if not path:
+        raise argparse.ArgumentTypeError("expected a path, got ''; leave --out out to write to stdout")
+    return path
 
 
 def _ids(text: str) -> tuple[str, ...]:
@@ -87,7 +94,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                            allow_abbrev=False, exit_on_error=False)
         for flag in flags:
             p.add_argument(flag, **shared[flag])
-        p.add_argument("--out", default=None, help="output path, or stdout")
+        p.add_argument("--out", type=_out, default=None, help="output path, or stdout")
         p.add_argument("--config", default=None, help="JSON file of flag values keyed by destination name")
         return p
 
@@ -341,7 +348,7 @@ def _run(ns: argparse.Namespace) -> int:
         return _emit(_vector_payload(ns, "estimate", result.value, extra), ns.out)
 
     if ns.command == "ground-truth":
-        grad = ground_truth_gradient(ns.q, ns.resolved_target, gauss_hermite_rule())
+        grad = ground_truth_gradient(ns.q, ns.resolved_target)
         extra = {"mu": ns.mu, "sigma2": ns.sigma2, "target": ns.target}
         return _emit(_vector_payload(ns, "gradient", grad, extra), ns.out)
 

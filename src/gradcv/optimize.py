@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
 from .gaussian import GaussianQ, _count, _from_natural, _real, _seed_key, _solve_l, _solve_lt, rng_from_seed
-from .quadrature import gauss_hermite_rule, kl_divergence
+from .quadrature import kl_divergence
 from .targets import Target, resolve_target
 
 __all__ = [
@@ -173,11 +173,10 @@ def fit(
     config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split)
     if config is not None:
         gradient_fn = _estimator_gradient(target, config, seed, schedule.iterations)
-    rule = gauss_hermite_rule()
     # eta as two floats: the arithmetic of the 2-vector, without its per-step overhead
     eta0, eta1 = q0.eta.tolist()
     q = q0
-    history = [TrajectoryPoint(0, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(0))]
+    history = [TrajectoryPoint(0, q.mu, q.sigma2, kl_divergence(q, target), schedule.step(0))]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(schedule.iterations):
             grad = np.asarray(gradient_fn(q), dtype=float)
@@ -194,7 +193,7 @@ def fit(
             except ValueError as err:
                 raise EstimationError(f"fit step {it} leaves the Gaussian family: {err}") from None
             if it % record_every == 0 or it == schedule.iterations:
-                history.append(TrajectoryPoint(it, q.mu, q.sigma2, kl_divergence(q, target, rule), schedule.step(t)))
+                history.append(TrajectoryPoint(it, q.mu, q.sigma2, kl_divergence(q, target), schedule.step(t)))
     return FitResult(final=q, trajectory=tuple(history))
 
 
@@ -266,7 +265,9 @@ class VariationalSGD:
         return self
 
     def score(self, target) -> float:
-        """Negative KL divergence of the fitted q from the target."""
+        """Negative KL divergence of the fitted q from the target; an AttributeError before fit."""
+        if not hasattr(self, "q_"):
+            raise AttributeError("this VariationalSGD is not fitted yet: call fit(target) before score")
         if isinstance(target, str):
             target = resolve_target(target)
         return -kl_divergence(self.q_, target)

@@ -1,7 +1,9 @@
 import concurrent.futures
 import dataclasses
+import json
 import math
 import re
+import threading
 import time
 import tracemalloc
 import warnings
@@ -25,7 +27,7 @@ from gradcv.benchmark import (
     mse_table_to_json,
     run_benchmark,
 )
-from gradcv.estimators import ESTIMATOR_IDS, ESTIMATORS, Draws, EstimationError, EstimatorConfig, run_kernel
+from gradcv.estimators import ESTIMATOR_IDS, CapabilityError, Draws, EstimationError, EstimatorConfig, run_kernel
 from gradcv.gaussian import GaussianQ, rng_from_seed
 from gradcv.targets import Target, resolve_target
 
@@ -174,11 +176,14 @@ class TestDeterminism:
     def test_paired_mode_shares_draws_across_estimators(self):
         assert chunk_stream_key(0, 1, 0, 2, paired=True) == chunk_stream_key(0, 1, 9, 2, paired=True)
         # estimator order cannot matter when draws are shared
-        a = run_benchmark(small_spec(paired=True))
-        b = run_benchmark(small_spec(paired=True, estimators=("greg-samplecov", "cov", "simple")))
-        row_a = next(r for r in a.rows if r.estimator == "cov" and r.mu == 0.0)
-        row_b = next(r for r in b.rows if r.estimator == "cov" and r.mu == 0.0)
-        assert row_a.mse == row_b.mse
+        # nor which others run: a subset's rows are the full table's, bit for bit
+        full = run_benchmark(small_spec(paired=True, estimators=ESTIMATOR_IDS))
+        subset = run_benchmark(small_spec(paired=True, estimators=("greg-pathgrad", "cov", "simple", "cv-ideal")))
+        by_cell = {(r.estimator, r.mu, r.sigma2): r for r in full.rows}
+        assert len(subset.rows) == 8
+        for row in subset.rows:
+            ref = by_cell[row.estimator, row.mu, row.sigma2]
+            assert tables_equal(MseTable(subset.spec, (row,)), MseTable(full.spec, (ref,))), row.estimator
 
 
 class TestThreadPoolAttribute:
@@ -244,25 +249,18 @@ class TestRows:
         for row in run_benchmark(spec).rows:
             assert row.mse <= 1e-12
 
-    def test_capability_gap_yields_na_cell(self, monkeypatch):
-        import gradcv.benchmark as bench
-        from gradcv.targets import Target, resolve_target
-
-        def resolve_with_blackbox(name):
-            if name == "blackbox":
-                return Target(name="blackbox", log_p=resolve_target("logistic").log_p)
-            return resolve_target(name)
-
-        monkeypatch.setattr(bench, "resolve_target", resolve_with_blackbox)
-        spec = small_spec(estimators=("simple", "kingma-reparam", "delta-method"), target="blackbox")
-        table = run_benchmark(spec)
-        by_est = {}
-        for r in table.rows:
-            by_est.setdefault(r.estimator, []).append(r)
-        assert all(r.ok for r in by_est["simple"])
-        assert all(not r.ok and "n/a" in r.note for r in by_est["kingma-reparam"])
-        assert all(not r.ok for r in by_est["delta-method"])
-        assert all(np.isnan(r.mse) for r in by_est["delta-method"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("paired", [False, True], ids=["unpaired", "paired"])
+    def test_a_target_without_a_needed_derivative_is_a_capability_error(self, monkeypatch, paired, threads):
+        # every target resolve_target builds has grad_x and hess_x, so only a
+        # Target put in its place reaches this: the first chunk's first
+        # estimator that needs grad_x fails the run, and the pool shuts down
+        spec = blackbox_spec(monkeypatch, estimators=("simple", "kingma-reparam", "delta-method"), paired=paired)
+        before = threading.active_count()
+        message = re.escape("estimator 'kingma-reparam' requires target.grad_x ('blackbox' has none)")
+        with pytest.raises(CapabilityError, match=f"^{message}$"):
+            run_benchmark(spec, threads=threads)
+        assert threading.active_count() == before
 
 
 def reference_estimates(spec, setting_idx, estimator_idx):
@@ -296,8 +294,8 @@ def chunk_estimates_of_a_run(spec, threads):
     seen = {}
     chunk_estimates = bench._chunk_estimates
 
-    def record(spec, q, target, setting_idx, chunk_idx, runnable):
-        est = chunk_estimates(spec, q, target, setting_idx, chunk_idx, runnable)
+    def record(spec, q, target, setting_idx, chunk_idx):
+        est = chunk_estimates(spec, q, target, setting_idx, chunk_idx)
         seen[setting_idx, chunk_idx] = est.copy()
         return est
 
@@ -379,18 +377,6 @@ class TestTilesAndSharing:
             ref = _reduce_cell(row.estimator, row.mu, row.sigma2, est, row.ground_truth)
             assert tables_equal(MseTable(spec, (row,)), MseTable(spec, (ref,)))
 
-    def test_paired_target_without_grad_gives_na_rows_and_unchanged_others(self, monkeypatch):
-        spec = blackbox_spec(monkeypatch, estimators=ESTIMATOR_IDS, paired=True)
-        table = run_benchmark(spec)
-        path_ids = {e for e in ESTIMATOR_IDS if ESTIMATORS[e].needs_grad}
-        assert path_ids == {"cv-ideal-grad", "delta-method", "kingma-reparam", "greg-pathgrad"}
-        na = [r for r in table.rows if r.estimator in path_ids]
-        assert len(na) == 2 * len(path_ids)
-        assert all(r.note.startswith("n/a: ") and "requires target.grad_x" in r.note for r in na)
-        others = tuple(e for e in ESTIMATOR_IDS if e not in path_ids)
-        alone = run_benchmark(blackbox_spec(monkeypatch, estimators=others, paired=True))
-        assert tables_equal(MseTable(spec, tuple(r for r in table.rows if r.ok)), alone)
-
 
 def peak_traced_memory(spec, threads):
     """The tracemalloc peak of run_benchmark(spec, threads), in bytes."""
@@ -470,11 +456,11 @@ class TestNonFinite:
                              replications=4 * 4096, samples=4)
         chunk_estimates, started = bench._chunk_estimates, []
 
-        def slow_second_setting(spec, q, target, setting_idx, chunk_idx, runnable):
+        def slow_second_setting(spec, q, target, setting_idx, chunk_idx):
             if setting_idx == 1:
                 started.append(chunk_idx)
                 time.sleep(0.05)
-            return chunk_estimates(spec, q, target, setting_idx, chunk_idx, runnable)
+            return chunk_estimates(spec, q, target, setting_idx, chunk_idx)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bench, "_chunk_estimates", slow_second_setting)
@@ -556,8 +542,6 @@ class TestOutputFormats:
         assert header.endswith("mse_eta1,mse_eta2")
 
     def test_json_mirrors_field_names(self):
-        import json
-
         table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))
         payload = json.loads(mse_table_to_json(table))
         row = payload["rows"][0]
@@ -574,8 +558,6 @@ class TestOutputFormats:
         assert mse_table_to_json(run_benchmark(numpy_spec)) == mse_table_to_json(run_benchmark(spec))
 
     def test_json_row_keys_are_the_row_fields_in_order(self):
-        import json
-
         table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))
         row, = json.loads(mse_table_to_json(table))["rows"]
         assert list(row) == [f.name for f in dataclasses.fields(MseRow)]
@@ -595,17 +577,15 @@ class TestOutputFormats:
         cell = text.strip().split("\n")[2].split()[-1]
         assert "/" in cell
 
-    def test_na_cells_render_in_table_and_csv(self, monkeypatch):
-        import gradcv.benchmark as bench
-        from gradcv.targets import Target, resolve_target
-
-        def resolve_with_blackbox(name):
-            if name == "blackbox":
-                return Target(name="blackbox", log_p=resolve_target("logistic").log_p)
-            return resolve_target(name)
-
-        monkeypatch.setattr(bench, "resolve_target", resolve_with_blackbox)
-        spec = small_spec(estimators=("kingma-reparam",), settings=((0.0, 2.0),), target="blackbox")
-        table = run_benchmark(spec)
-        assert "n/a" in format_mse_table(table)
-        assert "nan" in mse_table_to_csv(table)
+    def test_na_cells_render_in_table_and_csv(self):
+        # run_benchmark makes no noted row, but a table built by hand may hold one
+        spec = small_spec(estimators=("kingma-reparam",), settings=((0.0, 2.0),))
+        nan2 = np.full(2, np.nan)
+        row = MseRow(estimator="kingma-reparam", mu=0.0, sigma2=2.0, mse=float("nan"), mse_stderr=float("nan"),
+                     mean_bias=nan2, ground_truth=np.array([0.5, -0.25]), replications=400, mean_se=nan2,
+                     mse_components=nan2, note="n/a: no grad_x")
+        table = MseTable(spec, (row,))
+        assert not row.ok
+        assert format_mse_table(table).split("\n")[2].split() == ["kingma-reparam", "n/a"]
+        assert mse_table_to_csv(table).split("\n")[1] == "kingma-reparam,0,2,nan,nan,nan,nan,0.5,-0.25,400"
+        assert json.loads(mse_table_to_json(table))["rows"][0]["note"] == "n/a: no grad_x"

@@ -443,6 +443,23 @@ class TestBenchmarkCommand:
         assert main(bad) == 1
         assert "cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--out", ""], ["--out="], [{"out": ""}]], ids=["flag", "equals", "config"])
+    def test_empty_out_is_usage_error(self, flags, tmp_path, capsys):
+        # an empty path would otherwise mean stdout, as a variable that is not set does in --out "$OUT"
+        where = ""
+        if isinstance(flags[0], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(flags[0]))
+            flags, where = ["--config", str(cfg)], f"--config {str(cfg)!r}: "
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "--reps", "10", "--format", "csv", *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"gradcv benchmark: error: {where}argument --out: expected a path, got ''; "
+            "leave --out out to write to stdout")
+
     @pytest.mark.parametrize("command", ["benchmark", "fit"])
     def test_unwritable_out_fails_before_any_work(self, command, tmp_path, monkeypatch, capsys):
         def never(fn):

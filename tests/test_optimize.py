@@ -423,3 +423,10 @@ class TestVariationalSGD:
         model = VariationalSGD(iterations=20, samples_per_step=10, seed=1)
         model.fit(logistic_target())
         assert np.isfinite(model.mu_)
+
+    def test_score_before_fit_says_to_fit_first(self):
+        model = VariationalSGD()
+        message = "^this VariationalSGD is not fitted yet: call fit\\(target\\) before score$"
+        for target in ("logistic", logistic_target()):
+            with pytest.raises(AttributeError, match=message):
+                model.score(target)
