@@ -62,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimators import ESTIMATOR_IDS, Draws, EstimationError, EstimatorConfig, run_kernel
-from .gaussian import GaussianQ, _count, _seed_part, rng_from_seed
+from .gaussian import GaussianQ, _count, _flag, _seed_part, rng_from_seed
 from .quadrature import ground_truth_gradient
 from .targets import Target, resolve_target
 
@@ -114,13 +114,12 @@ class BenchmarkSpec:
         # GaussianQ checks each setting, so a bad one fails here, before any cell runs
         qs = [GaussianQ(m, s) for m, s in self.settings]
         object.__setattr__(self, "settings", tuple((q.mu, q.sigma2) for q in qs))
-        # a str is a sequence of one-letter ids, and paired="no" would run the paired table
+        # a str is a sequence of one-letter ids
         if isinstance(self.estimators, str) or not (
             isinstance(self.estimators, Sequence) and all(isinstance(e, str) for e in self.estimators)
         ):
             raise ValueError(f"estimators must be a sequence of estimator ids (str), got {self.estimators!r}")
-        if not isinstance(self.paired, (bool, np.bool_)):
-            raise ValueError(f"paired must be a bool, got {self.paired!r}")
+        _flag("paired", self.paired)
         if not isinstance(self.target, str):
             raise ValueError(f"target must be a str, got {self.target!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -375,6 +374,7 @@ def _fmt(x: float) -> str:
 
 
 def mse_table_to_csv(table: MseTable, per_component: bool = False) -> str:
+    _flag("per_component", per_component)
     header = _CSV_HEADER + (",mse_eta1,mse_eta2" if per_component else "")
     lines = [header]
     for r in table.rows:
@@ -397,6 +397,7 @@ def mse_table_to_json(table: MseTable) -> str:
 
 def format_mse_table(table: MseTable, per_component: bool = False) -> str:
     """Pretty estimator-by-setting text table, one MSE per cell."""
+    _flag("per_component", per_component)
     settings = list(table.spec.settings)
     by_cell = {(r.estimator, (r.mu, r.sigma2)): r for r in table.rows}
     headers = [f"mu={m:g}, s2={s:g}" for m, s in settings]

@@ -491,14 +491,10 @@ def _center(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _einsum_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.vecdot(a, b) for numpy < 2.0, which has no np.vecdot."""
-    return np.einsum("...s,...s->...", a, b)
-
-
-# Sum over the draw axis of a * b, without the product temporary. np.vecdot
-# (numpy >= 2.0) has the least per-call overhead; einsum is the fallback.
-_dot = getattr(np, "vecdot", _einsum_dot)
+# Sum over the draw axis of a * b, without the product temporary, with the
+# least per-call overhead of numpy's inner products (np.vecdot is new in
+# numpy 2.0, the oldest numpy gradcv supports).
+_dot = np.vecdot
 
 
 def _score_directions(u0: np.ndarray, u1: np.ndarray, q: GaussianQ) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ basis and eta.
 A DrawBatch is q and its standard-normal noise; it derives its draws.
 _count is the one check of a count (a draw budget, a replication or
 iteration count, a thread count): an int >= 1, not a bool. _real is the one
-check that a setting (a split fraction, a step size or decay) is a real
-number, not a bool.
+check that a setting (q's mu and sigma2, a split fraction, a step size or
+decay) is a real number, not a bool. _flag is the one check of an on/off
+argument: a bool.
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def _real(name: str, value) -> float:
     return float(value)
 
 
+def _flag(name: str, value) -> None:
+    """Check that value is an on/off switch: a bool or numpy bool, else ValueError naming it.
+
+    Any other value would switch by its truth, so "no" would turn it on.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def _pair(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """np.stack([a0, a1], axis=-1), with less per-call overhead."""
     return np.concatenate((a0[..., None], a1[..., None]), axis=-1)
@@ -143,8 +153,8 @@ class GaussianQ:
     sigma2: float
 
     def __post_init__(self):
-        mu = float(self.mu)
-        sigma2 = float(self.sigma2)
+        mu = _real("mu", self.mu)
+        sigma2 = _real("sigma2", self.sigma2)
         # sigma2 first: from_natural's mu = eta[0] * sigma2 is nan when sigma2 overflows
         if not (math.isfinite(sigma2) and sigma2 > 0.0):
             raise ValueError(f"sigma2 must be finite and > 0, got {sigma2!r}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .estimators import ESTIMATORS, Draws, EstimationError, EstimatorConfig, Noise, run_kernel
-from .gaussian import GaussianQ, _count, _from_natural, _real, _seed_key, _solve_l, _solve_lt, rng_from_seed
+from .gaussian import GaussianQ, _count, _flag, _from_natural, _real, _seed_key, _solve_l, _solve_lt, rng_from_seed
 from .quadrature import kl_divergence
 from .targets import Target, resolve_target
 
@@ -169,6 +169,7 @@ def fit(
     the step, counted from 1 as the trajectory's iterations are.
     """
     schedule = schedule or SgdSchedule()
+    _flag("natural_gradient", natural_gradient)
     stochastic_id = estimator_id if gradient_fn is None else None
     config = _fit_config(record_every, stochastic_id, schedule.samples_per_step, cv_split)
     if config is not None:

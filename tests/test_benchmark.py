@@ -138,7 +138,8 @@ class TestSpecValidation:
         assert tables_equal(run_benchmark(dataclasses.replace(spec, paired=np.True_)),
                             run_benchmark(dataclasses.replace(spec, paired=True)))
 
-    @pytest.mark.parametrize("bad", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0)])
+    @pytest.mark.parametrize("bad", [(np.nan, 2.0), (np.inf, 2.0), (0.0, np.inf), (0.0, 0.0), (0.0, -1.0),
+                                     ("1", "2"), (True, 2.0)])
     def test_rejects_bad_setting_at_construction(self, bad):
         # a bad setting after good ones fails before any cell could run
         with pytest.raises(ValueError, match="mu|sigma2"):
@@ -540,6 +541,15 @@ class TestOutputFormats:
         text = mse_table_to_csv(table, per_component=True)
         header = text.strip().split("\n")[0]
         assert header.endswith("mse_eta1,mse_eta2")
+
+    @pytest.mark.parametrize("render", [mse_table_to_csv, format_mse_table])
+    @pytest.mark.parametrize("flag", ["no", 1, None], ids=repr)
+    def test_per_component_must_be_a_bool(self, render, flag):
+        # a truthy "no" would add the per-component columns
+        table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))
+        with pytest.raises(ValueError, match=f"^per_component must be a bool, got {re.escape(repr(flag))}$"):
+            render(table, per_component=flag)
+        assert render(table, per_component=np.True_) == render(table, per_component=True)
 
     def test_json_mirrors_field_names(self):
         table = run_benchmark(small_spec(estimators=("simple",), settings=((0.0, 2.0),)))

@@ -51,6 +51,16 @@ class TestNaturalParameters:
         with pytest.raises(ValueError, match=r"^eta = \(mu / sigma2, -1 / \(2 sigma2\)\) must be finite, got mu="):
             GaussianQ(mu, sigma2)
 
+    @pytest.mark.parametrize("mu, sigma2, field", [
+        ("1.5", 2.0, "mu"), (True, 1.0, "mu"), (None, 1.0, "mu"),
+        (0.0, "2", "sigma2"), (0.0, np.True_, "sigma2"),
+    ], ids=repr)
+    def test_mu_and_sigma2_must_be_real_numbers(self, mu, sigma2, field):
+        # float() would parse "1.5" and read True as 1.0
+        message = f"{field} must be a real number (not a bool), got {mu if field == 'mu' else sigma2!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaussianQ(mu, sigma2)
+
     @pytest.mark.parametrize("make, message", [
         (lambda: GaussianQ(np.float64(np.inf), 1.0), "mu must be finite, got inf"),
         (lambda: GaussianQ(0.0, np.float64(-2.0)), "sigma2 must be finite and > 0, got -2.0"),

@@ -167,17 +167,13 @@ def assert_same_bits(got, ref):
     assert got.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("dot", ["vecdot", "einsum"])
 @pytest.mark.parametrize("target_name", list(TARGETS))
 @pytest.mark.parametrize("est_id", ESTIMATOR_IDS)
-def test_a_row_is_a_one_row_tile(est_id, target_name, dot, monkeypatch):
+def test_a_row_is_a_one_row_tile(est_id, target_name):
     # the fit and estimate() run 1-D (S,) noise, the benchmark (R, S) tiles:
     # the same noise as an (S,) row, as a row of a block's Noise (whose kept
     # moments it indexes) and as a (1, S) tile gives the same estimate and
-    # aux, bit for bit, at every budget from the estimator's floor; "einsum"
-    # runs the np.vecdot-less path of numpy < 2.0
-    if dot == "einsum":
-        monkeypatch.setattr(gradcv.estimators, "_dot", gradcv.estimators._einsum_dot)
+    # aux, bit for bit, at every budget from the estimator's floor
     q, t = GaussianQ(0.5, 1.5), TARGETS[target_name]
     sizes = set()
     for split in (0.3, 0.5):

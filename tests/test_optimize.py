@@ -85,6 +85,17 @@ class TestFit:
         with pytest.raises(ValueError, match=message):
             fit(GaussianQ(0.0, 1.0), logistic_target(), "cv-regression", SgdSchedule(iterations=3), seed=seed)
 
+    @pytest.mark.parametrize("make", [
+        lambda flag: fit(GaussianQ(0.0, 1.0), logistic_target(), "cv-regression", SgdSchedule(iterations=3),
+                         natural_gradient=flag),
+        lambda flag: VariationalSGD(iterations=3, natural_gradient=flag).fit("logistic"),
+    ], ids=["fit", "VariationalSGD"])
+    @pytest.mark.parametrize("flag", ["no", 1, None], ids=repr)
+    def test_natural_gradient_must_be_a_bool(self, make, flag):
+        # a truthy "no" would run natural-gradient descent
+        with pytest.raises(ValueError, match=f"^natural_gradient must be a bool, got {re.escape(repr(flag))}$"):
+            make(flag)
+
     def test_record_every_must_be_an_int(self):
         # with 2.5, `it % record_every == 0` would record the steps 0, 5, 10, ...
         sched = SgdSchedule(iterations=20)

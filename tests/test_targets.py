@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ class TestGaussianTarget:
     def test_mean_is_checked_as_gaussianq_checks_it(self, mu):
         with pytest.raises(ValueError, match="^mu must be finite"):
             gaussian_target(mu, 1.0)
+
+    @pytest.mark.parametrize("mu, sigma2, message", [
+        ("1", "3", "mu must be a real number (not a bool), got '1'"),
+        (1.0, "3", "sigma2 must be a real number (not a bool), got '3'"),
+    ])
+    def test_mean_and_variance_must_be_real_numbers(self, mu, sigma2, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gaussian_target(mu, sigma2)
 
 
 class TestResolve:
