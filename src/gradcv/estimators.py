@@ -85,9 +85,11 @@ read the noise alone. A Draws is the cache of one tile's draws of q and
 the target, over a Noise of the same rows. It computes each elementwise
 ingredient (the draws x = mu + sigma eps, which the target and
 delta-method read, u1, the target's log_p, f, and r, which reads grad_x)
-at most once, on every column, when a kernel first reads it; the halves are
-column views that slice it once and keep the slice. It also keeps the
-(...) moment tuples of a column range: Cov-hat[u, f] and F. So every kernel
+at most once, on every column, when a kernel first reads it. It also keeps
+the (...) moment tuples of a column range: Cov-hat[u, f] and F. The halves
+are column views, and a row of a block is a row view: a view keeps nothing
+of its own, since every kept value lives in the one dict of the whole Draws
+or Noise, and a view slices or indexes it on read. So every kernel
 run on one Draws reads what another has computed: cv-ideal and
 cv-regression share the evaluation half's moments, cov and greg-samplecov
 the whole range's, kingma-reparam and greg-pathgrad the whole range's F,
@@ -223,49 +225,47 @@ class Noise:
     Gram Cov-hat[u, u] with 1/(n-1)) and the matrix that solves the Gram
     (_gram_inverse), each as (...) components computed on first use, once
     for all rows: _kept(compute, lo, hi). len() is the number of rows, 1
-    for an (S,) row. rows(index) is the view of the rows eps[index]: its
-    eps is a view, and its moments are those of the Noise it came from,
-    which keeps them, indexed alike. An int index gives an (S,) row whose
-    moments are numpy scalars; a slice gives a (k, S) block. A slice view
-    indexes a kept value once and keeps the result. For int rows the root
-    splits each kept value, once, into one tuple per row, so a fit step's
-    row reads its moments without indexing an array.
+    for an (S,) row. rows(index) is the view of the rows eps[index] of a
+    whole Noise: its eps is a view, and it keeps nothing of its own. Its
+    moments are those of the whole Noise, kept in the whole Noise's one
+    dict and indexed alike on read. An int index gives an (S,) row whose
+    moments are numpy scalars; any other index, such as a slice, a (k, S)
+    block. For int rows the dict also keeps each moment tuple split, once,
+    into one tuple per row, so a fit step's row reads its moments without
+    indexing an array.
     """
 
-    __slots__ = ("eps", "_root", "_rows", "_cache", "_row_tuples")
+    __slots__ = ("eps", "_root", "_rows", "_cache")
 
     def __init__(self, eps: np.ndarray):
         self.eps = eps
-        self._root, self._rows, self._cache, self._row_tuples = None, slice(None), {}, {}
+        self._root, self._rows, self._cache = None, None, {}
 
     def __len__(self) -> int:
         return math.prod(self.eps.shape[:-1])
 
     def rows(self, index) -> "Noise":
-        view = Noise(self.eps[index])
-        view._root, view._rows = self, index
+        if self._root is not None:  # the root's dict is indexed by the root's rows
+            raise ValueError("rows() of a row view; take the rows of the whole Noise")
+        view = Noise.__new__(Noise)  # the root's dict, without __init__'s own
+        view.eps, view._root, view._rows, view._cache = self.eps[index], self, index, self._cache
         return view
 
     def _kept(self, compute, lo: int | None, hi: int | None) -> tuple:
-        """compute(root, lo, hi) of the columns lo:hi, kept by the root Noise and indexed to this one's rows."""
-        key = (compute, lo, hi)
-        root, rows = self._root, self._rows
+        """compute(root, lo, hi) of the columns lo:hi, kept in the root's dict and indexed to this Noise's rows on read."""
+        cache, root, rows = self._cache, self._root, self._rows
         if isinstance(rows, int):
-            per_row = root._row_tuples.get(key)
+            per_row = cache.get((compute, lo, hi, "per row"))
             if per_row is None:
                 # iterating an array gives what indexing it gives
-                per_row = root._row_tuples[key] = list(zip(*root._kept(*key)))
+                per_row = cache[compute, lo, hi, "per row"] = list(zip(*root._kept(compute, lo, hi)))
             return per_row[rows]
-        value = self._cache.get(key)
+        value = cache.get((compute, lo, hi))
         if value is None:
-            if root is None:
-                value = compute(self, lo, hi)
-            else:
-                # a list, not a generator: tuple(generator) resizes the tuple it
-                # builds, and CPython then keeps every one freed on a free list
-                value = tuple([v[rows] for v in root._kept(*key)])
-            self._cache[key] = value
-        return value
+            value = cache[compute, lo, hi] = compute(self if root is None else root, lo, hi)
+        # a list, not a generator: tuple(generator) resizes the tuple it
+        # builds, and CPython then keeps every one freed on a free list
+        return value if root is None else tuple([v[rows] for v in value])
 
 
 class Draws:
@@ -276,7 +276,7 @@ class Draws:
     Noise of the rows (an array of eps is made one); eps is its noise on the
     Draws' columns, len() its number of rows (1 for an (S,) row), and
     u_moments and gram_inverse its moments of u there, numpy scalars on an
-    (S,) row. The Draws keeps:
+    (S,) row. The Draws keeps, in one dict:
 
     * the elementwise ingredients, keyed by the function that computes them:
       the draws x = q.reparameterize(eps) (_x), which the target and
@@ -288,9 +288,9 @@ class Draws:
       reduction and the column range (lo, hi) as columns() was given it.
 
     columns(lo, hi) is the view of a column range of a whole Draws: its
-    eps is a view, its elementwise ingredients are column slices of those
-    of the Draws it came from, which it slices once and keeps, and its
-    moments are kept there.
+    eps is a view, and it keeps nothing of its own. It reads the whole
+    Draws' dict: an elementwise ingredient is sliced to its columns on each
+    read, and its moment tuples are kept there under its range.
     Centered (..., S) arrays are not kept: each kernel makes its own, reuses
     them in place and releases them before its next stage. No kernel writes
     into an array the Draws keeps.
@@ -304,35 +304,33 @@ class Draws:
         self.eps = self.noise.eps
         # a root Draws is its own root; None, not self, since a reference
         # cycle would keep every tile's arrays until the cycle collector runs
-        self._root, self._lo, self._hi = None, None, None
-        self._cache: dict = {}
+        self._root, self._lo, self._hi, self._cache = None, None, None, {}
 
     def __len__(self) -> int:
         return len(self.noise)
 
     def columns(self, lo: int, hi: int | None = None) -> "Draws":
-        view = Draws.__new__(Draws)  # the root's q, t and noise, without __init__'s check
-        view.q, view.t, view.noise = self.q, self.t, self.noise
-        view.eps = self.eps[..., lo:hi]
-        view._root, view._lo, view._hi, view._cache = self, lo, hi, {}
+        if self._root is not None:  # the root's dict is keyed by ranges of the root's columns
+            raise ValueError("columns() of a column view; take the columns of the whole Draws")
+        view = Draws.__new__(Draws)  # the root's q, t, noise and dict, without __init__'s check
+        view.q, view.t, view.noise, view.eps = self.q, self.t, self.noise, self.eps[..., lo:hi]
+        view._root, view._lo, view._hi, view._cache = self, lo, hi, self._cache
         return view
 
     def _elementwise(self, compute):
-        """compute(root) of the whole Draws, kept by it; a view keeps it sliced to its columns."""
+        """compute(root) of the whole Draws, kept in the root's dict; a view slices it to its columns on read."""
+        root = self._root
         value = self._cache.get(compute)
         if value is None:
-            root = self._root
-            value = compute(self) if root is None else root._elementwise(compute)[..., self._lo:self._hi]
-            self._cache[compute] = value
-        return value
+            value = self._cache[compute] = compute(self if root is None else root)
+        return value if root is None else value[..., self._lo:self._hi]
 
     def _reduced(self, reduce) -> tuple:
-        """reduce(self), kept by the whole Draws under this one's column range."""
-        cache = self._cache if self._root is None else self._root._cache
+        """reduce(self), kept in the root's dict under this Draws' column range."""
         key = (reduce, self._lo, self._hi)
-        value = cache.get(key)
+        value = self._cache.get(key)
         if value is None:
-            value = cache[key] = reduce(self)
+            value = self._cache[key] = reduce(self)
         return value
 
     @property

@@ -315,6 +315,46 @@ class TestSharedDraws:
         np.testing.assert_array_equal(row.columns(5).x, q.reparameterize(eps[2, 5:]))
         assert len(row) == 1
 
+    def test_views_keep_nothing_of_their_own(self, monkeypatch):
+        # a Draws column view and a Noise row view hold their root and their
+        # column range or row; every value they read is kept in the root's
+        # one dict: an ingredient is a slice of the root's, two views of one
+        # range read the root's one moment tuple, and a block's int rows read
+        # per-row tuples that the block split once, from one computation
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return u_moments(*args)
+
+        u_moments = gradcv.estimators._u_moments
+        monkeypatch.setattr(gradcv.estimators, "_u_moments", spy)
+        q, t = GaussianQ(0.5, 1.5), logistic_target()
+        block = Noise(noise(3, "views"))
+        root = Draws(q, t, block)
+        views = (root.columns(0, 20), root.columns(0, 20), root.columns(20))
+        for view in views:
+            assert view._root is root and view._cache is root._cache
+            assert view.x.base is root.x
+        assert views[0].cov_uf is views[1].cov_uf
+        assert views[0].u_moments is views[1].u_moments is Draws(q, t, block).columns(0, 20).u_moments
+        read = (views[0].cov_uf, views[2].path_uf, views[0].u_moments, views[2].gram_inverse)
+        kept = list(root._cache.values()) + list(block._cache.values())
+        assert all(any(value is k for k in kept) for value in read)
+        whole = Draws(q, t, block).u_moments
+        for i in (0, 1, 2, 1):
+            row = block.rows(i)
+            assert row._root is block and row._rows == i and row._cache is block._cache
+            got = Draws(q, t, row).u_moments
+            assert got is Draws(q, t, block.rows(i)).u_moments
+            assert_same_bits(got, [m[i] for m in whole])
+        assert calls == [(0, 20), (20, None), (None, None)]
+        # a view's range or row is of its root's, so a view of a view is refused
+        with pytest.raises(ValueError, match="columns of the whole Draws"):
+            views[2].columns(0, 5)
+        with pytest.raises(ValueError, match="rows of the whole Noise"):
+            block.rows(1).rows(0)
+
     def test_draws_of_another_q_or_target_rejected(self):
         q, t = GaussianQ(0.5, 1.5), logistic_target()
         d = Draws(q, t, noise(3, "another"))
