@@ -54,9 +54,9 @@ floor and that each DrawBatch is of q (a DrawBatch derives its draws from
 its own q and noise, and the kernels read the noise, so a batch of another
 q is an error), and lays the batches' noise side by side in one row.
 estimate() draws its batches with q.sample. The est_* functions are
-generated from the registry and carry their kernel's docstring. Every
-kernel treats each row on its own, so an estimate does not depend on which
-rows share its call.
+generated from the registry, which also names them in __all__, and carry
+their kernel's docstring. Every kernel treats each row on its own, so an
+estimate does not depend on which rows share its call.
 
 The kernels are written as two-component arithmetic on (..., S) arrays,
 one array per component, following the regression view in which every
@@ -138,16 +138,7 @@ __all__ = [
     "ESTIMATORS",
     "ESTIMATOR_IDS",
     "estimate",
-    "est_simple",
-    "est_cov",
-    "est_cv_ideal",
-    "est_cv_regression",
-    "est_cv_ideal_pathgrad",
-    "est_ranganath_cv",
-    "est_delta_method",
-    "est_kingma_reparam",
-    "est_greg_samplecov",
-    "est_greg_pathgrad",
+    # and the est_* functions, which the loop over ESTIMATORS below makes and appends
 ]
 
 # Determinant threshold, relative to the squared magnitude of the matrix,
@@ -892,6 +883,7 @@ def _alias(info: EstimatorInfo) -> Callable[..., GradEstimate]:
 for _info in ESTIMATORS.values():
     _fn = _alias(_info)
     globals()[_fn.__name__] = _fn
+    __all__.append(_fn.__name__)
 del _info, _fn
 
 

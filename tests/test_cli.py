@@ -560,3 +560,22 @@ def test_every_public_name_resolves():
     assert gradcv.run_all_checks is gradcv.diagnostics.run_all_checks
     with pytest.raises(AttributeError, match="^module 'gradcv' has no attribute 'no_such_name'$"):
         gradcv.no_such_name
+
+
+def test_the_package_exports_each_modules_all_once():
+    # each module's __all__ is the one statement of its public names: the
+    # package's __all__ is run_all_checks and the six modules' __all__, each
+    # name once and bound to its module's own object, and the est_* names in
+    # estimators.__all__ are the functions generated from ESTIMATORS, in
+    # the registry's order
+    modules = (gradcv.benchmark, gradcv.estimators, gradcv.gaussian, gradcv.optimize, gradcv.quadrature,
+               gradcv.targets)
+    assert gradcv.__all__ == ["run_all_checks", *(name for m in modules for name in m.__all__)]
+    assert len(set(gradcv.__all__)) == len(gradcv.__all__)
+    not_own = [(m.__name__, name) for m in modules for name in m.__all__ if getattr(gradcv, name) is not getattr(m, name)]
+    assert not_own == []
+    estimators = gradcv.estimators
+    est_names = [name for name in estimators.__all__ if name.startswith("est_")]
+    assert sorted(est_names) == sorted(name for name in vars(estimators) if name.startswith("est_"))
+    assert [getattr(estimators, name).__doc__ for name in est_names] == [
+        info.kernel.__doc__ for info in estimators.ESTIMATORS.values()]

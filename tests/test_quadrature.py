@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -104,6 +105,24 @@ class TestRule:
             exact = 0.0 if k % 2 else float(double_factorial(k))
             scale = float(double_factorial(k if k % 2 == 0 else k + 1))
             assert abs(got - exact) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("order", [371, 372, 400])
+    def test_an_order_past_hermgauss_is_an_error_without_warnings(self, order):
+        # numpy 2.4.6's hermgauss overflows past order 370: its weights sum
+        # to 0 at 371 and are NaN from 372, and its overflow does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^no order-{order} rule: its nodes must be finite and its weights"):
+                gauss_hermite_rule(order)
+
+    def test_the_check_keeps_every_rule_bit_for_bit(self):
+        x, w = np.polynomial.hermite.hermgauss(370)
+        rule = gauss_hermite_rule(370)
+        assert rule.nodes.tobytes() == (np.sqrt(2.0) * x).tobytes()
+        assert rule.weights.tobytes() == (w / np.sqrt(np.pi)).tobytes()
+        stored = gauss_hermite_rule()
+        digest = hashlib.sha256(stored.nodes.tobytes() + stored.weights.tobytes()).hexdigest()
+        assert digest == "eb8cf9270d3525268ad7bc5c1b7d8399c396fc282a3de4926397695655e083f9"
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
